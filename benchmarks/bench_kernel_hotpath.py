@@ -116,7 +116,6 @@ def run_benchmark(fidelity: Fidelity, repeats: int = 3) -> dict:
         "events_per_sec": round(events_per_sec, 1),
         "spin_rate": round(rate, 1),
         "events_per_spin": round(events_per_sec / rate, 6),
-        "fast_lane": os.environ.get("REPRO_KERNEL_FASTLANE", "1"),
         "timestamp": time.strftime(
             "%Y-%m-%dT%H:%M:%S%z", time.localtime()
         ),

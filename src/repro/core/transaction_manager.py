@@ -45,7 +45,7 @@ from repro.core.transaction import (
     TransactionState,
 )
 from repro.core.workload import AggregatedTerminalSource, RetryBackoff, \
-    Source, aggregated_terminals_default
+    Source
 from repro.sim.kernel import Environment, Interrupt, Mailbox
 from repro.sim.stats import Tally
 from repro.sim.streams import RandomStreams
@@ -128,27 +128,14 @@ class TransactionManager:
     def start(self) -> None:
         """Launch the terminal population.
 
-        Default: one :class:`AggregatedTerminalSource` drives every
-        terminal with plain callbacks (memory stays O(in-flight
-        transactions)).  ``REPRO_WORKLOAD_AGG=0`` reverts to the
-        original resident loop — one generator Process per terminal —
-        which the determinism suite keeps bit-identical to the
-        aggregated source.
+        One :class:`AggregatedTerminalSource` drives every terminal
+        with plain callbacks, so memory stays O(in-flight
+        transactions) rather than one resident Process per terminal.
         """
-        if aggregated_terminals_default():
-            self._arrival_source = AggregatedTerminalSource(
-                self.env, self.source, self
-            )
-            self._arrival_source.start()
-            return
-        self._arrival_source = None
-        # The verification fallback is the one sanctioned resident
-        # spawn site.
-        for terminal in range(self.config.workload.num_terminals):
-            self.env.process(  # simlint: ignore[resident-terminal-process]
-                self._terminal_loop(terminal),
-                name=f"terminal-{terminal}",
-            )
+        self._arrival_source = AggregatedTerminalSource(
+            self.env, self.source, self
+        )
+        self._arrival_source.start()
 
     def _trace(
         self,
@@ -166,27 +153,6 @@ class TransactionManager:
                 node,
                 detail,
             )
-
-    def _terminal_loop(self, terminal: int):
-        while True:
-            think = self.source.think_time(terminal)
-            if think > 0.0:
-                yield self.env.timeout(think)
-            spec = self.source.generate(terminal)
-            transaction = Transaction(
-                terminal,
-                self.source.class_of(terminal),
-                spec,
-                self.env.now,
-            )
-            self.active_transactions += 1
-            if self._tracing:
-                self._trace(EventKind.ORIGINATED, transaction)
-            yield self.env.process(
-                self._run_transaction(transaction),
-                name=f"txn-{transaction.tid}",
-            )
-            self.active_transactions -= 1
 
     # ------------------------------------------------------------------
     # Coordinator

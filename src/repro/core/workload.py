@@ -18,7 +18,6 @@ accesses per partition first and groups them by node afterwards.
 
 from __future__ import annotations
 
-import os
 from bisect import bisect_right
 from typing import Dict, List, Sequence, Tuple
 
@@ -33,21 +32,7 @@ __all__ = [
     "AggregatedTerminalSource",
     "RetryBackoff",
     "Source",
-    "aggregated_terminals_default",
 ]
-
-
-def aggregated_terminals_default() -> bool:
-    """Aggregated arrivals are on unless ``REPRO_WORKLOAD_AGG=0``.
-
-    The toggle selects between :class:`AggregatedTerminalSource` (one
-    batched arrival source for the host's terminal population) and the
-    original resident one-Process-per-terminal loop in
-    :class:`~repro.core.transaction_manager.TransactionManager`.  Both
-    are bit-identical — the determinism suite proves it — so this is a
-    memory/speed choice, not a model choice.
-    """
-    return os.environ.get("REPRO_WORKLOAD_AGG", "1") != "0"
 
 
 class RetryBackoff:
@@ -350,15 +335,15 @@ class Source:
 class _TerminalWatcher:
     """Process-protocol shim subscribing a terminal to its transaction.
 
-    Replaces the resident terminal Process's ``yield txn_process`` in
-    aggregated mode: implements just enough of the process protocol —
+    Stands in for a terminal waiting on its transaction process: it
+    implements just enough of the process protocol —
     ``_alive``/``_waiting_on`` for the deferred-delivery check,
     ``_resume`` for normal completion, and the ``_generator.throw`` /
     ``_step`` pair for the exception path of
     :meth:`Process._notify_step` — to be notified when the transaction
-    process finishes.  A resident terminal would die with the same
-    unobserved exception the transaction re-raised; the shim mirrors
-    that by recording a crash under the same ``terminal-N`` name.
+    process finishes.  An exception the transaction re-raised is
+    recorded as an unobserved crash under the terminal's
+    ``terminal-N`` name.
     """
 
     __slots__ = ("owner", "terminal", "name", "_alive", "_waiting_on")
@@ -393,41 +378,29 @@ class _TerminalWatcher:
 
 
 class AggregatedTerminalSource:
-    """Batched arrival source: the host's terminals without Processes.
+    """Arrival source: the host's terminals without Processes.
 
-    The resident implementation keeps one generator Process alive per
-    terminal, cycling think → generate → run → think; every idle
-    terminal therefore holds a suspended generator frame, a Process
-    object, and a pooled Timeout on top of its pending think event.  At
-    the paper's 128 terminals that is noise; at the ROADMAP's 10⁵–10⁶
-    it dominates memory and startup time.
+    Each terminal cycles think → generate → run → think.  Rather than
+    keeping one generator Process alive per terminal (a suspended
+    frame, a Process object and a pooled Timeout for every idle
+    terminal, which dominates memory and startup at 10⁵ terminals),
+    this source keeps only a scheduled arrival handle per idle
+    terminal and drives the whole population with plain callbacks:
 
-    This source keeps only a scheduled arrival handle per idle terminal
-    (a single pooled ``ScheduledCallback``) and drives the whole
-    population with plain callbacks.  It is *bit-identical* to the
-    resident loop, by construction:
-
-    * Per-terminal think times come from the same ``think-{terminal}``
-      streams, drawn at the same dispatch points: the resident loop
-      draws inside the process-notification step after a transaction
-      finishes (and inside the terminal's start step at t=0); this
-      source draws inside the watcher-resume step (and inside its boot
-      step at t=0).  Same global order, same streams, same sequences.
+    * Per-terminal think times come from the ``think-{terminal}``
+      streams, drawn inside the boot step at t=0 and inside the
+      watcher-resume step after each transaction finishes.
     * Shared-stream draws (``page-count``, ``page-choice``,
       ``write-coin``, ``file-choice``…) happen in ``generate`` at the
-      arrival instant, inside the arrival callback — exactly where the
-      resident terminal's resumed generator made them.
-    * Kernel sequence numbers are consumed one-for-one: boot consumes
-      one ``schedule_now`` per terminal exactly as ``Process.__init__``
-      did; each think consumes one ``schedule``; each arrival consumes
-      one ``schedule_now`` (transaction-process start); each completion
-      consumes one ``schedule_now`` (watcher notification).  The global
-      ``(time, seq)`` schedule — and therefore every simulation result
-      — is unchanged.
+      arrival instant, inside the arrival callback.
+    * Kernel sequence numbers: boot consumes one ``schedule_now`` per
+      terminal; each think consumes one ``schedule``; each arrival
+      consumes one ``schedule_now`` (transaction-process start); each
+      completion consumes one ``schedule_now`` (watcher notification).
 
+    The fig2/fig10 goldens pin the resulting ``(time, seq)`` schedule.
     Terminals all attach to the host node in this model (paper §3.2),
     so one source per simulation is one source per (host) node.
-    ``REPRO_WORKLOAD_AGG=0`` reverts to the resident loop.
     """
 
     def __init__(self, env, source: Source, manager) -> None:
@@ -438,11 +411,7 @@ class AggregatedTerminalSource:
         self.manager = manager
 
     def start(self) -> None:
-        """Boot every terminal (one zero-delay callback each).
-
-        Mirrors the resident path, where ``Process.__init__`` schedules
-        one start step per terminal at the current time.
-        """
+        """Boot every terminal (one zero-delay callback each)."""
         env = self.env
         boot = self._boot
         for terminal in range(self.source.config.num_terminals):

@@ -15,13 +15,12 @@ load fixed, and reports three curves against machine size:
   purely local.
 * **wall-clock events per second** — a *simulator* metric, not a model
   metric: dispatched kernel events divided by wall-clock run time.
-  This is the curve the calendar-queue scheduler and the aggregated
-  arrival source exist for; with the O(log n) heap and resident
-  terminal processes it sags as the pending-event population grows
-  into the tens of thousands, with the O(1) calendar queue it stays
-  flat.  Wall-clock numbers are machine-dependent and non-
-  deterministic, so this figure is measured on fresh in-process runs
-  (never cached) and is excluded from determinism comparisons.
+  The pending-event population grows with the terminal count, so this
+  curve shows what the kernel's O(log n) heap costs as the population
+  reaches the tens of thousands.  Wall-clock numbers are machine-
+  dependent and non-deterministic, so this figure is measured on fresh
+  in-process runs (never cached) and is excluded from determinism
+  comparisons.
 
 Scaleout configuration, relative to the paper's §4.2 machine: the
 relation count grows with the machine (one new 8-partition,

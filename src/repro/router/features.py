@@ -4,7 +4,7 @@ The router classifies on *declared* information only — the immutable
 :class:`~repro.core.transaction.AccessSpec` fixed at origination — so
 classification is a pure function of the transaction, computable at
 BEGIN, identical on every attempt, and free of any runtime state that
-could differ across kernel scheduler or parallelism settings.
+could differ across parallelism settings.
 
 Four binary features make up the class key:
 

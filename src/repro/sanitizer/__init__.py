@@ -25,7 +25,7 @@ the resources, the network, and the fault injector into a
 ``handle-lifecycle``
     ``cancel()`` on a handle whose callback already ran (which under
     pooling would kill an unrelated recycled event), and double-cancel
-    before reap, across both the heap and calendar schedulers.
+    before reap.
 ``leak-audit``
     End-of-run audit generalizing ``faults.assert_no_leaks``: orphaned
     processes and undelivered couriers on drained runs, cohorts or

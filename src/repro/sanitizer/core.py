@@ -455,11 +455,7 @@ class Sanitizer:
     # ------------------------------------------------------------------
 
     def _queues_drained(self, env: Environment) -> bool:
-        if env._fast:
-            return False
-        if env._cal is not None:
-            return env._cal.peek() is None
-        return not env._heap
+        return not env._fast and not env._heap
 
     def _audit_orphans(self, env: Environment) -> None:
         for process in self._processes:

@@ -20,32 +20,42 @@ that no process is ever resumed twice.
 
 Hot-path design (the per-event cost caps every figure replication):
 
+* **One pending-event heap.**  Future callbacks wait on a ``heapq`` of
+  ``(time, seq, handle)`` tuples, where ``seq`` is the global schedule
+  counter.  Equal times therefore break FIFO, and because ``seq`` is
+  unique the comparison never reaches the handle: ordering stays
+  inside C tuple comparison.  A calendar queue and a heap of handles
+  ordered by a Python ``__lt__`` both measured slower end to end
+  (DESIGN §9).
 * **Same-time fast lane.**  Zero-delay work — deferred event
   deliveries, process-termination notifications, pending interrupts —
   is the majority of all scheduled callbacks, and none of it needs a
   priority queue: it always runs at the current timestamp.  Such
-  callbacks go onto a FIFO ``deque`` instead of the heap.  FIFO
-  tie-breaking is *provably preserved*: every callback (heap or fast
-  lane) carries the global sequence number it was scheduled with, and
-  the dispatch loop interleaves same-time heap entries with fast-lane
-  entries in exact sequence order — bit-identical schedules to a
-  heap-only kernel (``REPRO_KERNEL_FASTLANE=0`` forces the heap-only
-  path; the determinism suite asserts identical metrics both ways).
-* **Allocation-free heap entries.**  :class:`ScheduledCallback` handles
-  order themselves via ``__lt__`` on ``(time, seq)`` slots and are
-  pushed on the heap directly — no ``(time, seq, handle)`` wrapper
-  tuple per event.
-* **Pooled timeouts.**  :meth:`Environment.timeout` recycles fired
+  callbacks go onto a FIFO ``deque`` instead of the heap.  Every
+  callback carries the sequence number it was scheduled with, and the
+  dispatch loop interleaves same-time heap entries with fast-lane
+  entries in sequence order, so dispatch follows exact global
+  ``(time, seq)`` order.
+* **Pooled handles and timeouts.**  Dispatched
+  :class:`ScheduledCallback` handles are recycled for later
+  ``schedule`` calls, and :meth:`Environment.timeout` recycles fired
   :class:`Timeout` objects from a free list.  A timeout is single-use:
   once it has fired and resumed its waiter it may be handed out again,
   so holding on to a fired timeout object is not supported.
+* **GC paused during dispatch.**  ``run()`` disables the cyclic
+  collector for the duration of the loop (see :meth:`Environment.run`).
+
+:meth:`Environment.run` has two dispatch loops.  The clean loop is the
+one every normal run takes.  The instrumented loop runs one
+same-timestamp batch at a time and serves the runtime sanitizer
+(``repro.sanitizer``, FIFO batches with hooks) and its differential
+confirmer (``tiebreak="reverse-batch"``, batches in descending seq).
 """
 
 from __future__ import annotations
 
 import gc
 import heapq
-import os
 from collections import deque
 from typing import Any, Callable, Generator, Iterable, List, Optional, \
     Tuple
@@ -75,45 +85,9 @@ _TIMEOUT_POOL_LIMIT = 128
 _HANDLE_POOL_LIMIT = 512
 
 
-def _fast_lane_default() -> bool:
-    """Fast lane is on unless ``REPRO_KERNEL_FASTLANE=0`` disables it."""
-    return os.environ.get("REPRO_KERNEL_FASTLANE", "1") != "0"
-
-
-def _scheduler_default() -> str:
-    """Scheduler choice: ``REPRO_KERNEL_SCHED=calendar`` (default) | ``heap``.
-
-    ``calendar`` keeps per-event cost O(1) in the pending-event
-    population (see :mod:`repro.sim.calendar`); ``heap`` is the
-    original binary heap.  Both produce bit-identical schedules — the
-    calendar queue pops in exact global ``(time, seq)`` order — so the
-    toggle is a performance choice, verified by the determinism suite.
-    """
-    value = os.environ.get("REPRO_KERNEL_SCHED", "calendar")
-    if value not in ("calendar", "heap"):
-        raise ValueError(
-            f"REPRO_KERNEL_SCHED={value!r}; expected 'calendar' or 'heap'"
-        )
-    return value
-
-
 def _handle_seq(handle: "ScheduledCallback") -> int:
-    """Sort key for perturbed-tie-break batches."""
+    """Sort key for same-timestamp batches in the instrumented loop."""
     return handle.seq
-
-
-def _gc_pause_default() -> bool:
-    """GC is paused inside ``run()`` unless ``REPRO_KERNEL_GC_PAUSE=0``.
-
-    The dispatch loop allocates at a steady, predictable rate; letting
-    the cyclic collector interrupt it every few hundred allocations
-    costs ~10-15% of wall time on event-dense workloads.  ``run()``
-    therefore disables collection for the duration of the loop and
-    restores it on exit — cyclic garbage (broken promptly by the kernel
-    dropping generator references when processes finish) is reclaimed
-    between run chunks instead of mid-dispatch.
-    """
-    return os.environ.get("REPRO_KERNEL_GC_PAUSE", "1") != "0"
 
 
 class SimulationError(Exception):
@@ -139,10 +113,7 @@ class ScheduledCallback:
     entry is discarded when popped.  Positional arguments are stored on
     the handle and passed to the callback when it runs, so the hot
     scheduling paths (event delivery, timeout firing, process
-    notification) need no per-event closure allocation.  The handle is
-    its own heap entry: ``__lt__`` orders by ``(time, seq)``, the same
-    global FIFO tie-break a wrapper tuple used to provide, without
-    allocating one per event.
+    notification) need no per-event closure allocation.
 
     Ownership: once a handle has run (or was cancelled and reaped by the
     dispatch loop), it belongs to the kernel again and may be recycled
@@ -165,14 +136,6 @@ class ScheduledCallback:
         self.callback = callback
         self.args = args
         self.cancelled = False
-
-    def __lt__(self, other: "ScheduledCallback") -> bool:
-        # Exact comparison is sound here: both sides are stored
-        # schedule times (never arithmetic results), and the seq
-        # tie-break below handles the equal case explicitly.
-        if self.time != other.time:
-            return self.time < other.time
-        return self.seq < other.seq
 
     def cancel(self) -> None:
         """Prevent the callback from running; safe to call repeatedly."""
@@ -695,17 +658,21 @@ class Environment:
     ``now`` is a plain attribute (read-hot); treat it as read-only from
     model code.  ``dispatch_count`` counts callbacks actually run — the
     events/second benchmarks divide it by wall-clock time.
+
+    ``sanitizer`` attaches a runtime sanitizer (``repro.sanitizer``);
+    ``False`` is accepted as an explicit "off".  ``tiebreak`` selects
+    the order among same-timestamp callbacks: ``"fifo"`` (the default,
+    schedule order) or ``"reverse-batch"`` (the differential
+    confirmer's perturbed order).  Either one routes :meth:`run`
+    through the instrumented loop.
     """
 
     __slots__ = (
         "now",
         "_heap",
-        "_cal",
         "_fast",
         "_seq",
         "_crashes",
-        "_fast_enabled",
-        "_gc_pause",
         "_timeout_pool",
         "_handle_pool",
         "_san",
@@ -715,36 +682,16 @@ class Environment:
 
     def __init__(
         self,
-        fast_lane: Optional[bool] = None,
-        scheduler: Optional[str] = None,
         sanitizer: Optional[Any] = None,
         tiebreak: Optional[str] = None,
     ):
         self.now = 0.0
-        self._heap: list[ScheduledCallback] = []
-        if scheduler is None:
-            scheduler = _scheduler_default()
-        elif scheduler not in ("calendar", "heap"):
-            raise ValueError(
-                f"scheduler={scheduler!r}; expected 'calendar' or 'heap'"
-            )
-        if scheduler == "calendar":
-            from repro.sim.calendar import CalendarQueue
-
-            self._cal: Optional["CalendarQueue"] = CalendarQueue()
-        else:
-            self._cal = None
+        self._heap: list[tuple[float, int, ScheduledCallback]] = []
         self._fast: deque[ScheduledCallback] = deque()
         self._seq = 0
         self._crashes: list[tuple[Process, BaseException]] = []
-        if fast_lane is None:
-            fast_lane = _fast_lane_default()
-        self._fast_enabled = fast_lane
-        self._gc_pause = _gc_pause_default()
         self._timeout_pool: list[Timeout] = []
         self._handle_pool: list[ScheduledCallback] = []
-        # Runtime sanitizer (repro.sanitizer); None on the clean path so
-        # every hook is one attribute load and a predictable branch.
         if tiebreak not in (None, "fifo", "reverse-batch"):
             raise ValueError(
                 f"tiebreak={tiebreak!r}; expected 'fifo' or 'reverse-batch'"
@@ -761,16 +708,13 @@ class Environment:
                 "exclusive: the race detector's footprint model assumes "
                 "the kernel's documented FIFO seq order"
             )
+        # None on the clean path so every sanitizer hook is one
+        # attribute load and a predictable branch.
         self._san = sanitizer
         self._tiebreak = tiebreak
         if sanitizer is not None:
             sanitizer.attach_env(self)
         self.dispatch_count = 0
-
-    @property
-    def scheduler(self) -> str:
-        """Active pending-event structure: ``"calendar"`` or ``"heap"``."""
-        return "heap" if self._cal is None else "calendar"
 
     @property
     def crashes(self) -> list[tuple["Process", BaseException]]:
@@ -785,30 +729,27 @@ class Environment:
             raise SimulationError(f"negative delay: {delay!r}")
         seq = self._seq
         self._seq = seq + 1
+        time = self.now + delay
         san = self._san
         if san is not None:
             # Sanitized handles are never pooled: stable identity is
             # what makes lifecycle misuse detectable.
-            handle = san.new_handle(self.now + delay, seq, callback, args)
+            handle = san.new_handle(time, seq, callback, args)
         else:
             pool = self._handle_pool
             if pool:
                 handle = pool.pop()
-                handle.time = self.now + delay
+                handle.time = time
                 handle.seq = seq
                 handle.callback = callback
                 handle.args = args
                 handle.cancelled = False
             else:
-                handle = ScheduledCallback(
-                    self.now + delay, seq, callback, args
-                )
-        if delay == 0.0 and self._fast_enabled:
+                handle = ScheduledCallback(time, seq, callback, args)
+        if delay == 0.0:
             self._fast.append(handle)
-        elif self._cal is not None:
-            self._cal.push(handle)
         else:
-            heapq.heappush(self._heap, handle)
+            heapq.heappush(self._heap, (time, seq, handle))
         return handle
 
     def schedule_now(
@@ -835,12 +776,7 @@ class Environment:
                 handle.cancelled = False
             else:
                 handle = ScheduledCallback(self.now, seq, callback, args)
-        if self._fast_enabled:
-            self._fast.append(handle)
-        elif self._cal is not None:
-            self._cal.push(handle)
-        else:
-            heapq.heappush(self._heap, handle)
+        self._fast.append(handle)
         return handle
 
     def process(
@@ -889,23 +825,43 @@ class Environment:
 
         When stopped by ``until``, the clock is advanced exactly to
         ``until`` so that time-weighted statistics close their intervals
-        at the requested horizon.  ``until`` must not lie in the past.
+        at the requested horizon.  ``until`` must not lie in the past;
+        a past ``until`` raises :class:`SimulationError`.
 
-        Dispatch order: the earliest ``(time, seq)`` across the
-        scheduler and the fast lane runs next.  Fast-lane entries
-        always carry the current timestamp, so the comparison only
-        needs the sequence number when a scheduler entry is due at the
-        same instant.
+        The cyclic collector is paused for the duration of the loop.
+        The loop allocates at a steady rate, and letting the collector
+        interrupt it every few hundred allocations costs ~10-15% of
+        wall time on event-dense workloads.  Cyclic garbage (broken
+        promptly by the kernel dropping generator references when
+        processes finish) is reclaimed between runs instead.
         """
-        if self._san is not None:
-            self._run_sanitized(until)
-            return
-        if self._tiebreak is not None:
-            self._run_perturbed(until)
-            return
-        if self._cal is not None:
-            self._run_calendar(until)
-            return
+        if until is not None and until < self.now:
+            raise SimulationError(
+                f"run(until={until!r}) lies before now={self.now!r}"
+            )
+        pause_gc = gc.isenabled()
+        if pause_gc:
+            gc.disable()
+        try:
+            if self._san is None and self._tiebreak is None:
+                self._run_clean(until)
+            else:
+                self._run_instrumented(until)
+        finally:
+            if pause_gc:
+                gc.enable()
+        if until is not None and until > self.now:
+            self.now = until
+
+    def _run_clean(self, until: Optional[float]) -> None:
+        """The dispatch loop of every normal run.
+
+        The earliest ``(time, seq)`` across the heap and the fast lane
+        runs next.  Fast-lane entries always carry the current
+        timestamp, so the comparison only needs the sequence number
+        when a heap entry is due at the same instant.  Dispatched and
+        reaped handles are recycled.
+        """
         heap = self._heap
         fast = self._fast
         heappop = heapq.heappop
@@ -913,9 +869,6 @@ class Environment:
         pool_append = pool.append
         now = self.now
         dispatched = self.dispatch_count
-        pause_gc = self._gc_pause and gc.isenabled()
-        if pause_gc:
-            gc.disable()
         try:
             while True:
                 if fast:
@@ -925,19 +878,19 @@ class Environment:
                         # Exact: heap entry times are stored schedule
                         # values and ``now`` was copied from one, so
                         # equality means "same instant" by construction.
-                        if top.time == now and top.seq < handle.seq:
-                            handle = top
-                            heappop(heap)
+                        # (Read as ``.time``, not ``top[0]``, so simlint's
+                        # dataflow can prove it a stored copy.)
+                        if top[2].time == now and top[1] < handle.seq:
+                            handle = heappop(heap)[2]
                         else:
                             fast.popleft()
                     else:
                         fast.popleft()
                 elif heap:
-                    handle = heap[0]
-                    if until is not None and handle.time > until:
+                    if until is not None and heap[0][0] > until:
                         self.now = until
                         return
-                    heappop(heap)
+                    handle = heappop(heap)[2]
                 else:
                     break
                 if handle.cancelled:
@@ -963,224 +916,77 @@ class Environment:
                     pool_append(handle)
         finally:
             self.dispatch_count = dispatched
-            if pause_gc:
-                gc.enable()
-        if until is not None and until > self.now:
-            self.now = until
 
-    def _run_calendar(self, until: Optional[float]) -> None:
-        """The :meth:`run` dispatch loop over the calendar queue.
+    def _run_instrumented(self, until: Optional[float]) -> None:
+        """The dispatch loop under a sanitizer or a non-FIFO tie-break.
 
-        Identical to the heap loop except that the pending-event
-        structure is peeked/popped through :class:`CalendarQueue`,
-        which yields the same exact ``(time, seq)`` order.
-        """
-        cal = self._cal
-        assert cal is not None
-        fast = self._fast
-        peek = cal.peek
-        pop = cal.pop
-        pool = self._handle_pool
-        pool_append = pool.append
-        now = self.now
-        dispatched = self.dispatch_count
-        pause_gc = self._gc_pause and gc.isenabled()
-        if pause_gc:
-            gc.disable()
-        try:
-            while True:
-                if fast:
-                    handle = fast[0]
-                    top = peek()
-                    # Exact: scheduler entry times are stored schedule
-                    # values and ``now`` was copied from one, so
-                    # equality means "same instant" by construction.
-                    if (
-                        top is not None
-                        and top.time == now
-                        and top.seq < handle.seq
-                    ):
-                        handle = top
-                        pop()
-                    else:
-                        fast.popleft()
-                else:
-                    handle = peek()
-                    if handle is None:
-                        break
-                    if until is not None and handle.time > until:
-                        self.now = until
-                        return
-                    pop()
-                if handle.cancelled:
-                    handle.callback = None
-                    handle.args = ()
-                    if len(pool) < _HANDLE_POOL_LIMIT:
-                        pool_append(handle)
-                    continue
-                time = handle.time
-                # Exact: see the heap loop.
-                if time != now:
-                    now = time
-                    self.now = time
-                dispatched += 1
-                handle.callback(*handle.args)
-                handle.callback = None
-                handle.args = ()
-                if len(pool) < _HANDLE_POOL_LIMIT:
-                    pool_append(handle)
-        finally:
-            self.dispatch_count = dispatched
-            if pause_gc:
-                gc.enable()
-        if until is not None and until > self.now:
-            self.now = until
-
-    def _run_sanitized(self, until: Optional[float]) -> None:
-        """The :meth:`run` dispatch loop with sanitizer hooks.
-
-        Semantically identical to the clean loops — same fast-lane
-        interleave, same exact ``(time, seq)`` order over either
-        scheduler — but with no handle/timeout pooling, no GC pause,
-        and begin/end/advance/reap notifications into the sanitizer.
-        It is a separate loop precisely so the clean paths carry zero
-        per-event sanitizer cost.
+        Runs one same-timestamp batch at a time: every callback queued
+        for the current instant, fast lane and heap alike, sorted by
+        seq — ascending (FIFO, exactly the clean loop's order) or, under
+        ``tiebreak="reverse-batch"``, descending.  Work a batch member
+        schedules at the same instant lands in the *next* batch, so
+        children still run after their parents, every callback still
+        runs exactly once at its scheduled time, and only the order
+        among causally unrelated same-time callbacks can differ from
+        FIFO.  Sanitizer hooks are called only when one is attached.
+        Handles are not recycled: the sanitizer needs stable handle
+        identity, and the confirmer's single re-run does not need the
+        speed.  Being a separate loop is what keeps the clean loop free
+        of any per-event sanitizer cost.
         """
         san = self._san
-        cal = self._cal
+        reverse = self._tiebreak is not None
         heap = self._heap
         fast = self._fast
         heappop = heapq.heappop
-        now = self.now
         dispatched = self.dispatch_count
-        try:
-            while True:
-                if fast:
-                    handle = fast[0]
-                    if cal is not None:
-                        top = cal.peek()
-                    else:
-                        top = heap[0] if heap else None
-                    # Exact: see the clean loops — stored schedule
-                    # times, equality means "same instant".
-                    if (
-                        top is not None
-                        and top.time == now
-                        and top.seq < handle.seq
-                    ):
-                        handle = top
-                        if cal is not None:
-                            cal.pop()
-                        else:
-                            heappop(heap)
-                    else:
-                        fast.popleft()
-                else:
-                    if cal is not None:
-                        handle = cal.peek()
-                        if handle is None:
-                            break
-                    elif heap:
-                        handle = heap[0]
-                    else:
-                        break
-                    if until is not None and handle.time > until:
-                        self.now = until
-                        return
-                    if cal is not None:
-                        cal.pop()
-                    else:
-                        heappop(heap)
-                if handle.cancelled:
-                    san.note_reaped(handle)
-                    continue
-                time = handle.time
-                # Exact: see the clean loops.
-                if time != now:
-                    now = time
-                    self.now = time
-                    san.advance_time(time)
-                dispatched += 1
-                san.begin_event(handle)
-                try:
-                    handle.callback(*handle.args)
-                finally:
-                    san.end_event(handle)
-        finally:
-            self.dispatch_count = dispatched
-        if until is not None and until > self.now:
-            self.now = until
-
-    def _run_perturbed(self, until: Optional[float]) -> None:
-        """The :meth:`run` loop under the ``reverse-batch`` tie-break.
-
-        Used by the sanitizer's differential confirmer: at each
-        timestamp, the batch of currently-queued callbacks executes in
-        *descending* seq order instead of FIFO.  Work a batch member
-        schedules at the same timestamp lands in the *next* batch, so
-        children still run after their parents (causality is
-        preserved), every callback still runs exactly once at its
-        scheduled time, and the loop terminates exactly like FIFO
-        dispatch — only the order among causally-unrelated same-time
-        events is permuted.  Deterministic: batches are sorted by seq.
-        """
-        cal = self._cal
-        heap = self._heap
-        fast = self._fast
-        heappop = heapq.heappop
-        pool = self._handle_pool
-        pool_append = pool.append
-        dispatched = self.dispatch_count
-        pause_gc = self._gc_pause and gc.isenabled()
-        if pause_gc:
-            gc.disable()
         try:
             while True:
                 if not fast:
-                    top = cal.peek() if cal is not None else (
-                        heap[0] if heap else None
-                    )
-                    if top is None:
+                    if not heap:
                         break
-                    if until is not None and top.time > until:
+                    handle = heap[0][2]
+                    time = handle.time
+                    if until is not None and time > until:
                         self.now = until
                         return
-                    # Exact: stored schedule times (see clean loops).
-                    if top.time != self.now:
-                        self.now = top.time
-                # Gather the whole batch due at the current instant.
+                    if handle.cancelled:
+                        # Reaping a cancelled entry never moves the
+                        # clock (the clean loop's rule).
+                        heappop(heap)
+                        if san is not None:
+                            san.note_reaped(handle)
+                        continue
+                    # Exact: stored schedule times (see the clean loop).
+                    if time != self.now:
+                        self.now = time
+                        if san is not None:
+                            san.advance_time(time)
+                now = self.now
                 batch = list(fast)
                 fast.clear()
-                now = self.now
-                while True:
-                    top = cal.peek() if cal is not None else (
-                        heap[0] if heap else None
-                    )
-                    # Exact: stored schedule times (see clean loops).
-                    if top is None or top.time != now:
-                        break
-                    batch.append(top)
-                    if cal is not None:
-                        cal.pop()
-                    else:
-                        heappop(heap)
-                batch.sort(key=_handle_seq, reverse=True)
+                # Exact: stored schedule times (see the clean loop).
+                while heap and heap[0][2].time == now:
+                    batch.append(heappop(heap)[2])
+                batch.sort(key=_handle_seq, reverse=reverse)
                 for handle in batch:
                     # Re-checked per handle: a batch member may cancel
-                    # a later (lower-seq) member of the same batch.
-                    if not handle.cancelled:
-                        dispatched += 1
+                    # a later member of the same batch.
+                    if handle.cancelled:
+                        if san is not None:
+                            san.note_reaped(handle)
+                        continue
+                    dispatched += 1
+                    if san is None:
                         handle.callback(*handle.args)
-                    handle.callback = None
-                    handle.args = ()
-                    if len(pool) < _HANDLE_POOL_LIMIT:
-                        pool_append(handle)
+                        continue
+                    san.begin_event(handle)
+                    try:
+                        handle.callback(*handle.args)
+                    finally:
+                        san.end_event(handle)
         finally:
             self.dispatch_count = dispatched
-            if pause_gc:
-                gc.enable()
-        if until is not None and until > self.now:
-            self.now = until
 
     def _record_crash(
         self, process: Process, exception: BaseException

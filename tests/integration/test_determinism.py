@@ -17,12 +17,15 @@ from repro.core.config import (
     WorkloadConfig,
     paper_default_config,
 )
-from repro.core.simulation import run_simulation
+from repro.core.simulation import Simulation, run_simulation
 from repro.experiments.executor import (
     SweepExecutionError,
     SweepExecutor,
 )
+from repro.experiments.fidelity import Fidelity
+from repro.experiments.scaling import scaling_config
 from repro.faults.schedule import FaultConfig
+from repro.sanitizer.core import Sanitizer
 
 ALGORITHMS = ("2pl", "ww", "bto", "opt", "no_dc", "wd", "ir")
 
@@ -104,19 +107,70 @@ class TestFaultDeterminism:
         assert first.as_dict() == second.as_dict()
         assert first.per_node_downtime == second.per_node_downtime
 
-    def test_faulty_fastlane_toggle_bit_identical(self, monkeypatch):
-        """The kernel's same-time fast lane must not reorder fault
-        callbacks relative to simulation callbacks."""
-        config = faulty_tiny_config("ww")
-        monkeypatch.setenv("REPRO_KERNEL_FASTLANE", "1")
-        with_lane = run_simulation(config)
-        monkeypatch.setenv("REPRO_KERNEL_FASTLANE", "0")
-        without_lane = run_simulation(config)
-        assert with_lane.as_dict() == without_lane.as_dict()
+
+def _scaling_point(algorithm, think_time, faults=None):
+    """A smoke-fidelity point of the Figure 2 scaling workload."""
+    config = scaling_config(
+        Fidelity.smoke(),
+        algorithm=algorithm,
+        think_time=think_time,
+        num_nodes=8,
+    )
+    return config.with_(
+        target_commits=0, max_duration=config.duration, faults=faults
+    )
+
+
+INSTRUMENTED_POINTS = {
+    # Figure 2's saturated end: 8-node 2PL at think 0.
+    "fig02": lambda: _scaling_point("2pl", 0.0),
+    # A Figure 10-style point: OPT under heavy load, where restarts
+    # make the schedule highly sensitive to event ordering.
+    "fig10": lambda: _scaling_point("opt", 0.0),
+    # Crash/recovery timers and retransmissions reach the kernel on
+    # paths the failure-free points never touch.
+    "faulted": lambda: _scaling_point(
+        "2pl",
+        8.0,
+        FaultConfig(
+            node_mtbf=60.0,
+            node_mttr=1.0,
+            message_loss_probability=0.005,
+        ),
+    ),
+}
+
+
+class TestInstrumentedLoopParity:
+    """A sanitized run goes through the kernel's instrumented dispatch
+    loop, a clean run through the clean loop.  The sanitizer only
+    observes, so every reported number must be identical: that is what
+    lets the differential confirmer blame any perturbed-run difference
+    on same-timestamp ordering alone."""
+
+    @pytest.mark.parametrize(
+        "point", list(INSTRUMENTED_POINTS), ids=list(INSTRUMENTED_POINTS)
+    )
+    def test_sanitized_equals_clean(self, point):
+        config = INSTRUMENTED_POINTS[point]()
+        clean = run_simulation(config)
+        sanitized = Simulation(
+            config, sanitizer=Sanitizer(confirm=False)
+        ).run()
+        assert clean.commits > 0
+        assert clean.as_dict() == sanitized.as_dict()
+        # The flat dict omits the per-node breakdowns; "identical"
+        # means every reported number, so compare those too.
         assert (
-            with_lane.per_node_downtime
-            == without_lane.per_node_downtime
+            clean.per_node_cpu_utilization
+            == sanitized.per_node_cpu_utilization
         )
+        assert (
+            clean.per_node_disk_utilization
+            == sanitized.per_node_disk_utilization
+        )
+        assert clean.abort_reasons == sanitized.abort_reasons
+        assert clean.per_node_downtime == sanitized.per_node_downtime
 
 
 class TestParallelDeterminism:

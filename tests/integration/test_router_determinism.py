@@ -1,39 +1,27 @@
-"""Router and MVCC determinism across kernel toggles and faults.
+"""Router and MVCC determinism across dispatch loops, jobs and faults.
 
 The router adds a classification + bandit layer on top of the CC
 fleet, and MVCC adds version-chain state inside the node managers —
 both are new consumers of the seeded streams and the kernel's event
 order.  These tests pin the same purity contract the fixed algorithms
-already satisfy: the mixed-blend router point is bit-identical under
-the full scheduler × fastlane × aggregated-arrivals cross and under
+already satisfy: the mixed-blend router point is bit-identical between
+the clean and the instrumented (sanitized) dispatch loop and under
 parallel sweep execution, and a faulted MVCC run (crash_reset wiping
 the volatile version chains mid-run) replays exactly.
 """
 
-import itertools
-
-from repro.core.simulation import run_simulation
+from repro.core.simulation import Simulation, run_simulation
 from repro.experiments.executor import SweepExecutor
 from repro.experiments.fidelity import Fidelity
 from repro.experiments.router import mixed_config
 from repro.faults.schedule import FaultConfig
+from repro.sanitizer.core import Sanitizer
 
 FIDELITY = Fidelity.smoke()
-
-FULL_CROSS = list(
-    itertools.product(("calendar", "heap"), ("1", "0"), ("1", "0"))
-)
 
 
 def _router_point(think_time=0.0):
     return mixed_config(FIDELITY, "router", think_time)
-
-
-def _run(monkeypatch, config, scheduler, fastlane, aggregated):
-    monkeypatch.setenv("REPRO_KERNEL_SCHED", scheduler)
-    monkeypatch.setenv("REPRO_KERNEL_FASTLANE", fastlane)
-    monkeypatch.setenv("REPRO_WORKLOAD_AGG", aggregated)
-    return run_simulation(config)
 
 
 def _assert_identical(reference, other):
@@ -54,18 +42,16 @@ def _assert_identical(reference, other):
     )
 
 
-def test_router_full_toggle_cross_bit_identical(monkeypatch):
-    """The contended mixed-blend point under all 2×2×2 toggles."""
+def test_router_sanitized_equals_clean():
+    """The contended mixed-blend point through both dispatch loops."""
     config = _router_point(think_time=0.0)
-    reference = _run(monkeypatch, config, *FULL_CROSS[0])
-    assert reference.commits > 0
-    assert reference.router_enabled
+    clean = run_simulation(config)
+    assert clean.commits > 0
+    assert clean.router_enabled
     # The run exercised the bandit: more than one algorithm class.
-    assert len(reference.router_class_commits) > 1
-    for combo in FULL_CROSS[1:]:
-        _assert_identical(
-            reference, _run(monkeypatch, config, *combo)
-        )
+    assert len(clean.router_class_commits) > 1
+    sanitized = Simulation(config, sanitizer=Sanitizer(confirm=False)).run()
+    _assert_identical(clean, sanitized)
 
 
 def test_router_jobs_parity():
@@ -96,14 +82,14 @@ def _faulted_mvcc_config():
     )
 
 
-def test_faulted_mvcc_recovers_and_replays(monkeypatch):
+def test_faulted_mvcc_recovers_and_replays():
     """Crash/recover on an MVCC machine: the run survives version-
     chain wipes (commits continue after recovery) and stays a pure
     function of the seed."""
     config = _faulted_mvcc_config()
-    first = _run(monkeypatch, config, "calendar", "1", "1")
+    first = run_simulation(config)
     assert first.node_crashes > 0  # crash_reset actually fired
     assert first.commits > 0
-    second = _run(monkeypatch, config, "heap", "0", "0")
+    second = run_simulation(config)
     assert first.as_dict() == second.as_dict()
     assert first.per_node_downtime == second.per_node_downtime

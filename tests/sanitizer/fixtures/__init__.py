@@ -2,9 +2,7 @@
 
 Each checker gets at least one minimal simulation that triggers
 *exactly one* finding, plus a near-miss that exercises the same code
-path but stays clean.  Every fixture takes the scheduler name
-(``"heap"`` or ``"calendar"``) so the test suite proves the checkers
-behave identically under both dispatch structures.
+path but stays clean.
 
 A fixture builds its own :class:`~repro.sim.kernel.Environment` with a
 confirmer-less :class:`~repro.sanitizer.core.Sanitizer` (there is no
@@ -22,9 +20,9 @@ def _noop():
     pass
 
 
-def make_env(scheduler):
+def make_env():
     sanitizer = Sanitizer(confirm=False)
-    env = Environment(scheduler=scheduler, sanitizer=sanitizer)
+    env = Environment(sanitizer=sanitizer)
     return env, sanitizer
 
 
@@ -33,10 +31,10 @@ def make_env(scheduler):
 # ----------------------------------------------------------------------
 
 
-def race_independent_writes(scheduler):
+def race_independent_writes():
     """Two independently scheduled events write the same mailbox at the
     same timestamp: their order is pure seq tie-break — one race."""
-    env, sanitizer = make_env(scheduler)
+    env, sanitizer = make_env()
     mailbox = Mailbox(env)
 
     def first_writer():
@@ -52,10 +50,10 @@ def race_independent_writes(scheduler):
     return sanitizer
 
 
-def race_repeated_pair_still_one_finding(scheduler):
+def race_repeated_pair_still_one_finding():
     """The same callback pair racing on many timestamps dedups to one
     finding (per-run reports must not scale with the event count)."""
-    env, sanitizer = make_env(scheduler)
+    env, sanitizer = make_env()
     mailbox = Mailbox(env)
 
     def first_writer():
@@ -72,10 +70,10 @@ def race_repeated_pair_still_one_finding(scheduler):
     return sanitizer
 
 
-def race_near_miss_parent_child(scheduler):
+def race_near_miss_parent_child():
     """A same-time child is causally ordered after its scheduling
     parent — touching the same mailbox is not a race."""
-    env, sanitizer = make_env(scheduler)
+    env, sanitizer = make_env()
     mailbox = Mailbox(env)
 
     def child():
@@ -91,10 +89,10 @@ def race_near_miss_parent_child(scheduler):
     return sanitizer
 
 
-def race_near_miss_distinct_timestamps(scheduler):
+def race_near_miss_distinct_timestamps():
     """The same conflicting pair separated by the clock is ordered by
     time, not seq — not a race."""
-    env, sanitizer = make_env(scheduler)
+    env, sanitizer = make_env()
     mailbox = Mailbox(env)
 
     def first_writer():
@@ -110,9 +108,9 @@ def race_near_miss_distinct_timestamps(scheduler):
     return sanitizer
 
 
-def race_near_miss_read_read(scheduler):
+def race_near_miss_read_read():
     """Two same-time reads of the same state commute by definition."""
-    env, sanitizer = make_env(scheduler)
+    env, sanitizer = make_env()
     table = object()  # stands in for a node's lock table
 
     def first_reader():
@@ -133,10 +131,10 @@ def race_near_miss_read_read(scheduler):
 # ----------------------------------------------------------------------
 
 
-def stream_unregistered_draw(scheduler):
+def stream_unregistered_draw():
     """A dynamically named draw that never went through
     register_stream — the hole the static rule must exempt."""
-    env, sanitizer = make_env(scheduler)
+    env, sanitizer = make_env()
     streams = RandomStreams(7, strict=False)
     streams.attach_sanitizer(sanitizer)
 
@@ -150,10 +148,10 @@ def stream_unregistered_draw(scheduler):
     return sanitizer
 
 
-def stream_cross_owner_draw(scheduler):
+def stream_cross_owner_draw():
     """'page-count' belongs to the workload generator; a draw declared
     by the resource model entangles the two sequences."""
-    env, sanitizer = make_env(scheduler)
+    env, sanitizer = make_env()
     streams = RandomStreams(7, strict=False)
     streams.attach_sanitizer(sanitizer)
 
@@ -166,10 +164,10 @@ def stream_cross_owner_draw(scheduler):
     return sanitizer
 
 
-def stream_near_miss_owned_draws(scheduler):
+def stream_near_miss_owned_draws():
     """Registered draws by their declared owners stay clean, including
     a dynamic per-terminal name matched via its {placeholder} family."""
-    env, sanitizer = make_env(scheduler)
+    env, sanitizer = make_env()
     streams = RandomStreams(7, strict=False)
     streams.attach_sanitizer(sanitizer)
 
@@ -190,10 +188,10 @@ def stream_near_miss_owned_draws(scheduler):
 # ----------------------------------------------------------------------
 
 
-def handle_stale_cancel(scheduler):
+def handle_stale_cancel():
     """cancel() after the callback already dispatched: under pooling
     this would cancel whatever unrelated event recycled the handle."""
-    env, sanitizer = make_env(scheduler)
+    env, sanitizer = make_env()
     handle = env.schedule(1.0, _noop)
     env.run(until=2.0)
     handle.cancel()
@@ -201,9 +199,9 @@ def handle_stale_cancel(scheduler):
     return sanitizer
 
 
-def handle_double_cancel(scheduler):
+def handle_double_cancel():
     """A second cancel() before the loop reaps the first."""
-    env, sanitizer = make_env(scheduler)
+    env, sanitizer = make_env()
     handle = env.schedule(1.0, _noop)
     handle.cancel()
     handle.cancel()
@@ -212,10 +210,10 @@ def handle_double_cancel(scheduler):
     return sanitizer
 
 
-def handle_near_miss_single_cancel(scheduler):
+def handle_near_miss_single_cancel():
     """One cancel before dispatch, reaped by the loop — the sanctioned
     pattern (timeouts losing an AnyOf race) stays clean."""
-    env, sanitizer = make_env(scheduler)
+    env, sanitizer = make_env()
     handle = env.schedule(1.0, _noop)
     handle.cancel()
     env.run(until=2.0)
@@ -228,10 +226,10 @@ def handle_near_miss_single_cancel(scheduler):
 # ----------------------------------------------------------------------
 
 
-def leak_orphaned_process(scheduler):
+def leak_orphaned_process():
     """A process parked on an event nobody will ever succeed survives
     the drained event queues."""
-    env, sanitizer = make_env(scheduler)
+    env, sanitizer = make_env()
     never = env.event()
 
     def waiter():
@@ -243,10 +241,10 @@ def leak_orphaned_process(scheduler):
     return sanitizer
 
 
-def leak_unreaped_cancelled_handle(scheduler):
+def leak_unreaped_cancelled_handle():
     """A cancelled future callback still pinned in the scheduler when
     the run stops short of its timestamp."""
-    env, sanitizer = make_env(scheduler)
+    env, sanitizer = make_env()
     handle = env.schedule(5.0, _noop)
     handle.cancel()
     env.run(until=1.0)
@@ -254,10 +252,10 @@ def leak_unreaped_cancelled_handle(scheduler):
     return sanitizer
 
 
-def leak_near_miss_completed_process(scheduler):
+def leak_near_miss_completed_process():
     """The same waiter shape, but the event is succeeded — the process
     finishes and the audit stays clean."""
-    env, sanitizer = make_env(scheduler)
+    env, sanitizer = make_env()
     eventually = env.event()
 
     def waiter():

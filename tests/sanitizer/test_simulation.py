@@ -29,12 +29,6 @@ class TestBitIdentical:
         sanitized, _ = run_sanitized(tiny_config(), confirm=False)
         assert diff_results(clean, sanitized) == ""
 
-    def test_sanitized_result_equals_clean_result_heap(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL_SCHED", "heap")
-        clean = Simulation(tiny_config()).run()
-        sanitized, _ = run_sanitized(tiny_config(), confirm=False)
-        assert diff_results(clean, sanitized) == ""
-
     def test_sanitized_rerun_is_deterministic(self):
         _, first = run_sanitized(tiny_config(), confirm=False)
         _, second = run_sanitized(tiny_config(), confirm=False)

@@ -71,6 +71,45 @@ class TestScheduling:
         env.run(until=5.0)
         assert seen == [1]
 
+    @pytest.mark.parametrize("pending", [True, False])
+    def test_run_until_in_the_past_raises(self, env, pending):
+        if pending:
+            env.schedule(10.0, lambda: None)
+        env.run(until=5.0)
+        with pytest.raises(SimulationError):
+            env.run(until=3.0)
+        assert env.now == 5.0
+        env.run()
+        assert env.now == (10.0 if pending else 5.0)
+
+    def test_cancellation_is_lazy_and_exact(self, env):
+        """Cancelled handles are reaped at pop time, never eagerly."""
+        fired = []
+        keep = env.schedule(2.0, fired.append, "keep")
+        dead = env.schedule(1.0, fired.append, "dead")
+        env.schedule(3.0, fired.append, "tail")
+        dead.cancel()
+        assert keep is not dead
+        env.run()
+        assert fired == ["keep", "tail"]
+        assert env.now == 3.0
+
+    def test_reschedule_after_cancel_reuses_handle_safely(self, env):
+        fired = []
+        dead = env.schedule(5.0, fired.append, "dead")
+        dead.cancel()
+
+        def chain(label, left):
+            fired.append(label)
+            if left:
+                env.schedule(1.0, chain, label, left - 1)
+
+        env.schedule(1.0, chain, "tick", 3)
+        env.run()
+        assert fired == ["tick"] * 4
+        # Reaping a cancelled entry never advances the clock.
+        assert env.now == 4.0
+
 
 class TestProcesses:
     def test_process_runs_to_completion(self, env):

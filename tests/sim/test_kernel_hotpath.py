@@ -1,14 +1,17 @@
 """Tests for the kernel hot-path machinery.
 
 Covers the same-time fast lane (interleaving with equal-time heap
-entries in exact sequence order), handle/timeout pooling (recycled
-objects never replay stale callbacks), the per-subscription timeout
-handles, AnyOf loser cleanup, and the interrupt-vs-deferred-delivery
-races the transaction manager depends on.
+entries in exact sequence order), the instrumented dispatch loop
+(same order as the clean loop under FIFO, reversed batches under
+``reverse-batch``), handle/timeout pooling (recycled objects never
+replay stale callbacks), the per-subscription timeout handles, AnyOf
+loser cleanup, and the interrupt-vs-deferred-delivery races the
+transaction manager depends on.
 """
 
 import pytest
 
+from repro.sanitizer.core import Sanitizer
 from repro.sim.kernel import (
     Environment,
     Interrupt,
@@ -19,12 +22,12 @@ from repro.sim.kernel import (
 
 @pytest.fixture
 def env():
-    return Environment(fast_lane=True)
+    return Environment()
 
 
-def _pending_scheduled(env):
-    """Entries in the non-fast-lane structure (heap or calendar)."""
-    return len(env._cal) if env._cal is not None else len(env._heap)
+def _sanitized_env():
+    """An environment whose ``run`` takes the instrumented loop."""
+    return Environment(sanitizer=Sanitizer(confirm=False))
 
 
 class TestFastLaneOrdering:
@@ -33,14 +36,7 @@ class TestFastLaneOrdering:
         env.schedule_now(lambda: None)
         env.schedule(1.0, lambda: None)
         assert len(env._fast) == 2
-        assert _pending_scheduled(env) == 1
-
-    def test_heap_only_when_disabled(self):
-        env = Environment(fast_lane=False)
-        env.schedule(0.0, lambda: None)
-        env.schedule_now(lambda: None)
-        assert len(env._fast) == 0
-        assert _pending_scheduled(env) == 2
+        assert len(env._heap) == 1
 
     def test_same_time_heap_entry_precedes_later_fast_entry(self, env):
         # Two heap entries due at t=1.0; the first one's callback pushes
@@ -91,9 +87,9 @@ class TestFastLaneOrdering:
         env.run()
         assert order == [0, 1, 2, 3]
 
-    def test_matches_heap_only_kernel(self):
+    def test_matches_instrumented_loop(self):
         # The same scripted scenario must produce the same execution
-        # order with the fast lane on and off.
+        # order through the clean loop and the instrumented loop.
         def scenario(env):
             order = []
 
@@ -105,18 +101,48 @@ class TestFastLaneOrdering:
 
             env.schedule(1.0, tick, 0)
             env.schedule(1.0, tick, 100)
+            env.schedule(2.0, tick, 200)
             env.run()
             return order
 
-        assert scenario(Environment(fast_lane=True)) == scenario(
-            Environment(fast_lane=False)
-        )
+        clean = scenario(Environment())
+        assert clean == scenario(_sanitized_env())
+        assert [tag for _, tag in clean[:3]] == [0, 100, 1]
 
     def test_until_with_pending_fast_work_drains_current_time(self, env):
         seen = []
         env.schedule(1.0, lambda: env.schedule_now(seen.append, "z"))
         env.run(until=1.0)
         assert seen == ["z"]
+        assert env.now == 1.0
+
+
+class TestReverseBatch:
+    def test_batches_run_in_descending_seq_after_their_parents(self):
+        env = Environment(tiebreak="reverse-batch")
+        order = []
+
+        def parent(tag):
+            order.append(tag)
+            env.schedule_now(order.append, tag + "-child")
+
+        env.schedule(1.0, parent, "a")
+        env.schedule(1.0, parent, "b")
+        env.schedule(2.0, order.append, "late")
+        env.run()
+        # Each batch is reversed; children form the next batch, so
+        # they still run after both parents.
+        assert order == ["b", "a", "a-child", "b-child", "late"]
+        assert env.now == 2.0
+        assert env.dispatch_count == 5
+
+    def test_cancelled_entry_never_moves_the_clock(self):
+        env = Environment(tiebreak="reverse-batch")
+        fired = []
+        env.schedule(5.0, fired.append, "dead").cancel()
+        env.schedule(1.0, fired.append, "live")
+        env.run()
+        assert fired == ["live"]
         assert env.now == 1.0
 
 
@@ -308,11 +334,11 @@ class TestInterruptDeliveryRaces:
 
 
 class TestMailboxWithFastLane:
-    @pytest.mark.parametrize("fast_lane", [True, False])
-    def test_fifo_under_mixed_put_get(self, fast_lane):
+    @pytest.mark.parametrize("sanitized", [False, True])
+    def test_fifo_under_mixed_put_get(self, sanitized):
         # Items must come out in put order no matter how gets and puts
-        # interleave, with identical behaviour on both kernel paths.
-        env = Environment(fast_lane=fast_lane)
+        # interleave, with identical behaviour on both dispatch loops.
+        env = _sanitized_env() if sanitized else Environment()
         mailbox = Mailbox(env)
         received = []
 
