@@ -206,7 +206,7 @@ class LockManager:
         # Holders iterate in grant order; the conflict set preserves
         # it on purpose — wound-wait's wound order is documented as
         # following the grant history, not a sorted key.
-        for holder, mode in entry.holders.items():  # simlint: ignore[unordered-dict-iteration]
+        for holder, mode in entry.holders.items():  # simlint: ignore[unordered-iteration]
             if holder is txn:
                 continue
             if _conflicts(request.mode, mode):
@@ -341,7 +341,7 @@ class LockManager:
         # order (insertion order: page first touched / lock granted)
         # is the deadlock detector's documented edge order; sorting
         # here would change victim tie-breaks and every golden figure.
-        for entry in self._table.values():  # simlint: ignore[unordered-dict-iteration]
+        for entry in self._table.values():  # simlint: ignore[unordered-iteration]
             queue = entry.queue
             if not queue:
                 continue
@@ -349,7 +349,7 @@ class LockManager:
             for position, request in enumerate(queue):
                 waiter = request.transaction
                 is_exclusive = request.mode is exclusive
-                for holder, mode in holders.items():  # simlint: ignore[unordered-dict-iteration]
+                for holder, mode in holders.items():  # simlint: ignore[unordered-iteration]
                     if holder is not waiter and (
                         is_exclusive or mode is exclusive
                     ):

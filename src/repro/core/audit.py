@@ -111,14 +111,14 @@ class Auditor:
         # Both loops accumulate into sets keyed independently of the
         # visit order, so insertion-order iteration cannot leak into
         # the returned edge set.
-        for item, writers in self.install_order.items():  # simlint: ignore[unordered-dict-iteration]
+        for item, writers in self.install_order.items():  # simlint: ignore[unordered-iteration]
             previous: Optional[TxnKey] = None
             for writer in writers:
                 if previous is not None:
                     edges.add((previous, writer))
                 successor[(item, previous)] = writer
                 previous = writer
-        for reader, reads in self.committed_reads.items():  # simlint: ignore[unordered-dict-iteration]
+        for reader, reads in self.committed_reads.items():  # simlint: ignore[unordered-iteration]
             for item, version in reads:
                 if version is not None and version in committed:
                     if version != reader:

@@ -18,7 +18,7 @@ fault draws never perturb the workload or CC draw sequences: the same
 seed produces the same transaction arrivals with and without faults,
 which keeps common-random-numbers comparisons honest.  Drawing fault
 decisions from any non-``fault-*`` stream is a determinism hazard and
-is flagged by the ``fault-stream-misuse`` simlint rule.
+is flagged by the ``stream-registry`` simlint rule.
 
 Crash semantics are fail-stop with volatile-state loss: a crashed node
 loses its in-memory CC state (lock tables, timestamp tables, pending

@@ -8,10 +8,10 @@ property is easy to break with ordinary-looking Python — an ``id()``
 the type checker and usually to the test suite (they only show up as
 rare cross-run flakes).  simlint rejects those bug classes at review
 time by walking the AST of every source file, then runs a
-whole-program pass (:mod:`repro.lint.project`) over a symbol table and
-call graph of the full tree to check cross-module contracts: stream
-registrations, message-handler arity, CC-interface completeness, and
-non-``Waitable`` yields.
+whole-program pass (:mod:`repro.lint.project`) over a symbol table of
+the full tree to check cross-module contracts: the random-stream
+discipline, message-handler arity, CC-interface completeness, and what
+a sim process may yield.
 
 Usage::
 
@@ -20,41 +20,16 @@ Usage::
     python -m repro.lint --format=sarif --jobs 4
     python -m repro.lint --select 'stream-*' --list-rules
 
-Findings that are intentional are silenced inline::
+The one waiver is an inline, per-rule comment on the flagged line::
 
     if top.time == now:  # simlint: ignore[float-time-equality]
 
-or inventoried (with a reason) in ``lint/baseline.json``; only live
-``error``-severity findings and stale baseline entries fail a run.
+Only live ``error``-severity findings fail a run.
 
-See :mod:`repro.lint.rules` for the file rules,
-:mod:`repro.lint.project` for the project rules, and
-:mod:`repro.lint.engine` for the caching, multi-process driver.
+This package module imports nothing: the runtime sanitizer loads
+:mod:`repro.lint.violations` into every simulation process, which must
+not pay for the linter.  See :mod:`repro.lint.rules` for the file
+rules, :mod:`repro.lint.project` and :mod:`repro.lint.flow.rules` for
+the project rules, and :mod:`repro.lint.engine` for the caching,
+multi-process driver.
 """
-
-from repro.lint.baseline import Baseline, BaselineEntry
-from repro.lint.engine import LintReport, lint_file, lint_paths
-from repro.lint.registry import (
-    ProjectRule,
-    Rule,
-    all_project_rules,
-    all_rules,
-    get_rule,
-    rules_signature,
-)
-from repro.lint.violations import Violation
-
-__all__ = [
-    "Baseline",
-    "BaselineEntry",
-    "LintReport",
-    "ProjectRule",
-    "Rule",
-    "Violation",
-    "all_project_rules",
-    "all_rules",
-    "get_rule",
-    "lint_file",
-    "lint_paths",
-    "rules_signature",
-]

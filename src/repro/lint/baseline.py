@@ -1,8 +1,12 @@
-"""Checked-in finding inventory (``lint/baseline.json``).
+"""Checked-in finding inventory (simsan's ``sanitizer/baseline.json``).
 
-A baseline lets a rule ship before the tree is clean under it: every
+A baseline inventories findings a human audited as acceptable: every
 *inventoried* finding is reported but does not fail the run, while any
-finding **not** in the inventory still does.  Entries are deliberately
+finding **not** in the inventory still does.  simlint itself has no
+baseline — its only waiver is the inline ``# simlint: ignore[rule]``
+comment — but the runtime sanitizer reports through the same
+:class:`~repro.lint.violations.Violation` records and uses this format
+for its race inventory.  Entries are deliberately
 coarse — ``(path suffix, rule id, count, reason)`` rather than line
 numbers — so unrelated edits that shift lines don't churn the file,
 while the count still catches regressions: the baseline waives at most
@@ -30,15 +34,10 @@ from typing import Dict, List, Sequence, Tuple
 
 from repro.lint.violations import Violation
 
-__all__ = ["Baseline", "BaselineEntry", "default_baseline_path"]
+__all__ = ["Baseline", "BaselineEntry"]
 
 #: Bump when the baseline file layout changes.
 BASELINE_FORMAT = 1
-
-
-def default_baseline_path() -> Path:
-    """The committed baseline shipped next to the linter itself."""
-    return Path(__file__).parent / "baseline.json"
 
 
 @dataclass(frozen=True)
@@ -49,29 +48,20 @@ class BaselineEntry:
     rule: str
     count: int
     reason: str
-    #: Static-evidence lines (``"kind via qualname"``) attached by the
-    #: race-reconciliation pass; empty for ordinary lint waivers and
-    #: omitted from the serialized form when empty.
-    evidence: Tuple[str, ...] = ()
 
     def matches(self, violation: Violation) -> bool:
         if violation.rule_id != self.rule:
             return False
-        return self.matches_path(violation.path)
-
-    def matches_path(self, path: str) -> bool:
+        path = violation.path
         return path == self.path or path.endswith("/" + self.path)
 
     def as_dict(self) -> dict:
-        item = {
+        return {
             "path": self.path,
             "rule": self.rule,
             "count": self.count,
             "reason": self.reason,
         }
-        if self.evidence:
-            item["evidence"] = list(self.evidence)
-        return item
 
 
 class Baseline:
@@ -113,10 +103,6 @@ class Baseline:
                         rule=str(item["rule"]),
                         count=int(item["count"]),
                         reason=str(item.get("reason", "")),
-                        evidence=tuple(
-                            str(line)
-                            for line in item.get("evidence", ())
-                        ),
                     )
                 )
             except (KeyError, TypeError, ValueError) as error:

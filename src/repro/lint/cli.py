@@ -1,8 +1,9 @@
 """``python -m repro.lint`` — the simlint command line.
 
-Exit codes: 0 clean, 1 findings (live error-severity violations or a
-stale baseline), 2 engine/config errors only (unknown rule patterns,
-missing paths, unreadable baseline).
+Exit codes: 0 clean, 1 findings (live error-severity violations), 2
+engine/config errors only (unknown rule patterns, missing paths).  The
+one waiver is an inline ``# simlint: ignore[rule-id]`` comment on the
+flagged line.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-from repro.lint.baseline import Baseline, default_baseline_path
 from repro.lint.cache import LintCache, default_cache_path
 from repro.lint.engine import lint_paths
 from repro.lint.registry import all_project_rules, all_rules
@@ -59,36 +59,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="comma-separated rule ids or globs to skip",
     )
     parser.add_argument(
-        "--baseline",
-        metavar="PATH",
-        help=(
-            "baseline file of inventoried findings (default: the "
-            "committed lint/baseline.json when present)"
-        ),
-    )
-    parser.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="ignore any baseline, report every finding",
-    )
-    parser.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help=(
-            "rewrite the baseline to inventory every current "
-            "error-severity finding, then exit 0"
-        ),
-    )
-    parser.add_argument(
-        "--update-race-evidence",
-        action="store_true",
-        help=(
-            "recompute the static reachability evidence stored on "
-            "each simsan race-baseline entry and rewrite the simsan "
-            "baseline, then exit 0"
-        ),
-    )
-    parser.add_argument(
         "--jobs",
         type=int,
         metavar="N",
@@ -96,11 +66,6 @@ def _build_parser() -> argparse.ArgumentParser:
             "file-pass worker processes "
             "(default: $REPRO_LINT_JOBS or 1)"
         ),
-    )
-    parser.add_argument(
-        "--no-project",
-        action="store_true",
-        help="skip whole-program project rules (file rules only)",
     )
     parser.add_argument(
         "--list-rules",
@@ -123,7 +88,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--show-suppressed",
         action="store_true",
-        help="include suppressed/baselined findings in text output",
+        help="include suppressed findings in text output",
     )
     return parser
 
@@ -205,44 +170,6 @@ def _select_rules(
     )
 
 
-def _resolve_baseline(options) -> Optional[Baseline]:
-    """The baseline to apply, honouring the CLI flags."""
-    if options.no_baseline or options.update_baseline:
-        return None
-    if options.baseline:
-        return Baseline.load(Path(options.baseline))
-    committed = default_baseline_path()
-    if committed.exists():
-        return Baseline.load(committed)
-    return None
-
-
-def _update_race_evidence(options) -> int:
-    """Recompute static evidence on the simsan race baseline."""
-    from repro.lint.engine import discover_files
-    from repro.lint.flow.reconcile import (
-        _tree_baseline_path,
-        update_race_evidence,
-    )
-    from repro.lint.project import ProjectModel
-
-    try:
-        files = discover_files([Path(p) for p in options.paths])
-        model = ProjectModel.build(files)
-        target = _tree_baseline_path(model)
-        if target is None or not target.exists():
-            raise ValueError(
-                "no simsan baseline in the linted tree (expected "
-                "next to repro/sanitizer/report.py)"
-            )
-        changed = update_race_evidence(model, target)
-    except (FileNotFoundError, ValueError) as error:
-        print(str(error), file=sys.stderr)
-        return 2
-    print(f"race evidence: {changed} entry(ies) updated in {target}")
-    return 0
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     """Run the linter; returns the process exit code."""
     parser = _build_parser()
@@ -252,19 +179,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(_list_rules())
         return 0
 
-    if options.update_race_evidence:
-        return _update_race_evidence(options)
-
     try:
         rules, project_rules = _select_rules(
             options.select, options.ignore
         )
-        baseline = _resolve_baseline(options)
     except ValueError as error:
         print(str(error), file=sys.stderr)
         return 2
-    if options.no_project:
-        project_rules = []
 
     cache = None
     if not options.no_cache:
@@ -281,29 +202,11 @@ def main(argv: Optional[List[str]] = None) -> int:
             rules,
             cache,
             project_rules=project_rules,
-            baseline=baseline,
             jobs=options.jobs,
         )
     except (FileNotFoundError, ValueError) as error:
         print(str(error), file=sys.stderr)
         return 2
-
-    if options.update_baseline:
-        target = Path(
-            options.baseline
-            if options.baseline
-            else default_baseline_path()
-        )
-        updated = Baseline.from_violations(
-            [v for v in report.failures],
-            reason="inventoried by --update-baseline; justify or fix",
-        )
-        updated.write(target)
-        print(
-            f"baseline: inventoried {sum(e.count for e in updated.entries)} "
-            f"finding(s) in {target}"
-        )
-        return 0
 
     if options.format == "json":
         print(render_json(report))

@@ -3,10 +3,10 @@
 ``lint_paths`` walks the given files/directories, lints every ``*.py``
 (through the content-hash cache when one is supplied, fanning out to a
 process pool when ``jobs > 1``), runs the whole-program project rules
-over the full tree, applies inline suppressions and the baseline, and
-returns a :class:`LintReport` with stable ordering — the same tree
-always produces byte-identical output, which is itself a determinism
-property the reporters rely on.
+over the full tree, applies inline suppressions, and returns a
+:class:`LintReport` with stable ordering — the same tree always
+produces byte-identical output, which is itself a determinism property
+the reporters rely on.
 
 The two passes cache differently: per-file findings are a pure
 function of ``(file bytes, file-rule set)`` and go through the
@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.lint.baseline import Baseline, BaselineEntry
+from repro.lint.baseline import BaselineEntry
 from repro.lint.cache import LintCache
 from repro.lint.registry import (
     ProjectRule,
@@ -35,14 +35,14 @@ from repro.lint.registry import (
     all_rules,
     rules_signature,
 )
-from repro.lint.suppress import apply_suppressions, parse_suppressions
+from repro.lint.suppress import apply_suppressions
 from repro.lint.violations import Violation
 
 __all__ = [
     "LintReport",
     "discover_files",
-    "lint_file",
     "lint_paths",
+    "lint_source",
     "resolve_lint_jobs",
 ]
 
@@ -68,7 +68,8 @@ class LintReport:
     violations: List[Violation] = field(default_factory=list)
     files: int = 0
     cache_hits: int = 0
-    #: Baseline entries that waived fewer findings than they claim.
+    #: Baseline entries that waived fewer findings than they claim
+    #: (simsan reports only: simlint has no baseline).
     stale_baseline: List[BaselineEntry] = field(default_factory=list)
 
     @property
@@ -154,7 +155,13 @@ def resolve_lint_jobs(jobs: Optional[int] = None) -> int:
 def lint_source(
     source: str, path: str, rules: Optional[List[Rule]] = None
 ) -> List[Violation]:
-    """Lint already-loaded source text (fixture/test entry point)."""
+    """Lint already-loaded source text (fixture/test entry point).
+
+    ``rules=None`` runs every file rule and, over a one-module model,
+    every project rule — the snippet is linted as :func:`lint_paths`
+    would lint it as the only file in the tree.
+    """
+    project_rules = all_project_rules() if rules is None else ()
     if rules is None:
         rules = all_rules()
     posix_path = Path(path).as_posix()
@@ -174,37 +181,14 @@ def lint_source(
     for rule in rules:
         if rule.applies_to(posix_path):
             violations.extend(rule.check(tree, source, posix_path))
+    if project_rules:
+        from repro.lint.project import ProjectModel
+
+        model = ProjectModel.from_module(posix_path, tree, source)
+        for rule in project_rules:
+            violations.extend(rule.check_project(model))
     violations = apply_suppressions(violations, source)
     violations.sort(key=lambda v: v.sort_key)
-    return violations
-
-
-def lint_file(
-    path: Path,
-    rules: Optional[List[Rule]] = None,
-    cache: Optional[LintCache] = None,
-    signature: Optional[str] = None,
-) -> List[Violation]:
-    """Lint one file with the file rules, consulting ``cache``."""
-    if rules is None:
-        rules = all_rules()
-    path = Path(path)
-    data = path.read_bytes()
-    posix_path = path.as_posix()
-    if cache is not None:
-        if signature is None:
-            signature = rules_signature(rules)
-        key = LintCache.key(
-            hashlib.sha256(data).hexdigest(), signature
-        )
-        cached = cache.get(key)
-        if cached is not None:
-            return [v.with_path(posix_path) for v in cached]
-    violations = lint_source(
-        data.decode("utf-8", errors="replace"), posix_path, rules
-    )
-    if cache is not None:
-        cache.put(key, violations)
     return violations
 
 
@@ -280,26 +264,15 @@ def _project_pass(
     from repro.lint.project import ProjectModel
 
     model = ProjectModel.build(files)
-    findings: List[Violation] = []
+    findings: Dict[str, List[Violation]] = {}
     for rule in project_rules:
-        findings.extend(rule.check_project(model))
-    # Inline suppressions apply to project findings too; sources come
-    # from the already-parsed model (unparsable files have no project
-    # findings to suppress).
-    suppression_maps: Dict[str, Dict[int, set]] = {}
-    for violation in findings:
-        module = model.modules_by_path.get(violation.path)
-        if module is None:
-            report.violations.append(violation)
-            continue
-        waivers = suppression_maps.get(violation.path)
-        if waivers is None:
-            waivers = parse_suppressions(module.source)
-            suppression_maps[violation.path] = waivers
-        if violation.rule_id in waivers.get(violation.line, ()):
-            report.violations.append(violation.as_suppressed())
-        else:
-            report.violations.append(violation)
+        for violation in rule.check_project(model):
+            findings.setdefault(violation.path, []).append(violation)
+    # Inline suppressions apply to project findings too; every finding
+    # is anchored in a parsed module of the model.
+    for path, violations in findings.items():
+        source = model.modules_by_path[path].source
+        report.violations.extend(apply_suppressions(violations, source))
 
 
 def lint_paths(
@@ -307,7 +280,6 @@ def lint_paths(
     rules: Optional[List[Rule]] = None,
     cache: Optional[LintCache] = None,
     project_rules: Optional[Sequence[ProjectRule]] = None,
-    baseline: Optional[Baseline] = None,
     jobs: Optional[int] = None,
 ) -> LintReport:
     """Lint a set of files/directories into one report.
@@ -316,8 +288,7 @@ def lint_paths(
     ``project_rules=None`` also runs every registered project rule.
     With an explicit ``rules`` list, project rules default to none —
     callers selecting a subset (tests, ``--select``) pass both lists
-    explicitly.  ``baseline`` marks inventoried findings; ``jobs``
-    follows :func:`resolve_lint_jobs`.
+    explicitly.  ``jobs`` follows :func:`resolve_lint_jobs`.
     """
     if project_rules is None:
         project_rules = all_project_rules() if rules is None else ()
@@ -332,8 +303,4 @@ def lint_paths(
     if cache is not None:
         cache.save()
     report.violations.sort(key=lambda v: v.sort_key)
-    if baseline is not None:
-        report.violations, report.stale_baseline = baseline.apply(
-            report.violations
-        )
     return report

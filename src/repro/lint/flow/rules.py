@@ -1,88 +1,82 @@
 """Flow-sensitive rules: the checks that need paths, not patterns.
 
-Four rule classes built on the CFG / reaching-definitions / taint
-layers (plus the static↔runtime reconciliation rule registered from
-:mod:`repro.lint.flow.reconcile`):
+Four rules built on the CFG / reaching-definitions / taint layers:
 
-``time-taint``
-    The interprocedural generalization of ``float-time-equality``:
-    values *derived by arithmetic* from simulated time (``now +
-    delay``, interest accrued across helper returns) flowing into
-    ``==``/``!=``/``in``, dict keys, set elements, ``hash()``, or
-    subscript-store keys.  Pure copies of stored schedule times are
-    exempt — they compare exactly by construction.
-``draw-escape``
-    RNG draw results crossing a message boundary (posted over the
-    simulated network) or stored into a hash-ordered ``set``: either
-    way the draw is consumed in an order the stream discipline cannot
-    pin, so common-random-numbers comparisons silently decouple.
-``waitable-escape``
+``waitable-escape`` (file)
     A Waitable created from the environment and, on some normal path,
     neither yielded nor cancelled nor handed off: the kernel carries a
     pending event forever (the static twin of simsan's leak audit).
-``lock-path-discipline``
+``lock-path-discipline`` (file)
     CC code that acquires a lock-table entry must consume the
     acquisition result on *every* CFG path out — including exception
     edges — so no path can leave a granted-or-queued request dangling.
+``float-time-equality`` (project)
+    Simulated time reaching exact comparison or hashing.  ``==``/``!=``
+    with an operand that reads a time (``.now``/``.time``) is flagged
+    unless :class:`~repro.lint.flow.taint.CleanTime` proves both sides
+    pure copies of stored schedule times; a value derived by arithmetic
+    from a time (:class:`~repro.lint.flow.taint.TimeTaint`, summarized
+    across calls) is flagged wherever it meets ``==``/``in``, a dict
+    key, a set element, ``hash()`` or a subscript-store key.
+``stream-registry`` (project)
+    The random-stream discipline: a drawn name must match a
+    ``register_stream()`` entry, fault code (``repro/faults/``) must
+    draw only from provably ``fault-*`` streams, and a drawn value must
+    not cross a message boundary (``network.post``) or land in a
+    hash-ordered set, where it would be consumed in an order the
+    stream discipline cannot pin.
 
-All four fail the run (``error``); ``--select``/``--ignore``,
-suppressions, baselines, and ``--jobs`` apply exactly as they do to
-every other rule.  The file rules declare the engine modules in
-``extra_hash_modules`` so an engine edit busts their cached verdicts.
+All fail the run (``error``); ``--select``/``--ignore``, suppressions,
+and ``--jobs`` apply exactly as they do to every other rule.  The file
+rules declare the engine modules in ``extra_hash_modules`` so an engine
+edit busts their cached verdicts.
 """
 
 from __future__ import annotations
 
 import ast
+from itertools import takewhile
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.lint.flow.dataflow import FunctionFlow
 from repro.lint.flow.taint import (
+    CleanTime,
     DrawTaint,
     ProjectTaint,
     SINK_EQUALITY,
     TimeTaint,
-    is_stream_draw_call,
     is_timeish,
     iter_hash_sinks,
 )
+from repro.lint.project import is_env_waitable_call, is_network_ref
 from repro.lint.registry import (
     ProjectRule,
     Rule,
     register,
     register_project,
 )
-from repro.lint.project import _is_network_ref
-from repro.lint.rules import _is_env_waitable_call
+from repro.lint.rules import body_walk, scopes
+from repro.lint.stream_draws import (
+    compile_patterns,
+    draw_is_registered,
+    iter_stream_draws,
+)
 from repro.lint.violations import Violation
 
 __all__ = [
-    "DrawEscapeRule",
     "ENGINE_MODULES",
+    "FloatTimeEqualityRule",
     "LockPathDisciplineRule",
-    "TimeTaintRule",
+    "StreamRegistryRule",
     "WaitableEscapeRule",
 ]
 
-#: Engine modules every flow rule's cached verdicts depend on.
+#: Engine modules every flow file rule's cached verdicts depend on.
 ENGINE_MODULES = (
     "repro.lint.flow.cfg",
     "repro.lint.flow.dataflow",
     "repro.lint.flow.taint",
 )
-
-
-def _scopes(tree: ast.AST) -> List[ast.AST]:
-    """Every analysis scope in one file: the module, each class body,
-    each (nested) function."""
-    scopes: List[ast.AST] = [tree]
-    for node in ast.walk(tree):
-        if isinstance(
-            node,
-            (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef),
-        ):
-            scopes.append(node)
-    return scopes
 
 
 def _parent_map(root: ast.AST) -> Dict[ast.AST, ast.AST]:
@@ -128,14 +122,21 @@ class WaitableEscapeRule(Rule):
 
     def check(self, tree, source, path):
         violations: List[Violation] = []
-        for scope in _scopes(tree):
+        for scope in scopes(tree):
             self._check_scope(scope, path, violations)
         return violations
 
     def _check_scope(
         self, scope: ast.AST, path: str, violations: List[Violation]
     ) -> None:
-        candidates = self._candidates(scope)
+        candidates = [
+            (node.targets[0].id, node)
+            for node in body_walk(scope)
+            if isinstance(node, ast.Assign)
+            and len(node.targets) == 1
+            and isinstance(node.targets[0], ast.Name)
+            and is_env_waitable_call(node.value)
+        ]
         if not candidates:
             return
         flow = FunctionFlow(scope)
@@ -152,30 +153,6 @@ class WaitableEscapeRule(Rule):
                 def_index, consuming, include_exceptional=False
             ):
                 violations.append(self.violation(path, stmt))
-
-    @staticmethod
-    def _candidates(
-        scope: ast.AST,
-    ) -> List[Tuple[str, ast.Assign]]:
-        found: List[Tuple[str, ast.Assign]] = []
-        stack = list(scope.body)
-        while stack:
-            node = stack.pop()
-            if isinstance(
-                node,
-                (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda,
-                 ast.ClassDef),
-            ):
-                continue
-            if (
-                isinstance(node, ast.Assign)
-                and len(node.targets) == 1
-                and isinstance(node.targets[0], ast.Name)
-                and _is_env_waitable_call(node.value)
-            ):
-                found.append((node.targets[0].id, node))
-            stack.extend(ast.iter_child_nodes(node))
-        return found
 
     def _classify_uses(
         self, flow: FunctionFlow, var: str, defining: ast.Assign
@@ -281,7 +258,7 @@ class LockPathDisciplineRule(Rule):
 
     def check(self, tree, source, path):
         violations: List[Violation] = []
-        for scope in _scopes(tree):
+        for scope in scopes(tree):
             self._check_scope(scope, path, violations)
         return violations
 
@@ -327,16 +304,7 @@ class LockPathDisciplineRule(Rule):
         """(statement, assigned-result names) per lock acquire; the
         names are None when the result is discarded outright."""
         found: List[Tuple[ast.AST, Optional[FrozenSet[str]]]] = []
-        stack = list(scope.body)
-        while stack:
-            node = stack.pop()
-            if isinstance(
-                node,
-                (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda,
-                 ast.ClassDef),
-            ):
-                continue
-            stack.extend(ast.iter_child_nodes(node))
+        for node in body_walk(scope):
             value = None
             if isinstance(node, (ast.Expr, ast.Assign)):
                 value = node.value
@@ -370,100 +338,114 @@ class LockPathDisciplineRule(Rule):
 
 
 # ======================================================================
-# time-taint
+# float-time-equality
 # ======================================================================
 
 
-@register_project
-class TimeTaintRule(ProjectRule):
-    """Arithmetic-derived times flowing into equality or hashing."""
+def _timeish_pairs(compare: ast.Compare) -> List[Tuple[ast.AST, ast.AST]]:
+    """``==``/``!=`` operand pairs of which at least one reads a time."""
+    operands = [compare.left, *compare.comparators]
+    return [
+        (operands[index], operands[index + 1])
+        for index, op in enumerate(compare.ops)
+        if isinstance(op, (ast.Eq, ast.NotEq))
+        and (is_timeish(operands[index]) or is_timeish(operands[index + 1]))
+    ]
 
-    rule_id = "time-taint"
+
+@register_project
+class FloatTimeEqualityRule(ProjectRule):
+    """Simulated time reaching exact float comparison or hashing."""
+
+    rule_id = "float-time-equality"
     summary = (
-        "value derived by arithmetic from simulated time flows into "
-        "exact comparison or hashing: float arithmetic does not "
-        "round-trip, so the outcome depends on accumulated precision "
-        "rather than the schedule; compare stored schedule times, or "
-        "quantize deliberately and document the grid"
+        "simulated time reaches exact float comparison or hashing: == "
+        "/ != on a time is only sound between pure copies of one "
+        "scheduled value, and a value derived from a time by float "
+        "arithmetic never is; compare stored schedule times, "
+        "restructure, or suppress with a justification"
     )
-    severity = "error"
-    version = 1
+    version = 3
+    # Simulator sources only: tests legitimately assert exact clock
+    # values the kernel guarantees.
     include = (
         "repro/sim/",
         "repro/core/",
         "repro/cc/",
         "repro/router/",
     )
-    extra_hash_modules = ENGINE_MODULES
+
+    _EQUALITY_MESSAGE = (
+        "== / != on simulated time whose operands the dataflow cannot "
+        "prove are pure copies of one scheduled value; "
+    )
 
     def check_project(self, model) -> List[Violation]:
-        project_taint = ProjectTaint(model, TimeTaint)
-        sink_param_memo: Dict[str, FrozenSet[str]] = {}
+        summaries = ProjectTaint(model, TimeTaint)
+        sink_params: Dict[str, FrozenSet[str]] = {}
         violations: List[Violation] = []
-        seen: Set[Tuple[str, int, int, str]] = set()
-
-        def emit(path: str, anchor: ast.AST, message: str) -> None:
-            key = (
-                path,
-                getattr(anchor, "lineno", 1),
-                getattr(anchor, "col_offset", 0) + 1,
-                message,
-            )
-            if key in seen:
-                return
-            seen.add(key)
-            violations.append(self.violation(path, anchor, message))
-
-        for fn in sorted(
-            model.functions.values(), key=lambda f: f.qualname
-        ):
-            if not self.applies_to(fn.path):
+        for module in model.sorted_modules():
+            if not self.applies_to(module.path):
                 continue
-            flow = project_taint.flow_for(fn.node)
-            taint = project_taint.taint_for(fn)
-            for index in range(len(flow.cfg)):
-                for root in flow.cfg.expressions(index):
-                    for kind, operand, anchor in iter_hash_sinks(
-                        root
-                    ):
-                        if kind == SINK_EQUALITY and is_timeish(
-                            operand
-                        ):
-                            # Syntactically timeish operands belong
-                            # to float-time-equality.
-                            continue
-                        if taint.tainted(operand, index):
-                            emit(
-                                fn.path,
-                                anchor,
-                                f"time-derived value used as "
-                                f"{kind} in {fn.qualname}; "
-                                + self.summary,
-                            )
-                    self._check_call_args(
-                        model,
-                        project_taint,
-                        sink_param_memo,
-                        fn,
-                        taint,
-                        root,
-                        index,
-                        emit,
-                    )
+            # Anchor -> message; the first reason found for a
+            # comparison or sink is the one reported.
+            found: Dict[ast.AST, str] = {}
+            unowned = {
+                node
+                for node in ast.walk(module.tree)
+                if isinstance(node, ast.Compare) and _timeish_pairs(node)
+            }
+            for scope in scopes(module.tree):
+                self._check_scope(
+                    model, summaries, sink_params, scope, unowned, found
+                )
+            # Comparisons no scope's CFG owns (default values,
+            # annotations) are flagged syntactically.
+            for compare in unowned:
+                found.setdefault(compare, self._EQUALITY_MESSAGE)
+            violations.extend(
+                self.violation(module.path, anchor, message + self.summary)
+                for anchor, message in found.items()
+            )
         return violations
+
+    def _check_scope(
+        self, model, summaries, sink_params, scope, unowned, found
+    ) -> None:
+        fn = model.functions_by_node.get(scope)
+        where = fn.qualname if fn else getattr(scope, "name", "module")
+        flow = model.flow(scope)
+        clean = CleanTime(flow)
+        taint = summaries.taint_for(scope)
+        for index in range(len(flow.cfg)):
+            for root in flow.cfg.expressions(index):
+                for node in ast.walk(root):
+                    if node not in unowned:
+                        continue
+                    unowned.discard(node)
+                    if not all(
+                        clean.clean(left, index) and clean.clean(right, index)
+                        for left, right in _timeish_pairs(node)
+                    ):
+                        found.setdefault(node, self._EQUALITY_MESSAGE)
+                for kind, operand, anchor in iter_hash_sinks(root):
+                    if kind == SINK_EQUALITY and is_timeish(operand):
+                        continue  # the CleanTime check above
+                    if taint.tainted(operand, index):
+                        found.setdefault(
+                            anchor,
+                            f"time-derived value used as {kind} in "
+                            f"{where}; ",
+                        )
+                if fn is not None:
+                    self._check_call_args(
+                        model, sink_params, fn, taint, root, index, found
+                    )
 
     # -- depth-1 argument propagation ----------------------------------
 
     def _check_call_args(
-        self,
-        model,
-        project_taint: ProjectTaint,
-        memo: Dict[str, FrozenSet[str]],
-        fn,
-        taint: TimeTaint,
-        root: ast.AST,
-        index: int,
-        emit,
+        self, model, sink_params, fn, taint, root, index, found
     ) -> None:
         for call in ast.walk(root):
             if not isinstance(call, ast.Call):
@@ -471,130 +453,135 @@ class TimeTaintRule(ProjectRule):
             target = model.resolve_call(fn, call)
             if target is None:
                 continue
-            sink_params = self._sink_params(
-                project_taint, memo, target
-            )
-            if not sink_params:
+            sinks = self._sink_params(model, sink_params, target)
+            if not sinks:
                 continue
             params, _required, _vararg = target.positional_params()
-            names = [param.arg for param in params]
-            for position, arg in enumerate(call.args):
-                if isinstance(arg, ast.Starred):
-                    break
-                if (
-                    position < len(names)
-                    and names[position] in sink_params
-                    and taint.tainted(arg, index)
-                ):
-                    emit(
-                        fn.path,
+            positional = takewhile(
+                lambda arg: not isinstance(arg, ast.Starred), call.args
+            )
+            arguments = [
+                (param.arg, arg) for param, arg in zip(params, positional)
+            ] + [(keyword.arg, keyword.value) for keyword in call.keywords]
+            for name, arg in arguments:
+                if name in sinks and taint.tainted(arg, index):
+                    found.setdefault(
                         call,
-                        f"time-derived argument "
-                        f"{names[position]!r} reaches an exact "
-                        f"comparison/hash inside "
-                        f"{target.qualname}; " + self.summary,
-                    )
-            for keyword in call.keywords:
-                if (
-                    keyword.arg in sink_params
-                    and taint.tainted(keyword.value, index)
-                ):
-                    emit(
-                        fn.path,
-                        call,
-                        f"time-derived argument {keyword.arg!r} "
-                        f"reaches an exact comparison/hash inside "
-                        f"{target.qualname}; " + self.summary,
+                        f"time-derived argument {name!r} reaches an "
+                        f"exact comparison/hash inside "
+                        f"{target.qualname}; ",
                     )
 
-    def _sink_params(
-        self,
-        project_taint: ProjectTaint,
-        memo: Dict[str, FrozenSet[str]],
-        fn,
-    ) -> FrozenSet[str]:
+    @staticmethod
+    def _sink_params(model, memo, fn) -> FrozenSet[str]:
         """Parameters of ``fn`` that flow into a hash/equality sink
         *within fn itself* (depth-1: no further call chaining)."""
         cached = memo.get(fn.qualname)
         if cached is not None:
             return cached
-        flow = project_taint.flow_for(fn.node)
+        flow = model.flow(fn.node)
         params, _required, _vararg = fn.positional_params()
         names = [param.arg for param in params] + [
             arg.arg for arg in fn.node.args.kwonlyargs
         ]
-        sinks: Set[str] = set()
+        sinks = set()
         for name in names:
-            taint = TimeTaint(
-                flow, tainted_params=frozenset((name,))
-            )
-            if self._any_sink_tainted(flow, taint):
+            taint = TimeTaint(flow, tainted_params=frozenset((name,)))
+            if any(
+                taint.tainted(operand, index)
+                for index in range(len(flow.cfg))
+                for root in flow.cfg.expressions(index)
+                for _kind, operand, _anchor in iter_hash_sinks(root)
+            ):
                 sinks.add(name)
-        result = frozenset(sinks)
-        memo[fn.qualname] = result
-        return result
-
-    @staticmethod
-    def _any_sink_tainted(
-        flow: FunctionFlow, taint: TimeTaint
-    ) -> bool:
-        for index in range(len(flow.cfg)):
-            for root in flow.cfg.expressions(index):
-                for _kind, operand, _anchor in iter_hash_sinks(root):
-                    if taint.tainted(operand, index):
-                        return True
-        return False
+        memo[fn.qualname] = frozenset(sinks)
+        return memo[fn.qualname]
 
 
 # ======================================================================
-# draw-escape
+# stream-registry
 # ======================================================================
 
 
 @register_project
-class DrawEscapeRule(ProjectRule):
-    """RNG draws crossing message boundaries or hash-ordered storage."""
+class StreamRegistryRule(ProjectRule):
+    """The random-stream discipline, from draw site to consumer."""
 
-    rule_id = "draw-escape"
+    rule_id = "stream-registry"
     summary = (
-        "RNG draw result escapes its drawing context: posted across "
-        "the simulated network it is consumed in delivery order, and "
-        "stored in a set it is consumed in hash order — either way "
-        "the draw sequence decouples from the stream discipline that "
-        "common-random-numbers comparisons rely on; consume draws "
-        "where they are made, or store them in an explicitly ordered "
-        "structure"
+        "random-stream discipline broken: every draw must name a "
+        "register_stream() entry (a typo silently forks a fresh "
+        "stream), fault code must draw only from fault-* streams (a "
+        "shared stream perturbs every failure-free sequence), and a "
+        "draw must be consumed where it is made, not posted across the "
+        "network or stored in a set; common-random-numbers "
+        "comparisons rely on all three"
     )
-    severity = "error"
-    version = 1
+    version = 2
     include = ("repro/",)
-    extra_hash_modules = ENGINE_MODULES
 
     def check_project(self, model) -> List[Violation]:
-        project_taint = ProjectTaint(model, DrawTaint)
         violations: List[Violation] = []
-        seen: Set[Tuple[str, int, int]] = set()
-        for fn in sorted(
-            model.functions.values(), key=lambda f: f.qualname
-        ):
+        patterns = model.stream_registry()
+        # No registry in scope: nothing to check names against.
+        compiled = compile_patterns(patterns) if patterns else None
+        registry_paths = model.stream_registry_paths()
+        for module in model.sorted_modules():
+            if self.applies_to(module.path):
+                self._check_draw_sites(
+                    module,
+                    None if module.path in registry_paths else compiled,
+                    violations,
+                )
+        self._check_escapes(model, violations)
+        return violations
+
+    def _check_draw_sites(self, module, compiled, violations) -> None:
+        """Unregistered names (against ``compiled``, when given) and
+        fault code drawing from non-``fault-*`` streams."""
+        in_faults = "repro/faults/" in module.path
+        for draw in iter_stream_draws(module.tree):
+            if in_faults and not draw.provably_prefixed("fault-"):
+                message = (
+                    "fault code draws from a stream not provably named "
+                    "fault-*; "
+                )
+            elif (
+                compiled is None
+                or draw.dynamic
+                or draw_is_registered(draw, compiled)
+            ):
+                continue
+            else:
+                drawn = (
+                    repr(draw.name)
+                    if draw.name is not None
+                    else f"f-string starting {draw.prefix!r}"
+                )
+                message = f"unregistered stream name {drawn}; "
+            violations.append(
+                Violation(
+                    rule_id=self.rule_id,
+                    path=module.path,
+                    line=draw.line,
+                    col=draw.col,
+                    message=message + self.summary,
+                    severity=self.severity,
+                )
+            )
+
+    def _check_escapes(self, model, violations) -> None:
+        """RNG draw results posted over the network or stored in a set."""
+        summaries = ProjectTaint(model, DrawTaint)
+        for fn in sorted(model.functions.values(), key=lambda f: f.qualname):
             if not self.applies_to(fn.path):
                 continue
-            flow = project_taint.flow_for(fn.node)
-            taint = project_taint.taint_for(fn)
+            flow = model.flow(fn.node)
+            taint = summaries.taint_for(fn.node)
             for index in range(len(flow.cfg)):
                 for root in flow.cfg.expressions(index):
-                    for call, sink_args, what in self._sinks(root):
-                        for arg in sink_args:
-                            if not taint.tainted(arg, index):
-                                continue
-                            key = (
-                                fn.path,
-                                call.lineno,
-                                call.col_offset + 1,
-                            )
-                            if key in seen:
-                                break
-                            seen.add(key)
+                    for call, arguments, what in self._sinks(root):
+                        if any(taint.tainted(a, index) for a in arguments):
                             violations.append(
                                 self.violation(
                                     fn.path,
@@ -603,8 +590,6 @@ class DrawEscapeRule(ProjectRule):
                                     f"{fn.qualname}; " + self.summary,
                                 )
                             )
-                            break
-        return violations
 
     @staticmethod
     def _sinks(root: ast.AST):
@@ -615,20 +600,14 @@ class DrawEscapeRule(ProjectRule):
                 and isinstance(node.func, ast.Attribute)
             ):
                 continue
-            attr = node.func.attr
-            receiver = node.func.value
-            if attr == "post" and _is_network_ref(receiver):
+            if node.func.attr == "post" and is_network_ref(node.func.value):
                 arguments = list(node.args) + [
                     keyword.value for keyword in node.keywords
                 ]
                 yield node, arguments, (
                     "crosses a message boundary (network post)"
                 )
-            elif attr == "add" and node.args:
+            elif node.func.attr == "add" and node.args:
                 yield node, [node.args[0]], (
                     "is stored into a hash-ordered set"
                 )
-
-
-# Registers the race-reconciliation project rule.
-import repro.lint.flow.reconcile  # noqa: E402,F401  (registers on import)

@@ -48,6 +48,7 @@ from repro.lint.flow.dataflow import (
     PARAM,
     FunctionFlow,
 )
+from repro.lint.stream_draws import is_draw_call
 
 __all__ = [
     "ARITH_OPS",
@@ -61,7 +62,7 @@ __all__ = [
 ]
 
 #: Attribute / variable spellings that denote a simulation clock or a
-#: stored schedule time (same set the syntactic rule uses).
+#: stored schedule time.
 TIME_ATTRS = frozenset({"now", "time"})
 
 #: Binary operations that perform float arithmetic (taint sources for
@@ -277,26 +278,8 @@ class DrawTaint(Taint):
     """The draw lattice: RNG stream draw calls are the source."""
 
     def source(self, expr: ast.AST, node: int) -> bool:
-        return is_stream_draw_call(expr)
-
-
-def is_stream_draw_call(expr: ast.AST) -> bool:
-    """``streams.exponential(...)``-style draw returning a *value*
-    (``.get`` hands out the stream object, not a draw — excluded)."""
-    # Imported lazily to keep flow modules import-light for the
-    # per-file rule pass.
-    from repro.lint.stream_draws import (
-        STREAM_DRAW_METHODS,
-        _is_streams_ref,
-    )
-
-    return (
-        isinstance(expr, ast.Call)
-        and isinstance(expr.func, ast.Attribute)
-        and expr.func.attr in STREAM_DRAW_METHODS
-        and expr.func.attr != "get"
-        and _is_streams_ref(expr.func.value)
-    )
+        # ``.get`` hands out the stream object, not a drawn value.
+        return is_draw_call(expr) and expr.func.attr != "get"
 
 
 class CleanTime:
@@ -400,38 +383,34 @@ class ProjectTaint:
 
     ``taint_class`` is :class:`TimeTaint` or :class:`DrawTaint`.  The
     summary is one bit per function — "some return value may carry
-    taint" — computed by a fixpoint over the conservative call graph,
-    capped at :data:`MAX_SUMMARY_ROUNDS` (bounded context).
+    taint" — computed by a fixpoint over conservatively resolved calls,
+    capped at :data:`MAX_SUMMARY_ROUNDS` (bounded context).  Flows come
+    from the model's shared per-scope cache.
     """
 
     def __init__(self, model, taint_class):
         self.model = model
         self.taint_class = taint_class
-        self._flows: Dict[ast.AST, FunctionFlow] = {}
         self.returns_tainted: Dict[str, bool] = {}
         self._solve()
 
-    def flow_for(self, fn_node: ast.AST) -> FunctionFlow:
-        flow = self._flows.get(fn_node)
-        if flow is None:
-            flow = FunctionFlow(fn_node)
-            self._flows[fn_node] = flow
-        return flow
+    def taint_for(self, scope: ast.AST) -> Taint:
+        """A taint instance for one scope; when the scope is a model
+        function, its call verdicts consult the converged summaries."""
+        fn = self.model.functions_by_node.get(scope)
+        return self._taint(scope, fn, self.returns_tainted)
 
-    def taint_for(self, fn, tainted_params=frozenset()) -> Taint:
-        """A taint instance for ``fn`` (a FunctionInfo) whose call
-        verdicts consult the converged summaries."""
+    def _taint(self, scope, fn, summaries) -> Taint:
+        def call_taint(call: ast.Call) -> Optional[bool]:
+            target = self.model.resolve_call(fn, call)
+            if target is None:
+                return None
+            return summaries.get(target.qualname, False)
+
         return self.taint_class(
-            self.flow_for(fn.node),
-            tainted_params=frozenset(tainted_params),
-            call_taint=lambda call: self.call_verdict(fn, call),
+            self.model.flow(scope),
+            call_taint=call_taint if fn is not None else None,
         )
-
-    def call_verdict(self, caller, call: ast.Call) -> Optional[bool]:
-        target = self.model.resolve_call(caller, call)
-        if target is None:
-            return None
-        return self.returns_tainted.get(target.qualname, False)
 
     def _solve(self) -> None:
         functions = sorted(
@@ -451,26 +430,10 @@ class ProjectTaint:
         self.returns_tainted = summaries
 
     def _fn_returns_tainted(self, fn, summaries) -> bool:
-        flow = self.flow_for(fn.node)
-        taint = self.taint_class(
-            flow,
-            call_taint=lambda call: self._verdict_during_solve(
-                fn, call, summaries
-            ),
+        taint = self._taint(fn.node, fn, summaries)
+        return any(
+            isinstance(stmt, ast.Return)
+            and stmt.value is not None
+            and taint.tainted(stmt.value, index)
+            for index, stmt in enumerate(taint.flow.cfg.stmts)
         )
-        for index, stmt in enumerate(flow.cfg.stmts):
-            if (
-                isinstance(stmt, ast.Return)
-                and stmt.value is not None
-                and taint.tainted(stmt.value, index)
-            ):
-                return True
-        return False
-
-    def _verdict_during_solve(
-        self, caller, call: ast.Call, summaries
-    ) -> Optional[bool]:
-        target = self.model.resolve_call(caller, call)
-        if target is None:
-            return None
-        return summaries.get(target.qualname, False)

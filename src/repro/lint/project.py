@@ -1,25 +1,25 @@
-"""Whole-program analysis: symbol table, call graph, project rules.
+"""Whole-program analysis: the project model and its syntactic rules.
 
 The per-file rules in :mod:`repro.lint.rules` catch hazards visible in
 one AST.  The bugs PRs 2-4 actually shipped — a stream name that only
 exists at one call site, a message handler whose signature drifted, a
 CC manager that silently inherits a no-op ``crash_reset`` — span
 files, so this module parses the whole linted tree once into a
-:class:`ProjectModel`:
+:class:`ProjectModel`: a **module-qualified symbol table** (every
+module, class, method and function under its dotted name, with
+per-module import aliasing and conservative base-class resolution)
+plus **conservative call resolution** (:meth:`ProjectModel.
+resolve_call` names a callee only when it is unambiguous: bare names
+through imports, ``self.method`` through the class chain,
+``ClassName.method``, and ``self.attr.method`` where ``self.attr`` was
+assigned from exactly one constructor spelling along the chain — never
+attribute calls on receivers whose type the model cannot pin down).
 
-* a **module-qualified symbol table** (every module, class, method and
-  function under its dotted name, with per-module import aliasing and
-  conservative base-class resolution), and
-* a **conservative call graph** (edges only where the callee resolves
-  unambiguously: bare names through imports, ``self.method`` through
-  the class chain, ``ClassName.method``, and ``self.attr.method``
-  where ``self.attr`` was assigned from exactly one constructor
-  spelling along the chain — never attribute calls on receivers whose
-  type the model cannot pin down).
-
-:class:`~repro.lint.registry.ProjectRule` subclasses registered here
-run after every file rule and see the full model.  Nothing in the
-linted tree is ever imported or executed — all analysis is static.
+:class:`~repro.lint.registry.ProjectRule` subclasses run after every
+file rule and see the full model; the ones registered here need no
+dataflow (the flow-based ones live in :mod:`repro.lint.flow.rules`).
+Nothing in the linted tree is ever imported or executed — all analysis
+is static.
 """
 
 from __future__ import annotations
@@ -29,16 +29,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
+from repro.lint.flow.dataflow import FunctionFlow
 from repro.lint.registry import ProjectRule, register_project
-from repro.lint.rules import (
-    _OBVIOUS_NON_WAITABLE,
-    _is_env_waitable_call,
-)
-from repro.lint.stream_draws import (
-    compile_patterns,
-    draw_is_registered,
-    iter_stream_draws,
-)
+from repro.lint.rules import body_walk
 from repro.lint.violations import Violation
 
 __all__ = [
@@ -47,9 +40,8 @@ __all__ = [
     "FunctionInfo",
     "MessageHandlerRule",
     "ModuleInfo",
+    "ProcessProtocolRule",
     "ProjectModel",
-    "StreamRegistryRule",
-    "WaitableLeakRule",
 ]
 
 
@@ -71,21 +63,8 @@ def _decorator_names(node: ast.AST) -> FrozenSet[str]:
     return frozenset(names)
 
 
-def function_body_walk(function: ast.AST):
-    """Walk a function body without entering nested functions."""
-    stack = list(function.body)
-    while stack:
-        node = stack.pop()
-        if isinstance(
-            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
-        ):
-            continue
-        yield node
-        stack.extend(ast.iter_child_nodes(node))
-
-
 def _is_generator(function: ast.AST) -> bool:
-    for node in function_body_walk(function):
+    for node in body_walk(function):
         if isinstance(node, (ast.Yield, ast.YieldFrom)):
             return True
     return False
@@ -193,7 +172,7 @@ def module_name_for(path: Path) -> str:
 
 
 class ProjectModel:
-    """Symbol table + call graph over one set of parsed modules."""
+    """Symbol table + call resolution over one set of parsed modules."""
 
     def __init__(self, modules: Dict[str, ModuleInfo]):
         self.modules = modules
@@ -214,7 +193,10 @@ class ProjectModel:
             for cls in info.classes.values():
                 for method in cls.methods.values():
                     self.functions[method.qualname] = method
-        self._call_graph: Optional[Dict[str, FrozenSet[str]]] = None
+        self.functions_by_node: Dict[ast.AST, FunctionInfo] = {
+            fn.node: fn for fn in self.functions.values()
+        }
+        self._flows: Dict[ast.AST, FunctionFlow] = {}
 
     # ------------------------------------------------------------------
     # Construction
@@ -246,6 +228,14 @@ class ProjectModel:
             )
         return cls(modules)
 
+    @classmethod
+    def from_module(
+        cls, path: str, tree: ast.Module, source: str
+    ) -> "ProjectModel":
+        """A one-module model over already-parsed source."""
+        name = module_name_for(Path(path))
+        return cls({name: cls._build_module(name, path, tree, source)})
+
     @staticmethod
     def _build_module(
         name: str, path: str, tree: ast.Module, source: str
@@ -253,7 +243,6 @@ class ProjectModel:
         info = ModuleInfo(
             name=name, path=path, tree=tree, source=source
         )
-        package = name.rsplit(".", 1)[0] if "." in name else ""
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 for alias in node.names:
@@ -295,7 +284,6 @@ class ProjectModel:
                 info.classes[node.name] = ProjectModel._build_class(
                     name, path, node
                 )
-        _ = package  # (kept for symmetry; relative imports used it)
         return info
 
     @staticmethod
@@ -323,7 +311,7 @@ class ProjectModel:
                 methods[item.name] = fn
                 if fn.is_abstract:
                     abstract.add(item.name)
-                for sub in function_body_walk(item):
+                for sub in body_walk(item):
                     target = None
                     if isinstance(sub, ast.Assign):
                         for t in sub.targets:
@@ -550,20 +538,17 @@ class ProjectModel:
                     return self.resolve_method(target, func.attr)
         return None
 
-    def call_graph(self) -> Dict[str, FrozenSet[str]]:
-        """Caller qualname -> resolved callee qualnames (memoized)."""
-        if self._call_graph is None:
-            edges: Dict[str, FrozenSet[str]] = {}
-            for fn in self.functions.values():
-                callees = set()
-                for node in ast.walk(fn.node):
-                    if isinstance(node, ast.Call):
-                        target = self.resolve_call(fn, node)
-                        if target is not None:
-                            callees.add(target.qualname)
-                edges[fn.qualname] = frozenset(callees)
-            self._call_graph = edges
-        return self._call_graph
+    def flow(self, scope: ast.AST) -> FunctionFlow:
+        """CFG + reaching definitions of one scope, built once and
+        shared by every flow-based project rule."""
+        flow = self._flows.get(scope)
+        if flow is None:
+            flow = self._flows[scope] = FunctionFlow(scope)
+        return flow
+
+    def sorted_modules(self) -> List[ModuleInfo]:
+        """Every module, ordered by path for stable output."""
+        return sorted(self.modules.values(), key=lambda m: m.path)
 
     # ------------------------------------------------------------------
     # Domain extractions
@@ -618,65 +603,10 @@ class ProjectModel:
 # ======================================================================
 
 
-@register_project
-class StreamRegistryRule(ProjectRule):
-    """Every stream draw must resolve to a registered stream name."""
-
-    rule_id = "stream-registry"
-    summary = (
-        "stream name does not resolve to any register_stream() entry: "
-        "a typo silently forks a fresh RNG stream and perturbs "
-        "common-random-numbers comparisons; register the name in "
-        "repro/sim/streams.py or fix the spelling"
-    )
-    severity = "error"
-    version = 1
-    include = ("repro/",)
-
-    def check_project(self, model: ProjectModel) -> List[Violation]:
-        patterns = model.stream_registry()
-        if not patterns:
-            return []  # no registry in scope: nothing to check against
-        compiled = compile_patterns(patterns)
-        registry_paths = model.stream_registry_paths()
-        violations: List[Violation] = []
-        for module in sorted(
-            model.modules.values(), key=lambda m: m.path
-        ):
-            if not self.applies_to(module.path):
-                continue
-            if module.path in registry_paths:
-                continue  # the registry module's own internals
-            for draw in iter_stream_draws(module.tree):
-                if draw.dynamic:
-                    continue
-                if draw_is_registered(draw, compiled):
-                    continue
-                drawn = (
-                    repr(draw.name)
-                    if draw.name is not None
-                    else f"f-string starting {draw.prefix!r}"
-                )
-                violations.append(
-                    Violation(
-                        rule_id=self.rule_id,
-                        path=module.path,
-                        line=draw.line,
-                        col=draw.col,
-                        message=(
-                            f"unregistered stream name {drawn}; "
-                            + self.summary
-                        ),
-                        severity=self.severity,
-                    )
-                )
-        return violations
-
-
-def _is_network_ref(node: ast.AST) -> bool:
-    # ``network.post(...)`` / ``self.network.post(...)`` /
-    # ``self.net._transmit...`` — the same spelling heuristic the
-    # stream rules use for their receivers.
+def is_network_ref(node: ast.AST) -> bool:
+    """``network.post(...)`` / ``self.network.post(...)`` /
+    ``self.net._transmit...`` — the same spelling heuristic the stream
+    rules use for their receivers."""
     if isinstance(node, ast.Name):
         return "network" in node.id or node.id == "net"
     if isinstance(node, ast.Attribute):
@@ -700,12 +630,9 @@ class MessageHandlerRule(ProjectRule):
 
     def check_project(self, model: ProjectModel) -> List[Violation]:
         violations: List[Violation] = []
-        for module in sorted(
-            model.modules.values(), key=lambda m: m.path
-        ):
-            if not self.applies_to(module.path):
-                continue
-            self._check_module(model, module, violations)
+        for module in model.sorted_modules():
+            if self.applies_to(module.path):
+                self._check_module(model, module, violations)
         return violations
 
     def _check_module(
@@ -731,7 +658,7 @@ class MessageHandlerRule(ProjectRule):
                     isinstance(node, ast.Call)
                     and isinstance(node.func, ast.Attribute)
                     and node.func.attr == "post"
-                    and _is_network_ref(node.func.value)
+                    and is_network_ref(node.func.value)
                 ):
                     continue
                 for role, expr in self._hook_args(node):
@@ -934,106 +861,179 @@ class CCInterfaceRule(ProjectRule):
                 )
 
 
-@register_project
-class WaitableLeakRule(ProjectRule):
-    """Process bodies must not yield calls returning non-Waitables."""
+#: Environment factory/combinator methods whose results are waitables;
+#: a generator yielding one of these is treated as a sim-process body.
+_ENV_WAITABLE_METHODS = frozenset(
+    {"all_of", "any_of", "event", "process", "timeout"}
+)
 
-    rule_id = "waitable-leak"
-    summary = (
-        "sim process yields the result of a call that provably "
-        "returns a non-Waitable: the kernel will kill the process "
-        "with SimulationError at runtime; yield a "
-        "Timeout/Event/Process (or use 'yield from' for a "
-        "sub-generator)"
+#: Yield values that can never be a Waitable.
+_OBVIOUS_NON_WAITABLE = (
+    ast.Constant,
+    ast.Tuple,
+    ast.List,
+    ast.Dict,
+    ast.Set,
+    ast.JoinedStr,
+    ast.BinOp,
+    ast.BoolOp,
+    ast.Compare,
+    ast.UnaryOp,
+)
+
+
+def mentions_env(node: ast.AST) -> bool:
+    """Whether any name or attribute under ``node`` is ``env``/``_env``."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and sub.id in ("env", "_env"):
+            return True
+        if isinstance(sub, ast.Attribute) and sub.attr in (
+            "env",
+            "_env",
+        ):
+            return True
+    return False
+
+
+def is_env_waitable_call(node: ast.AST) -> bool:
+    """``env.timeout(...)``-style factory call returning a Waitable."""
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in _ENV_WAITABLE_METHODS
+        and mentions_env(node.func.value)
     )
-    severity = "error"
-    version = 1
-    include = ("repro/",)
+
+
+@register_project
+class ProcessProtocolRule(ProjectRule):
+    """What a sim process may yield, and that it never reenters run().
+
+    Syntactic checks cover every generator: ``env.run()`` from inside
+    one is reentrant dispatch, and a sim-process body (a generator that
+    yields some ``env`` factory call) must not yield ``None`` or a
+    literal.  Through the model, a process body that is a module-level
+    function or method must also not yield a call whose resolved callee
+    is a generator (needs ``yield from``) or provably returns a
+    non-Waitable.
+    """
+
+    rule_id = "process-protocol"
+    summary = (
+        "sim-process protocol misuse: processes must yield Waitables "
+        "(Event/Timeout/Process/AllOf/AnyOf) and never reenter "
+        "env.run()"
+    )
+    version = 2
 
     def check_project(self, model: ProjectModel) -> List[Violation]:
         violations: List[Violation] = []
-        for fn in sorted(
-            model.functions.values(), key=lambda f: f.qualname
-        ):
-            if not self.applies_to(fn.path):
+        for module in model.sorted_modules():
+            # Every finding sits in a generator: no yield, no finding.
+            if "yield" not in module.source or not self.applies_to(
+                module.path
+            ):
                 continue
-            if not fn.is_generator:
-                continue
-            self._check_process(model, fn, violations)
+            for node in ast.walk(module.tree):
+                if isinstance(
+                    node, (ast.FunctionDef, ast.AsyncFunctionDef)
+                ):
+                    self._check_function(
+                        model, module.path, node, violations
+                    )
         return violations
 
-    def _check_process(
+    def _check_function(
         self,
         model: ProjectModel,
-        fn: FunctionInfo,
+        path: str,
+        function: ast.AST,
         violations: List[Violation],
     ) -> None:
-        yields = [
-            node
-            for node in function_body_walk(fn.node)
-            if isinstance(node, ast.Yield)
-        ]
+        yields, runs = [], []
+        for node in body_walk(function):
+            if isinstance(node, ast.Yield):
+                yields.append(node)
+            elif (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "run"
+                and mentions_env(node.func.value)
+            ):
+                runs.append(node)
+        if not yields:
+            return
+        # env.run() from inside *any* generator is reentrant dispatch:
+        # the kernel is single-threaded and run() is not recursive.
+        violations.extend(
+            self.violation(
+                path,
+                node,
+                "env.run() called from inside a generator: the kernel "
+                "dispatch loop is not reentrant",
+            )
+            for node in runs
+        )
         if not any(
-            y.value is not None and _is_env_waitable_call(y.value)
+            y.value is not None and is_env_waitable_call(y.value)
             for y in yields
         ):
-            return  # not a sim-process body (plain generator)
+            return  # a plain generator, not a sim-process body
+        caller = model.functions_by_node.get(function)
         for y in yields:
-            value = y.value
-            if not isinstance(value, ast.Call):
-                continue  # bare/literal yields: per-file rule's job
-            if _is_env_waitable_call(value):
-                continue
-            callee = model.resolve_call(fn, value)
-            if callee is None:
-                continue  # unresolvable: stay conservative
-            if callee.is_generator:
-                violations.append(
-                    Violation(
-                        rule_id=self.rule_id,
-                        path=fn.path,
-                        line=value.lineno,
-                        col=value.col_offset + 1,
-                        message=(
-                            f"{fn.qualname} yields a generator "
-                            f"object from {callee.qualname}; a "
-                            "generator is not a Waitable — use "
-                            "'yield from' or wrap in env.process()"
-                        ),
-                        severity=self.severity,
-                    )
-                )
-            elif self._returns_provably_non_waitable(callee):
-                violations.append(
-                    Violation(
-                        rule_id=self.rule_id,
-                        path=fn.path,
-                        line=value.lineno,
-                        col=value.col_offset + 1,
-                        message=(
-                            f"{fn.qualname} yields the result of "
-                            f"{callee.qualname}, which provably "
-                            "returns a non-Waitable; " + self.summary
-                        ),
-                        severity=self.severity,
-                    )
-                )
+            problem = self._yield_problem(model, caller, y.value)
+            if problem is not None:
+                violations.append(self.violation(path, y, problem))
+
+    def _yield_problem(
+        self,
+        model: ProjectModel,
+        caller: Optional[FunctionInfo],
+        value: Optional[ast.AST],
+    ) -> Optional[str]:
+        """Why yielding ``value`` breaks the protocol, or None."""
+        if value is None:
+            return (
+                "bare yield in a sim process: processes must yield a "
+                "Waitable, and None is not one"
+            )
+        if isinstance(value, _OBVIOUS_NON_WAITABLE):
+            return (
+                "sim process yields a non-Waitable literal; the kernel "
+                "will kill the process with SimulationError"
+            )
+        if (
+            caller is None
+            or not isinstance(value, ast.Call)
+            or is_env_waitable_call(value)
+        ):
+            return None
+        callee = model.resolve_call(caller, value)
+        if callee is None:
+            return None  # unresolvable: stay conservative
+        if callee.is_generator:
+            return (
+                f"{caller.qualname} yields a generator object from "
+                f"{callee.qualname}; a generator is not a Waitable — "
+                "use 'yield from' or wrap in env.process()"
+            )
+        if self._returns_provably_non_waitable(callee):
+            return (
+                f"{caller.qualname} yields the result of "
+                f"{callee.qualname}, which provably returns a "
+                "non-Waitable: the kernel will kill the process with "
+                "SimulationError; yield a Timeout/Event/Process"
+            )
+        return None
 
     @staticmethod
     def _returns_provably_non_waitable(fn: FunctionInfo) -> bool:
-        returns = [
-            node
-            for node in function_body_walk(fn.node)
-            if isinstance(node, ast.Return)
+        values = [
+            node.value
+            for node in body_walk(fn.node)
+            if isinstance(node, ast.Return) and node.value is not None
         ]
-        values = [r.value for r in returns if r.value is not None]
-        if not values:
-            return True  # falls off the end / bare return: None
+        # No value returned (falls off the end / bare return): None.
         return all(
-            isinstance(value, _OBVIOUS_NON_WAITABLE)
-            or (
-                isinstance(value, ast.Constant)
-                and value.value is None
-            )
-            for value in values
+            isinstance(value, _OBVIOUS_NON_WAITABLE) for value in values
         )

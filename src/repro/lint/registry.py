@@ -6,13 +6,13 @@ Two kinds of rule live here:
   cache-friendly: linting a file is a pure function of its bytes and
   the active rule set.
 * **Project rules** (:class:`ProjectRule`) see the whole-program model
-  (symbol table + call graph, :mod:`repro.lint.project`) and run after
-  every file rule; their findings are never cached per file.
+  (:mod:`repro.lint.project`) and run after every file rule; their
+  findings are never cached per file.
 
 Rules register themselves with the :func:`register` /
 :func:`register_project` decorators at import time (importing
-:mod:`repro.lint.rules` and :mod:`repro.lint.project` populates the
-registries).  Each rule carries a ``version`` stamp and a *source
+:mod:`repro.lint.rules`, :mod:`repro.lint.project` and
+:mod:`repro.lint.flow.rules` populates the registries).  Each rule carries a ``version`` stamp and a *source
 hash* — a whitespace/comment-insensitive digest of the module that
 defines it — and the combined signature of every registered file rule
 feeds the per-file cache key, so editing a rule's logic invalidates
@@ -65,10 +65,10 @@ class _BaseRule:
     include: Tuple[str, ...] = ()
     #: Path fragments the rule never runs on.
     exclude: Tuple[str, ...] = ()
-    #: Dotted names of engine modules this rule's verdicts also depend
-    #: on (the flow rules name the CFG/dataflow/taint modules here, so
-    #: editing the engine busts their cached results, not just edits
-    #: to the rule module itself).
+    #: Dotted names of engine modules a file rule's cached verdicts
+    #: also depend on (the flow file rules name the CFG/dataflow/taint
+    #: modules here, so editing the engine busts their cached results,
+    #: not just edits to the rule module itself).
     extra_hash_modules: Tuple[str, ...] = ()
 
     def applies_to(self, path: str) -> bool:
@@ -185,12 +185,8 @@ def register_project(
 
 
 def _ensure_loaded() -> None:
-    if not _REGISTRY:
-        import repro.lint.rules  # noqa: F401 - registers on import
-    if not _PROJECT_REGISTRY:
-        import repro.lint.project  # noqa: F401 - registers on import
-    # Flow rules register into both registries; re-import is a cached
-    # no-op after the first call.
+    # The flow rules import the file- and project-rule modules, so this
+    # one import registers every rule; re-imports are cached no-ops.
     import repro.lint.flow.rules  # noqa: F401 - registers on import
 
 

@@ -40,7 +40,7 @@ def render_text(
         lines.append(
             f"stale baseline entry: {entry.path} [{entry.rule}] "
             f"waives {entry.count} finding(s) that no longer exist — "
-            "trim lint/baseline.json"
+            "trim the baseline"
         )
     active = len(report.active)
     suppressed = len(report.suppressed)
@@ -98,8 +98,8 @@ def render_sarif(
     sanitizer reuses this renderer with its check descriptors and
     ``driver_name="simsan"``.  Waived findings are emitted with a
     ``suppressions`` entry (``inSource`` for inline comments,
-    ``external`` for baseline waivers) so code scanners show them as
-    dismissed instead of dropping them.
+    ``external`` for simsan's baseline waivers) so code scanners show
+    them as dismissed instead of dropping them.
     """
     if rules is None:
         from repro.lint.registry import all_project_rules, all_rules
@@ -153,7 +153,7 @@ def render_sarif(
             result["suppressions"] = [
                 {
                     "kind": "external",
-                    "justification": "inventoried in lint/baseline.json",
+                    "justification": "inventoried in the baseline",
                 }
             ]
         results.append(result)

@@ -1,15 +1,15 @@
 """Static extraction of RNG stream draws and registry matching.
 
-Both the per-file ``fault-stream-misuse`` rule and the whole-program
-``stream-registry`` rule reason about the same syntactic event: *a
-named draw from a* :class:`~repro.sim.streams.RandomStreams` *family*
+The ``stream-registry`` rule and the draw-taint lattice reason about
+the same syntactic event: *a named draw from a*
+:class:`~repro.sim.streams.RandomStreams` *family*
 (``streams.get("page-choice")``, ``self._streams.bernoulli(
-"fault-msg-loss", p)``, ...).  This module is their shared foundation:
-it extracts every draw from an AST together with whatever is provable
-about the stream-name argument, and it implements the matching
-semantics for registry *patterns* — registered names may contain
-``{placeholder}`` segments (``"disk-service-{node}"``) that stand for
-any non-empty text, mirroring the f-strings that draw them.
+"fault-msg-loss", p)``, ...).  This module recognizes those calls,
+extracts whatever is provable about the stream-name argument, and
+implements the matching semantics for registry *patterns* — registered
+names may contain ``{placeholder}`` segments (``"disk-service-{node}"``)
+that stand for any non-empty text, mirroring the f-strings that draw
+them.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ __all__ = [
     "StreamDraw",
     "compile_patterns",
     "draw_is_registered",
+    "is_draw_call",
     "iter_stream_draws",
     "pattern_regex",
 ]
@@ -73,14 +74,20 @@ class StreamDraw:
         return False
 
 
-def _is_streams_ref(node: ast.AST) -> bool:
-    # ``streams.get(...)`` / ``self.streams.get(...)`` /
-    # ``self._streams.bernoulli(...)``.
-    if isinstance(node, ast.Name):
-        return "streams" in node.id
-    if isinstance(node, ast.Attribute):
-        return "streams" in node.attr
-    return False
+def is_draw_call(node: ast.AST) -> bool:
+    """``streams.get(...)`` / ``self.streams.uniform(...)`` /
+    ``self._streams.bernoulli(...)``: a named-stream method call on a
+    receiver spelled like a stream family."""
+    if not (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in STREAM_DRAW_METHODS
+    ):
+        return False
+    receiver = node.func.value
+    if isinstance(receiver, ast.Name):
+        return "streams" in receiver.id
+    return isinstance(receiver, ast.Attribute) and "streams" in receiver.attr
 
 
 def _draw_from_call(node: ast.Call) -> StreamDraw:
@@ -105,12 +112,7 @@ def _draw_from_call(node: ast.Call) -> StreamDraw:
 def iter_stream_draws(tree: ast.AST) -> Iterator[StreamDraw]:
     """Every stream-draw call site in ``tree``."""
     for node in ast.walk(tree):
-        if (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr in STREAM_DRAW_METHODS
-            and _is_streams_ref(node.func.value)
-        ):
+        if is_draw_call(node):
             yield _draw_from_call(node)
 
 

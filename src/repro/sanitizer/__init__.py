@@ -4,7 +4,8 @@ simlint (:mod:`repro.lint`) guards the bit-reproducibility property
 statically; simsan guards it *dynamically*.  An opt-in instrumented
 execution mode — ``Environment(sanitizer=...)`` /
 ``Simulation(config, sanitizer=...)`` / ``$REPRO_SIMSAN=1`` — routes
-cheap hook points in the kernel, both schedulers, the stream registry,
+cheap hook points in the kernel (process creation, event scheduling,
+mailboxes, and its instrumented dispatch loop), the stream registry,
 the resources, the network, and the fault injector into a
 :class:`~repro.sanitizer.core.Sanitizer`, which runs four checkers:
 

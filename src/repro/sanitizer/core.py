@@ -281,7 +281,7 @@ class Sanitizer:
         if (
             self._cur_seq is not None
             and env is not None
-            and time == env.now  # simlint: ignore[float-time-equality] — exact same-timestamp identity, not tolerance math
+            and time == env.now  # exact same-timestamp identity, not tolerance math
         ):
             self._parents[seq] = self._cur_seq
         return handle

@@ -4,8 +4,8 @@ Runtime findings are ordinary :class:`~repro.lint.violations.Violation`
 objects, so this module only has to (a) apply ``# simsan:
 waive[check-id]`` inline comments by reading the anchored source line,
 (b) apply the checked-in sanitizer baseline
-(``src/repro/sanitizer/baseline.json``, same format as the lint
-baseline), and (c) pack everything into a
+(``src/repro/sanitizer/baseline.json``, in the
+:mod:`repro.lint.baseline` format), and (c) pack everything into a
 :class:`~repro.lint.engine.LintReport` that the existing
 text/JSON/SARIF reporters render unchanged.
 """

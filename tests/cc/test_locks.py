@@ -289,8 +289,8 @@ class TestDeterministicReleaseOrder:
 
     The waiters' grant events are scheduled in the order pages are
     visited; iterating the held-set directly would make wakeup order
-    hash-dependent, which simlint's unordered-set-iteration rule
-    rejects for exactly this spot.
+    hash-dependent, which simlint's unordered-iteration rule rejects
+    for exactly this spot.
     """
 
     def _grant_order(self, env, locks, new_txn, pages):

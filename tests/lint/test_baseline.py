@@ -1,4 +1,5 @@
-"""Baseline add/expire semantics and CLI integration."""
+"""Baseline add/expire semantics (the inventory format of simsan's
+race baseline; simlint itself waives only inline)."""
 
 import json
 
@@ -33,7 +34,7 @@ class TestMatching:
             reason="r",
         )
         assert not entry.matches(
-            finding(rule="unordered-set-iteration")
+            finding(rule="unordered-iteration")
         )
 
 
@@ -135,10 +136,13 @@ class TestRoundTrip:
 
 
 class TestCommittedBaseline:
+    """The committed simsan race baseline: every waiver is a reason."""
+
     def test_committed_baseline_parses(self):
-        from repro.lint.baseline import default_baseline_path
+        from repro.sanitizer.report import default_baseline_path
 
         baseline = Baseline.load(default_baseline_path())
+        assert baseline.entries
         # Every committed waiver must carry a justification.
         for entry in baseline.entries:
             assert entry.reason.strip(), (
@@ -147,7 +151,7 @@ class TestCommittedBaseline:
             )
 
     def test_committed_baseline_is_sorted_json(self):
-        from repro.lint.baseline import default_baseline_path
+        from repro.sanitizer.report import default_baseline_path
 
         raw = json.loads(default_baseline_path().read_text("utf-8"))
         entries = raw["entries"]

@@ -1,9 +1,11 @@
-"""Seeded fixtures for the four flow-sensitive rules.
+"""Seeded fixtures for the flow-sensitive checks.
 
-Each rule gets (a) a fixture that must fire *exactly once*, (b) a
+Each check gets (a) a fixture that must fire *exactly once*, (b) a
 near-miss that must stay clean, and (c) the uniformity checks: inline
 suppression, ``--select``, and the parallel file pass treat flow rules
-exactly like every other rule.
+exactly like every other rule.  The arithmetic-time checks belong to
+the ``float-time-equality`` project rule and the draw-escape checks to
+``stream-registry``; the fixture classes keep their original names.
 """
 
 import textwrap
@@ -179,12 +181,12 @@ class TestLockPathDiscipline:
 
 
 # ======================================================================
-# time-taint (project rule)
+# float-time-equality (project rule): arithmetic-derived times
 # ======================================================================
 
 
 class TestTimeTaint:
-    RULE = "time-taint"
+    RULE = "float-time-equality"
 
     def test_fires_exactly_once_on_derived_equality(self, tmp_path):
         hits = project_hits(
@@ -250,12 +252,12 @@ class TestTimeTaint:
 
 
 # ======================================================================
-# draw-escape (project rule)
+# stream-registry (project rule): draws escaping their context
 # ======================================================================
 
 
 class TestDrawEscape:
-    RULE = "draw-escape"
+    RULE = "stream-registry"
 
     def test_fires_exactly_once_on_posted_draw(self, tmp_path):
         hits = project_hits(
@@ -312,22 +314,24 @@ class TestUniformity:
         from repro.lint.cli import _select_rules
 
         file_rules, project_rules = _select_rules(
-            "waitable-escape,time-taint", None
+            "waitable-escape,float-time-equality", None
         )
         assert [r.rule_id for r in file_rules] == ["waitable-escape"]
-        assert [r.rule_id for r in project_rules] == ["time-taint"]
+        assert [r.rule_id for r in project_rules] == [
+            "float-time-equality"
+        ]
 
     def test_ignore_glob_drops_flow_rules(self):
         from repro.lint.cli import _select_rules
 
         file_rules, project_rules = _select_rules(
-            None, "time-taint,draw-escape,race-reconciliation"
+            None, "float-time-equality,stream-*"
         )
         ids = [r.rule_id for r in file_rules] + [
             r.rule_id for r in project_rules
         ]
-        assert "time-taint" not in ids
-        assert "draw-escape" not in ids
+        assert "float-time-equality" not in ids
+        assert "stream-registry" not in ids
         assert "waitable-escape" in ids  # untouched
 
     def test_flow_findings_survive_the_parallel_pass(self, tmp_path):
@@ -349,12 +353,9 @@ class TestUniformity:
         ] == ["waitable-escape"]
 
     def test_flow_rules_declare_engine_hash_modules(self):
-        for rule_id in (
-            "waitable-escape",
-            "lock-path-discipline",
-            "time-taint",
-            "draw-escape",
-        ):
+        # Only cached (file) rules need the engine in their signature:
+        # project findings are recomputed on every run.
+        for rule_id in ("waitable-escape", "lock-path-discipline"):
             rule = get_rule(rule_id)
             assert rule.extra_hash_modules == (
                 "repro.lint.flow.cfg",

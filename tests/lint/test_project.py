@@ -1,4 +1,4 @@
-"""Whole-program layer: symbol table, call graph, project rules.
+"""Whole-program layer: symbol table, call resolution, project rules.
 
 Fixture packages are built under ``tmp_path`` with a real ``repro/``
 package directory so the project rules' path scoping applies to them
@@ -7,17 +7,18 @@ exactly as it does to the shipped tree, and so
 module names.
 """
 
+import ast
 import textwrap
 
 import pytest
 
 from repro.lint.engine import discover_files, lint_paths
+from repro.lint.flow.rules import StreamRegistryRule
 from repro.lint.project import (
     CCInterfaceRule,
     MessageHandlerRule,
+    ProcessProtocolRule,
     ProjectModel,
-    StreamRegistryRule,
-    WaitableLeakRule,
     module_name_for,
 )
 
@@ -51,7 +52,7 @@ def run_rule(tmp_path, rule, files):
 
 
 # ======================================================================
-# Symbol table & call graph
+# Symbol table & call resolution
 # ======================================================================
 
 
@@ -125,6 +126,8 @@ class TestSymbolTable:
     def test_call_graph_resolves_names_and_self_methods(
         self, tmp_path
     ):
+        """``resolve_call`` names bare-name and ``self.method`` callees
+        and stays silent on receivers it cannot type."""
         model = model_of(
             tmp_path,
             {
@@ -143,10 +146,16 @@ class TestSymbolTable:
                 """,
             },
         )
-        graph = model.call_graph()
-        assert graph["repro.calls.Worker.run"] == frozenset(
-            {"repro.calls.helper", "repro.calls.Worker.step"}
-        )
+        run = model.functions["repro.calls.Worker.run"]
+        resolved = [
+            model.resolve_call(run, node)
+            for node in ast.walk(run.node)
+            if isinstance(node, ast.Call)
+        ]
+        assert sorted(
+            fn.qualname for fn in resolved if fn is not None
+        ) == ["repro.calls.Worker.step", "repro.calls.helper"]
+        assert resolved.count(None) == 1  # mystery.call()
 
     def test_stream_registry_extracted_statically(self, tmp_path):
         model = model_of(
@@ -630,7 +639,7 @@ class TestCCInterface:
 
 
 # ======================================================================
-# waitable-leak
+# process-protocol: yields resolved through the model
 # ======================================================================
 
 
@@ -638,7 +647,7 @@ class TestWaitableLeak:
     def test_non_waitable_yield_is_one_error(self, tmp_path):
         violations = run_rule(
             tmp_path,
-            WaitableLeakRule(),
+            ProcessProtocolRule(),
             {
                 "repro/core/server.py": """
                     class Server:
@@ -653,14 +662,14 @@ class TestWaitableLeak:
         )
         assert len(violations) == 1
         (violation,) = violations
-        assert violation.rule_id == "waitable-leak"
+        assert violation.rule_id == "process-protocol"
         assert violation.severity == "error"
         assert "_service_time" in violation.message
 
     def test_yielding_generator_call_is_flagged(self, tmp_path):
         violations = run_rule(
             tmp_path,
-            WaitableLeakRule(),
+            ProcessProtocolRule(),
             {
                 "repro/core/server.py": """
                     class Server:
@@ -679,7 +688,7 @@ class TestWaitableLeak:
     def test_yield_from_and_unresolvable_calls_pass(self, tmp_path):
         violations = run_rule(
             tmp_path,
-            WaitableLeakRule(),
+            ProcessProtocolRule(),
             {
                 "repro/core/server.py": """
                     class Server:
@@ -698,7 +707,7 @@ class TestWaitableLeak:
     def test_plain_generators_are_not_processes(self, tmp_path):
         violations = run_rule(
             tmp_path,
-            WaitableLeakRule(),
+            ProcessProtocolRule(),
             {
                 "repro/core/util.py": """
                     def chunks(items):
@@ -715,7 +724,7 @@ class TestWaitableLeak:
     def test_waitable_returning_helper_passes(self, tmp_path):
         violations = run_rule(
             tmp_path,
-            WaitableLeakRule(),
+            ProcessProtocolRule(),
             {
                 "repro/core/server.py": """
                     class Server:
@@ -796,7 +805,7 @@ class TestEngineIntegration:
         "stream-registry",
         "message-handler-protocol",
         "cc-interface",
-        "waitable-leak",
+        "process-protocol",
     ],
 )
 def test_project_rules_are_registered(rule_id):

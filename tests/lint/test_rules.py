@@ -3,7 +3,10 @@
 Each rule gets three kinds of fixture: snippets that must flag,
 snippets that must not, and a suppression-comment check.  Fixtures are
 linted from strings with scoped fake paths (rule scoping is by path
-fragment), so nothing here touches the filesystem.
+fragment), so nothing here touches the filesystem; ``lint_source``
+runs the project rules over a one-module model of the snippet.  The
+fixture classes keep the names of the rules that were merged into
+``unordered-iteration`` and ``stream-registry``.
 """
 
 import textwrap
@@ -11,7 +14,7 @@ import textwrap
 import pytest
 
 from repro.lint.engine import lint_source
-from repro.lint.registry import all_rules, get_rule
+from repro.lint.registry import all_project_rules, all_rules, get_rule
 
 #: Paths inside / outside each scoped rule's domain.
 SIM_PATH = "repro/sim/fixture.py"
@@ -30,19 +33,49 @@ def rule_hits(source, path, rule_id):
     ]
 
 
-def test_all_file_rules_registered():
-    assert [rule.rule_id for rule in all_rules()] == [
-        "fault-stream-misuse",
-        "float-time-equality",
-        "id-keyed-container",
-        "lock-path-discipline",
-        "process-protocol",
-        "resident-terminal-process",
-        "unordered-dict-iteration",
-        "unordered-set-iteration",
-        "unseeded-global-random",
-        "waitable-escape",
-        "wall-clock",
+SIM_CORE_CC = ("repro/sim/", "repro/core/", "repro/cc/")
+
+
+def test_rule_set_is_one_rule_per_property():
+    """Every shipped rule with its kind, severity, and path scope."""
+    table = [
+        (rule.rule_id, kind, rule.severity, rule.include, rule.exclude)
+        for kind, rules in (
+            ("file", all_rules()),
+            ("project", all_project_rules()),
+        )
+        for rule in rules
+    ]
+    assert table == [
+        ("id-keyed-container", "file", "error", (), ()),
+        (
+            "lock-path-discipline", "file", "error",
+            ("repro/cc/", "repro/router/"), (),
+        ),
+        (
+            "unordered-iteration", "file", "error",
+            ("repro/cc/", "repro/sim/", "repro/core/"), (),
+        ),
+        ("unseeded-global-random", "file", "error", SIM_CORE_CC, ()),
+        ("waitable-escape", "file", "error", ("repro/",), ()),
+        (
+            "wall-clock", "file", "error", (),
+            ("experiments/", "benchmarks/"),
+        ),
+        (
+            "cc-interface", "project", "error",
+            ("repro/cc/", "repro/router/"), (),
+        ),
+        (
+            "float-time-equality", "project", "error",
+            SIM_CORE_CC + ("repro/router/",), (),
+        ),
+        (
+            "message-handler-protocol", "project", "error",
+            ("repro/",), (),
+        ),
+        ("process-protocol", "project", "error", (), ()),
+        ("stream-registry", "project", "error", ("repro/",), ()),
     ]
 
 
@@ -184,7 +217,7 @@ class TestWallClock:
 
 
 class TestUnorderedSetIteration:
-    RULE = "unordered-set-iteration"
+    RULE = "unordered-iteration"
 
     @pytest.mark.parametrize(
         "snippet",
@@ -209,7 +242,8 @@ class TestUnorderedSetIteration:
         ],
     )
     def test_flags_in_cc_scope(self, snippet):
-        assert rule_hits(snippet, CC_PATH, self.RULE)
+        hits = rule_hits(snippet, CC_PATH, self.RULE)
+        assert hits and all(v.severity == "error" for v in hits)
 
     @pytest.mark.parametrize(
         "snippet",
@@ -237,7 +271,7 @@ class TestUnorderedSetIteration:
     def test_suppression(self):
         snippet = (
             "for page in set(pages):"
-            "  # simlint: ignore[unordered-set-iteration]\n"
+            "  # simlint: ignore[unordered-iteration]\n"
             "    release(page)\n"
         )
         violations = lint_source(snippet, CC_PATH)
@@ -246,7 +280,7 @@ class TestUnorderedSetIteration:
 
 
 class TestUnorderedDictIteration:
-    RULE = "unordered-dict-iteration"
+    RULE = "unordered-iteration"
 
     @pytest.mark.parametrize(
         "snippet",
@@ -272,7 +306,8 @@ class TestUnorderedDictIteration:
         ],
     )
     def test_flags_in_cc_scope(self, snippet):
-        assert rule_hits(snippet, CC_PATH, self.RULE)
+        hits = rule_hits(snippet, CC_PATH, self.RULE)
+        assert hits and all(v.severity == "warning" for v in hits)
 
     @pytest.mark.parametrize(
         "snippet",
@@ -307,7 +342,7 @@ class TestUnorderedDictIteration:
     def test_suppression(self):
         snippet = (
             "for t, m in holders.items():"
-            "  # simlint: ignore[unordered-dict-iteration]\n"
+            "  # simlint: ignore[unordered-iteration]\n"
             "    wound(t)\n"
         )
         violations = lint_source(snippet, CC_PATH)
@@ -474,7 +509,7 @@ class TestProcessProtocol:
 
 
 class TestFaultStreamMisuse:
-    RULE = "fault-stream-misuse"
+    RULE = "stream-registry"
     FAULTS_PATH = "repro/faults/fixture.py"
 
     @pytest.mark.parametrize(
@@ -522,86 +557,9 @@ class TestFaultStreamMisuse:
     def test_suppression(self):
         snippet = (
             "x = streams.get('page-choice')"
-            "  # simlint: ignore[fault-stream-misuse]\n"
+            "  # simlint: ignore[stream-registry]\n"
         )
         violations = lint_source(snippet, self.FAULTS_PATH)
-        assert [v for v in violations if v.suppressed]
-        assert not [v for v in violations if not v.suppressed]
-
-
-class TestResidentTerminalProcess:
-    RULE = "resident-terminal-process"
-
-    @pytest.mark.parametrize(
-        "snippet",
-        [
-            # The resident design: one Process per terminal.
-            """\
-            for terminal in range(self.config.workload.num_terminals):
-                self.env.process(self._terminal_loop(terminal))
-            """,
-            """\
-            for t in range(num_terminals):
-                env.process(loop(t))
-            """,
-            # Iterating a terminal collection counts too.
-            """\
-            for handle in self.terminals:
-                env.process(handle.run())
-            """,
-            # Explicitly named terminal processes, loop or not.
-            'env.process(body(), name=f"terminal-{index}")\n',
-            "env.process(body(), name='terminal-7')\n",
-        ],
-    )
-    def test_flags_in_repro_scope(self, snippet):
-        assert rule_hits(snippet, CORE_PATH, self.RULE)
-
-    @pytest.mark.parametrize(
-        "snippet",
-        [
-            # Per-node (not per-terminal) spawns are fine.
-            """\
-            for node in range(num_nodes):
-                env.process(pump(node))
-            """,
-            # Terminal loops without a spawn are fine.
-            """\
-            for terminal in range(num_terminals):
-                counts[terminal] += 1
-            """,
-            # Other process names are fine.
-            'env.process(run(), name=f"txn-{tid}")\n',
-            # A dynamic head means the name is not provably terminal-*.
-            'env.process(run(), name=f"{kind}-{tid}")\n',
-            # The sanctioned owner of per-terminal machinery.
-            """\
-            class AggregatedTerminalSource:
-                def start(self):
-                    for terminal in range(self.num_terminals):
-                        self.env.process(self._watch(terminal))
-            """,
-        ],
-    )
-    def test_does_not_flag(self, snippet):
-        assert not rule_hits(snippet, CORE_PATH, self.RULE)
-
-    def test_out_of_scope_path_not_flagged(self):
-        snippet = (
-            "for terminal in range(num_terminals):\n"
-            "    env.process(loop(terminal))\n"
-        )
-        assert not rule_hits(snippet, NEUTRAL_PATH, self.RULE)
-
-    def test_suppression(self):
-        snippet = (
-            "for terminal in range(num_terminals):\n"
-            "    env.process(  "
-            "# simlint: ignore[resident-terminal-process]\n"
-            "        loop(terminal),\n"
-            "    )\n"
-        )
-        violations = lint_source(snippet, CORE_PATH)
         assert [v for v in violations if v.suppressed]
         assert not [v for v in violations if not v.suppressed]
 
@@ -640,7 +598,7 @@ def test_parse_error_reported_as_violation():
 
 
 def test_rule_lookup_and_metadata():
-    rule = get_rule("unordered-set-iteration")
+    rule = get_rule("unordered-iteration")
     assert rule.include
     assert rule.summary
     with pytest.raises(KeyError):

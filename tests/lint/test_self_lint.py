@@ -31,13 +31,12 @@ def test_known_suppressions_are_inventoried():
     )
     assert waivers == (
         # Serialization-audit loops accumulate into sets (order-free).
-        [("audit.py", "unordered-dict-iteration")] * 2
-        # The kernel's timestamp comparisons need no waivers anymore:
-        # float-time-equality v2 proves them pure copies of scheduled
-        # values and discharges them through the dataflow.
+        [("audit.py", "unordered-iteration")] * 2
+        # The kernel's timestamp comparisons need no waivers: the
+        # dataflow proves them pure copies of scheduled values.
         # Lock-table iteration in grant order is documented semantics
         # (conflict sets and wait-for edges follow grant history).
-        + [("locks.py", "unordered-dict-iteration")] * 3
+        + [("locks.py", "unordered-iteration")] * 3
     )
 
 
@@ -57,7 +56,7 @@ def test_injected_fixture_breaks_the_gate(tmp_path):
     )
     assert not report.ok
     assert [v.rule_id for v in report.active] == [
-        "unordered-set-iteration"
+        "unordered-iteration"
     ]
 
 
@@ -79,8 +78,9 @@ def test_injected_stream_typo_breaks_the_project_gate(tmp_path):
 
 
 def test_cli_sarif_with_committed_baseline_exits_zero(capsys):
-    """The acceptance command: SARIF over the full tree against the
-    committed baseline, with all project rules present in the run."""
+    """The acceptance command: SARIF over the full tree exits zero
+    (simlint has no baseline; inline waivers are the only ones) and
+    its results are exactly the five inventoried suppressions."""
     from repro.lint.cli import main
 
     code = main(
@@ -89,12 +89,8 @@ def test_cli_sarif_with_committed_baseline_exits_zero(capsys):
     )
     assert code == 0
     doc = json.loads(capsys.readouterr().out)
-    rule_ids = {
-        d["id"] for d in doc["runs"][0]["tool"]["driver"]["rules"]
-    }
-    assert {
-        "stream-registry",
-        "message-handler-protocol",
-        "cc-interface",
-        "waitable-leak",
-    } <= rule_ids
+    results = doc["runs"][0]["results"]
+    assert len(results) == 5
+    assert all(
+        r["suppressions"][0]["kind"] == "inSource" for r in results
+    )

@@ -64,3 +64,30 @@ class TestRecording:
         session.reset_findings()
         assert session.session_runs() == 0
         assert session.session_findings() == []
+
+
+def test_simulator_import_stays_clear_of_the_linter():
+    """Simulation and sweep-worker processes import the sanitizer,
+    which reaches ``repro.lint.violations``; that must not load the
+    linter, its process pool, or logging."""
+    import subprocess
+    import sys
+
+    probe = (
+        "import sys\n"
+        "import repro.core.simulation\n"
+        "print(sorted(m for m in sys.modules"
+        " if m.startswith('repro.lint')))\n"
+        "print('concurrent.futures' in sys.modules,"
+        " 'logging' in sys.modules)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        check=True,
+        capture_output=True,
+        text=True,
+    ).stdout.splitlines()
+    assert out == [
+        "['repro.lint', 'repro.lint.violations']",
+        "False False",
+    ]
