@@ -50,7 +50,7 @@ class RequestResult(Enum):
     REJECTED = "rejected"
 
 
-@dataclass
+@dataclass(frozen=True)
 class CCResponse:
     """Response to a read/write request.
 
@@ -61,10 +61,10 @@ class CCResponse:
     result: RequestResult
     event: Optional["Event"] = None
 
-    @classmethod
-    def granted(cls) -> "CCResponse":
-        """An immediately granted request."""
-        return cls(RequestResult.GRANTED)
+    @staticmethod
+    def granted() -> "CCResponse":
+        """An immediately granted request (one shared instance)."""
+        return _GRANTED
 
     @classmethod
     def rejected(cls) -> "CCResponse":
@@ -75,6 +75,9 @@ class CCResponse:
     def blocked(cls, event: "Event") -> "CCResponse":
         """A blocked request; ``event`` resolves it later."""
         return cls(RequestResult.BLOCKED, event)
+
+
+_GRANTED = CCResponse(RequestResult.GRANTED)
 
 
 class CCContext:

@@ -15,8 +15,9 @@ to the algorithm:
   provably deadlock-free.
 
 The table exposes the conflict set at request time (so wound-wait can
-wound), fires blocked requests' events on grant, and produces
-transaction-level waits-for edges for deadlock detection.
+wound), fires blocked requests' events on grant, and answers whom a
+waiting transaction waits for: one transaction at a time for 2PL's
+local detector, or as the node's whole edge list for the Snoop.
 """
 
 from __future__ import annotations
@@ -40,10 +41,6 @@ class LockMode(IntEnum):
 
     SHARED = 0
     EXCLUSIVE = 1
-
-
-def _conflicts(a: LockMode, b: LockMode) -> bool:
-    return a is LockMode.EXCLUSIVE or b is LockMode.EXCLUSIVE
 
 
 class LockRequest:
@@ -91,7 +88,9 @@ class LockManager:
         self.upgrades_jump_queue = upgrades_jump_queue
         self._table: Dict[PageId, _LockEntry] = {}
         self._held: Dict[Transaction, Set[PageId]] = {}
-        self._waiting: Dict[Transaction, List[LockRequest]] = {}
+        # A transaction's one queued request at this node: its cohort
+        # blocks on that request until it resolves.
+        self._waiting: Dict[Transaction, LockRequest] = {}
 
     # ------------------------------------------------------------------
     # Requests
@@ -110,25 +109,25 @@ class LockManager:
         it — which wound-wait uses for its wound test.
 
         Contract: a cohort blocks on its pending request, so a
-        transaction never has two outstanding requests on one page;
-        violating that is a caller bug and raises immediately rather
+        transaction has at most one queued request at this node (the
+        local deadlock search relies on it); a second request while
+        one is queued is a caller bug and raises immediately rather
         than corrupting the queue.
         """
         san = self.env._san
         if san is not None:
             san.write(("lock", self))
         txn = cohort.transaction
+        pending = self._waiting.get(txn)
+        if pending is not None:
+            raise RuntimeError(
+                f"transaction {txn.tid} already has a queued "
+                f"request on {pending.page}"
+            )
         entry = self._table.get(page)
         if entry is None:
             entry = _LockEntry()
             self._table[page] = entry
-        if entry.queue and any(
-            queued.transaction is txn for queued in entry.queue
-        ):
-            raise RuntimeError(
-                f"transaction {txn.tid} already has a queued "
-                f"request on {page}"
-            )
         held = entry.holders.get(txn)
         is_upgrade = False
         if mode is LockMode.SHARED:
@@ -154,9 +153,8 @@ class LockManager:
             cohort, page, mode, self.env.event(), is_upgrade
         )
         position = self._enqueue(entry, request)
-        conflict_set = self._conflict_set(entry, request, position)
-        self._waiting.setdefault(txn, []).append(request)
-        return False, request, conflict_set
+        self._waiting[txn] = request
+        return False, request, self._blockers(entry, position)
 
     def _shared_grantable(self, entry: _LockEntry) -> bool:
         no_exclusive_holder = all(
@@ -198,26 +196,40 @@ class LockManager:
         entry.queue.append(request)
         return len(entry.queue) - 1
 
-    def _conflict_set(
-        self, entry: _LockEntry, request: LockRequest, position: int
+    @staticmethod
+    def _blockers(
+        entry: _LockEntry, position: int
     ) -> List[Transaction]:
-        txn = request.transaction
-        conflicts: List[Transaction] = []
-        # Holders iterate in grant order; the conflict set preserves
-        # it on purpose — wound-wait's wound order is documented as
-        # following the grant history, not a sorted key.
-        for holder, mode in entry.holders.items():  # simlint: ignore[unordered-iteration]
-            if holder is txn:
-                continue
-            if _conflicts(request.mode, mode):
-                conflicts.append(holder)
-        for ahead in entry.queue[:position]:
-            if ahead.transaction is txn:
-                continue
-            if _conflicts(request.mode, ahead.mode):
-                if ahead.transaction not in conflicts:
-                    conflicts.append(ahead.transaction)
-        return conflicts
+        """The distinct transactions ``entry.queue[position]`` waits for.
+
+        Conflicting holders in grant order, then conflicting requests
+        queued ahead of it (grants are FIFO, so those edges are real).
+        This order is the conflict set's (wound-wait wounds in grant
+        order, not by a sorted key) and the deadlock searches' edge
+        order; sorting here would change victim tie-breaks and every
+        golden figure.
+        """
+        queue = entry.queue
+        request = queue[position]
+        waiter = request.transaction
+        exclusive = LockMode.EXCLUSIVE
+        is_exclusive = request.mode is exclusive
+        blockers = [
+            holder
+            for holder, mode in entry.holders.items()  # simlint: ignore[unordered-iteration]
+            if holder is not waiter
+            and (is_exclusive or mode is exclusive)
+        ]
+        for index in range(position):
+            ahead = queue[index]
+            other = ahead.transaction
+            if (
+                other is not waiter
+                and (is_exclusive or ahead.mode is exclusive)
+                and other not in blockers
+            ):
+                blockers.append(other)
+        return blockers
 
     # ------------------------------------------------------------------
     # Release
@@ -236,7 +248,7 @@ class LockManager:
         entry = self._table.get(request.page)
         if entry is not None and request in entry.queue:
             entry.queue.remove(request)
-            self._forget_waiting(request)
+            del self._waiting[request.transaction]
             self._grant_pass(request.page)
 
     def release_all(self, txn: Transaction) -> None:
@@ -254,11 +266,10 @@ class LockManager:
             entry = self._table[page]
             entry.holders.pop(txn, None)
             touched.append(page)
-        for request in self._waiting.pop(txn, []):
-            entry = self._table.get(request.page)
-            if entry is not None and request in entry.queue:
-                entry.queue.remove(request)
-                touched.append(request.page)
+        request = self._waiting.pop(txn, None)
+        if request is not None:
+            self._table[request.page].queue.remove(request)
+            touched.append(request.page)
         # A page can appear twice (held + queued upgrade); the second
         # grant pass would find a settled entry and grant nothing, so
         # deduplicate while keeping first-occurrence order.
@@ -301,66 +312,53 @@ class LockManager:
                 self._grant_holder(
                     entry, txn, page, LockMode.EXCLUSIVE
                 )
-            self._forget_waiting(request)
+            del self._waiting[txn]
             request.event.succeed(RequestResult.GRANTED)
         if not entry.holders and not entry.queue:
             del self._table[page]
-
-    def _forget_waiting(self, request: LockRequest) -> None:
-        pending = self._waiting.get(request.transaction)
-        if pending is not None:
-            try:
-                pending.remove(request)
-            except ValueError:
-                pass
-            if not pending:
-                del self._waiting[request.transaction]
 
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
 
+    def waits_for(self, txn: Transaction) -> List[Transaction]:
+        """Whom ``txn`` waits for at this node, in edge order.
+
+        ``txn``'s out-neighbours in :meth:`waits_for_edges`: the
+        blockers of its one queued request here, or nobody if it is
+        not waiting.  Costs one request's queue, not the table.
+        """
+        san = self.env._san
+        if san is not None:
+            san.read(("lock", self))
+        request = self._waiting.get(txn)
+        if request is None:
+            return []
+        entry = self._table[request.page]
+        return self._blockers(entry, entry.queue.index(request))
+
     def waits_for_edges(
         self,
     ) -> List[Tuple[Transaction, Transaction]]:
-        """Transaction-level (waiter, holder) edges at this node.
+        """Transaction-level (waiter, blocker) edges at this node.
 
-        A queued request waits for every conflicting holder and every
-        conflicting request queued ahead of it (grants are FIFO, so the
-        ahead-of-me edges are real).
+        Pages in table order (insertion order: page first touched),
+        then each queued request's :meth:`_blockers`.
         """
         san = self.env._san
         if san is not None:
             san.read(("lock", self))
         edges: List[Tuple[Transaction, Transaction]] = []
-        exclusive = LockMode.EXCLUSIVE
-        append = edges.append
-        # This runs on every conflict under local detection (2PL), so
-        # entries with no waiters — the vast majority — are skipped
-        # outright and the conflict test is inlined.  Table and holder
-        # order (insertion order: page first touched / lock granted)
-        # is the deadlock detector's documented edge order; sorting
-        # here would change victim tie-breaks and every golden figure.
         for entry in self._table.values():  # simlint: ignore[unordered-iteration]
-            queue = entry.queue
-            if not queue:
+            if not entry.queue:
+                # Most entries have no waiters; skip them outright.
                 continue
-            holders = entry.holders
-            for position, request in enumerate(queue):
+            for position, request in enumerate(entry.queue):
                 waiter = request.transaction
-                is_exclusive = request.mode is exclusive
-                for holder, mode in holders.items():  # simlint: ignore[unordered-iteration]
-                    if holder is not waiter and (
-                        is_exclusive or mode is exclusive
-                    ):
-                        append((waiter, holder))
-                for index in range(position):
-                    ahead = queue[index]
-                    other = ahead.transaction
-                    if other is not waiter and (
-                        is_exclusive or ahead.mode is exclusive
-                    ):
-                        append((waiter, other))
+                edges.extend(
+                    (waiter, blocker)
+                    for blocker in self._blockers(entry, position)
+                )
         return edges
 
     def holds_any(self, txn: Transaction) -> bool:
@@ -369,7 +367,7 @@ class LockManager:
 
     def is_waiting(self, txn: Transaction) -> bool:
         """Whether ``txn`` has a queued request at this node."""
-        return bool(self._waiting.get(txn))
+        return txn in self._waiting
 
     def assert_consistent(self) -> None:
         """Internal invariant checks, used by the test suite.
@@ -377,8 +375,10 @@ class LockManager:
         Pages are visited in sorted order so the first assertion to
         fire is the same one on every run.
         """
+        queued = 0
         for page in sorted(self._table):
             entry = self._table[page]
+            queued += len(entry.queue)
             exclusive = sum(
                 1 for m in entry.holders.values()
                 if m is LockMode.EXCLUSIVE
@@ -388,6 +388,11 @@ class LockManager:
                     f"exclusive lock shared on {page}: {entry.holders}"
                 )
             for request in entry.queue:
+                if self._waiting.get(request.transaction) is not request:
+                    raise AssertionError(
+                        f"queued request on {page} is not "
+                        f"{request.transaction}'s pending one"
+                    )
                 if request.transaction in entry.holders and not (
                     request.is_upgrade
                     or entry.holders[request.transaction]
@@ -396,3 +401,8 @@ class LockManager:
                     raise AssertionError(
                         f"holder queued non-upgrade on {page}"
                     )
+        if queued != len(self._waiting):
+            raise AssertionError(
+                f"{queued} queued requests but {len(self._waiting)} "
+                f"waiting transactions"
+            )

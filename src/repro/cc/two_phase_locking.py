@@ -5,9 +5,10 @@ converted to exclusive for updates — and hold all locks until the
 transaction commits or aborts.  Deadlocks are handled at two levels:
 
 * **Local detection on block.**  Whenever a cohort blocks, the node's
-  waits-for graph is searched for a cycle through the blocker; the
-  youngest transaction in the cycle (most recent initial startup time)
-  is aborted.
+  waits-for graph is searched for a cycle through the blocker, walking
+  out from it along the lock table's wait edges; the youngest
+  transaction in the cycle (most recent initial startup time) is
+  aborted.
 
 * **Global "Snoop" detection.**  A Snoop responsibility rotates among
   the processing nodes round-robin, as in Distributed INGRES.  After
@@ -24,16 +25,48 @@ ordinary abort protocol.
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Optional, Set
 
 from repro.cc.base import CCAlgorithm, CCContext
 from repro.cc.locking_common import LockingNodeManager
-from repro.cc.locks import LockRequest
-from repro.cc.wfg import break_all_deadlocks, build_adjacency, \
-    find_cycle_from, youngest
+from repro.cc.locks import LockManager, LockRequest
+from repro.cc.wfg import break_all_deadlocks, find_cycle_from, youngest
 from repro.core.transaction import Transaction
 
-__all__ = ["TwoPhaseLocking", "TwoPhaseLockingNodeManager"]
+__all__ = [
+    "TwoPhaseLocking",
+    "TwoPhaseLockingNodeManager",
+    "local_deadlock_cycle",
+]
+
+
+def local_deadlock_cycle(
+    locks: LockManager,
+    start: Transaction,
+    doomed: Set[Transaction],
+) -> Optional[List[Transaction]]:
+    """A cycle through ``start`` in ``locks``' waits-for graph, or None.
+
+    Edges with a doomed or already-aborting end are treated as gone:
+    those transactions' locks are about to be released, so cycles
+    through them resolve themselves.  Every transaction the search
+    reaches past ``start`` passed that test as someone's blocker.
+    """
+    waits_for = locks.waits_for
+
+    def blockers(txn: Transaction) -> List[Transaction]:
+        # Asked before the test below so the search always records
+        # its lock-table read with the sanitizer.
+        waiting_for = waits_for(txn)
+        if txn in doomed or txn.abort_pending:
+            return []
+        return [
+            other
+            for other in waiting_for
+            if other not in doomed and not other.abort_pending
+        ]
+
+    return find_cycle_from(start, blockers)
 
 
 class TwoPhaseLockingNodeManager(LockingNodeManager):
@@ -53,29 +86,18 @@ class TwoPhaseLockingNodeManager(LockingNodeManager):
         cycle this block just closed passes through the blocker.
         Several distinct cycles can close at once, so detection
         iterates: find a cycle through the blocker, doom its youngest
-        member, treat the doomed transaction's edges as already gone,
-        and rescan until no cycle remains.  Transactions that are
-        already aborting are likewise excluded — their locks are about
-        to be released, so cycles through them resolve themselves.
+        member, and search again without the doomed transactions
+        until no cycle remains.
         """
         me = request.transaction
         if not conflict_set:
             # Blocked purely behind compatible waiters (e.g. a shared
             # request behind a shared queue): no outgoing wait edge from
-            # the blocker, so no cycle can pass through it — skip the
-            # full waits-for scan.
+            # the blocker, so no cycle can pass through it.
             return
-        doomed: set = set()
+        doomed: Set[Transaction] = set()
         while me not in doomed:
-            edges = [
-                (waiter, holder)
-                for waiter, holder in self.locks.waits_for_edges()
-                if waiter not in doomed
-                and holder not in doomed
-                and not waiter.abort_pending
-                and not holder.abort_pending
-            ]
-            cycle = find_cycle_from(me, build_adjacency(edges))
+            cycle = local_deadlock_cycle(self.locks, me, doomed)
             if cycle is None:
                 return
             victim = youngest(cycle)

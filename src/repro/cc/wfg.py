@@ -3,19 +3,21 @@
 Used two ways by distributed 2PL:
 
 * *Local detection* whenever a cohort blocks — a cycle search seeded at
-  the newly blocked transaction over that node's edges.
+  the newly blocked transaction, asking the node's lock table whom each
+  transaction it reaches waits for.
 * *Global detection* by the rotating "Snoop" — the union of all nodes'
   edges is scanned for cycles; each cycle is broken by aborting the
   youngest member (the one with the most recent initial startup time).
 
-Edges are (waiter, holder) transaction pairs.  The functions are pure;
-they operate on edge lists so they are directly testable and reusable by
-both detectors.
+Edges are (waiter, holder) transaction pairs.  The functions are pure:
+the local search takes a neighbour function, the global one an edge
+list, so both are directly testable.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, \
+    Set, Tuple
 
 from repro.core.transaction import Transaction
 
@@ -43,35 +45,30 @@ def build_adjacency(
 
 def find_cycle_from(
     start: Transaction,
-    adjacency: Dict[Transaction, List[Transaction]],
+    neighbours: Callable[[Transaction], Iterable[Transaction]],
 ) -> Optional[List[Transaction]]:
     """A cycle through ``start``, or None.
 
-    Iterative DFS along waits-for edges; returns the cycle's members
-    (each waiting for the next, last waiting for ``start``).
+    Iterative DFS along waits-for edges: ``neighbours(txn)`` lists whom
+    ``txn`` waits for, in the order the search tries them, and is asked
+    once per transaction reached.  Returns the cycle's members (each
+    waiting for the next, last waiting for ``start``).
     """
-    stack: List[Tuple[Transaction, int]] = [(start, 0)]
     path: List[Transaction] = [start]
-    on_path: Set[Transaction] = {start}
     visited: Set[Transaction] = {start}
+    stack = [iter(neighbours(start))]
     while stack:
-        node, edge_index = stack[-1]
-        neighbors = adjacency.get(node, [])
-        if edge_index >= len(neighbors):
+        for neighbour in stack[-1]:
+            if neighbour is start:
+                return list(path)
+            if neighbour not in visited:
+                visited.add(neighbour)
+                path.append(neighbour)
+                stack.append(iter(neighbours(neighbour)))
+                break
+        else:
             stack.pop()
             path.pop()
-            on_path.discard(node)
-            continue
-        stack[-1] = (node, edge_index + 1)
-        neighbor = neighbors[edge_index]
-        if neighbor is start:
-            return list(path)
-        if neighbor in on_path or neighbor in visited:
-            continue
-        visited.add(neighbor)
-        on_path.add(neighbor)
-        path.append(neighbor)
-        stack.append((neighbor, 0))
     return None
 
 

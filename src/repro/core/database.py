@@ -22,25 +22,27 @@ controlled comparison the paper performs.
 from __future__ import annotations
 
 from bisect import insort
-from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, NamedTuple, Tuple
 
 from repro.core.config import DatabaseConfig, PlacementKind
 
 __all__ = ["Database", "PageId", "PageVersionStore", "PartitionId"]
 
 
-@dataclass(frozen=True, order=True)
-class PartitionId:
+class PartitionId(NamedTuple):
     """Identifies one file (= one partition of one relation)."""
 
     relation: int
     partition: int
 
 
-@dataclass(frozen=True, order=True)
-class PageId:
-    """Identifies one page within a partition."""
+class PageId(NamedTuple):
+    """Identifies one page within a partition.
+
+    A tuple, so hashing, equality and the ``(relation, partition,
+    page)`` ordering run in C on every lock-table, placement and
+    version-store lookup.
+    """
 
     relation: int
     partition: int

@@ -113,7 +113,6 @@ class ResourceManager:
     def reset_statistics(self, now: float) -> None:
         """Restart utilization windows (end of warmup)."""
         self.cpu.busy_time.reset(now)
-        self.cpu.message_busy_time.reset(now)
         for disk in self.disks:
             disk.busy_time.reset(now)
 

@@ -18,7 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from itertools import count
-from typing import TYPE_CHECKING, Any, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, List, NamedTuple, Optional, \
+    Tuple
 
 from repro.core.config import ExecutionPattern, TransactionClassConfig
 from repro.core.database import PageId
@@ -60,8 +61,7 @@ class TransactionState(Enum):
     ABORTED = "aborted"
 
 
-@dataclass(frozen=True)
-class PageAccess:
+class PageAccess(NamedTuple):
     """One page touched by a cohort; updated pages are read first.
 
     ``install_only`` marks the write-all legs of a replicated update

@@ -86,30 +86,43 @@ class CPU:
         self._msg_queue: deque[tuple[float, Event]] = deque()
         self._msg_busy = False
         self._seq = count()
-        # Statistics.
+        # Statistics: time-weighted busy indicator (any class in
+        # service).
         self.busy_time = TimeWeighted(env.now, 0.0)
-        self.message_busy_time = TimeWeighted(env.now, 0.0)
 
     # ------------------------------------------------------------------
     # Public API
     # ------------------------------------------------------------------
+    #
+    # Each state change does its bookkeeping in one pass: advance the
+    # PS virtual clock to now (it stands still while a message is in
+    # service), apply the change, record the busy indicator, re-arm the
+    # completion timer.  The float expressions and the order of timer
+    # and statistics updates are part of the model's results.
 
     def execute(self, instructions: float) -> Event:
         """Submit processor-sharing work; the event fires on completion."""
-        san = self.env._san
+        env = self.env
+        san = env._san
         if san is not None:
             san.write(("cpu", self))
-        event = self.env.event()
+        event = env.event()
         seconds = instructions / self._instructions_per_second
         if seconds <= 0.0:
-            self.env.schedule_now(event.succeed)
+            env.schedule_now(event.succeed)
             return event
-        self._sync()
+        now = env.now
+        active = self._ps_active
+        if active > 0 and not self._msg_busy:
+            elapsed = now - self._v_updated_at
+            if elapsed > 0.0:
+                self._v += elapsed / active
+        self._v_updated_at = now
         job = _PsJob(self._v + seconds, event)
         heapq.heappush(self._ps_heap, (job.target_v, next(self._seq), job))
         self._ps_jobs[event] = job
-        self._ps_active += 1
-        self._update_busy_stat()
+        self._ps_active = active + 1
+        self.busy_time.update(now, 1.0)
         self._reschedule_ps()
         return event
 
@@ -139,42 +152,28 @@ class CPU:
         if san is not None:
             san.write(("cpu", self))
         job = self._ps_jobs.pop(event, None)
-        if job is None or job.cancelled:
+        if job is None:
             return False
-        self._sync()
+        now = self.env.now
+        active = self._ps_active
+        msg_busy = self._msg_busy
+        if not msg_busy:
+            elapsed = now - self._v_updated_at
+            if elapsed > 0.0:
+                self._v += elapsed / active
+        self._v_updated_at = now
         job.cancelled = True
-        self._ps_active -= 1
-        self._update_busy_stat()
+        active -= 1
+        self._ps_active = active
+        self.busy_time.update(
+            now, 1.0 if (msg_busy or active > 0) else 0.0
+        )
         self._reschedule_ps()
         return True
-
-    @property
-    def utilization_stat(self) -> TimeWeighted:
-        """Time-weighted busy indicator (any class in service)."""
-        return self.busy_time
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-
-    def _ps_running(self) -> bool:
-        return self._ps_active > 0 and not self._msg_busy
-
-    def _sync(self) -> None:
-        """Advance the PS virtual clock to the current time."""
-        now = self.env.now
-        if self._ps_active > 0 and not self._msg_busy:
-            elapsed = now - self._v_updated_at
-            if elapsed > 0.0:
-                self._v += elapsed / self._ps_active
-        self._v_updated_at = now
-
-    def _update_busy_stat(self) -> None:
-        now = self.env.now
-        msg_busy = self._msg_busy
-        busy = 1.0 if (msg_busy or self._ps_active > 0) else 0.0
-        self.busy_time.update(now, busy)
-        self.message_busy_time.update(now, 1.0 if msg_busy else 0.0)
 
     def _reschedule_ps(self) -> None:
         """Arm the timer for the next PS completion (if any)."""
@@ -183,24 +182,30 @@ class CPU:
             self._ps_timer = None
         if self._msg_busy:
             return
-        self._discard_cancelled()
-        if not self._ps_heap:
-            return
-        target_v = self._ps_heap[0][0]
-        remaining_v = max(0.0, target_v - self._v)
-        delay = remaining_v * self._ps_active
-        self._ps_timer = self.env.schedule(delay, self._complete_ps)
-
-    def _discard_cancelled(self) -> None:
         heap = self._ps_heap
         while heap and heap[0][2].cancelled:
             heapq.heappop(heap)
+        if not heap:
+            return
+        remaining_v = max(0.0, heap[0][0] - self._v)
+        delay = remaining_v * self._ps_active
+        self._ps_timer = self.env.schedule(delay, self._complete_ps)
 
     def _complete_ps(self) -> None:
+        # The timer is disarmed while a message is in service, so the
+        # PS clock is running here.
         self._ps_timer = None
-        self._sync()
-        self._discard_cancelled()
+        now = self.env.now
+        active = self._ps_active
+        if active > 0:
+            elapsed = now - self._v_updated_at
+            if elapsed > 0.0:
+                self._v += elapsed / active
+        self._v_updated_at = now
         heap = self._ps_heap
+        heappop = heapq.heappop
+        while heap and heap[0][2].cancelled:
+            heappop(heap)
         if heap:
             # Snap the virtual clock so equal-target jobs finish together
             # despite floating-point drift.
@@ -208,25 +213,28 @@ class CPU:
             if front_target > self._v:
                 self._v = front_target
         threshold = self._v + _V_EPSILON
-        heappop = heapq.heappop
         ps_jobs = self._ps_jobs
         while heap and heap[0][0] <= threshold:
             _target, _seq, job = heappop(heap)
             if job.cancelled:
                 continue
             del ps_jobs[job.event]
-            self._ps_active -= 1
+            active -= 1
             job.event.succeed()
-        self._update_busy_stat()
+        self._ps_active = active
+        self.busy_time.update(now, 1.0 if active > 0 else 0.0)
         self._reschedule_ps()
 
     def _start_next_message(self) -> None:
-        if not self._msg_queue:
-            return
         # Freeze the PS clock before message service begins.
-        self._sync()
+        now = self.env.now
+        if self._ps_active > 0 and not self._msg_busy:
+            elapsed = now - self._v_updated_at
+            if elapsed > 0.0:
+                self._v += elapsed / self._ps_active
+        self._v_updated_at = now
         self._msg_busy = True
-        self._update_busy_stat()
+        self.busy_time.update(now, 1.0)
         if self._ps_timer is not None:
             self._ps_timer.cancel()
             self._ps_timer = None
@@ -234,14 +242,16 @@ class CPU:
         self.env.schedule(seconds, self._finish_message, event)
 
     def _finish_message(self, event: Event) -> None:
-        self._sync()  # No-op for V (PS was frozen), refreshes timestamp.
-        self._msg_busy = False
         event.succeed()
         if self._msg_queue:
+            # Still busy: the PS clock stays frozen.
             self._start_next_message()
-        else:
-            self._update_busy_stat()
-            self._reschedule_ps()
+            return
+        now = self.env.now
+        self._v_updated_at = now
+        self._msg_busy = False
+        self.busy_time.update(now, 1.0 if self._ps_active > 0 else 0.0)
+        self._reschedule_ps()
 
     def __repr__(self) -> str:
         return (

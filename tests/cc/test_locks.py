@@ -266,15 +266,21 @@ class TestWaitsForEdges:
         assert locks.waits_for_edges() == []
 
     def test_double_request_same_page_rejected(self, locks, new_txn):
-        """A cohort blocks on its pending request; issuing another on
-        the same page is caller misuse and must fail fast."""
+        """A cohort blocks on its pending request; issuing another at
+        the same node, on the same page or on a second one, is caller
+        misuse and must fail fast (the local deadlock search relies on
+        one queued request per transaction per node)."""
         holder, waiter = new_txn(), new_txn()
         locks.acquire(cohort_of(holder), page(1), LockMode.EXCLUSIVE)
         locks.acquire(cohort_of(waiter), page(1), LockMode.SHARED)
-        with pytest.raises(RuntimeError, match="already has a queued"):
-            locks.acquire(
-                cohort_of(waiter), page(1), LockMode.EXCLUSIVE
-            )
+        for second in (page(1), page(2)):
+            with pytest.raises(
+                RuntimeError, match="already has a queued"
+            ):
+                locks.acquire(
+                    cohort_of(waiter), second, LockMode.EXCLUSIVE
+                )
+        locks.assert_consistent()
 
     def test_consistency_check_passes(self, locks, new_txn):
         for index in range(4):

@@ -27,23 +27,26 @@ def txns(count):
     return [FakeTxn(index) for index in range(count)]
 
 
+def neighbours(edges):
+    """The neighbour function of an edge list's waits-for graph."""
+    adjacency = build_adjacency(edges)
+    return lambda txn: adjacency.get(txn, [])
+
+
 class TestFindCycle:
     def test_no_cycle(self):
         a, b, c = txns(3)
-        adjacency = build_adjacency([(a, b), (b, c)])
-        assert find_cycle_from(a, adjacency) is None
+        assert find_cycle_from(a, neighbours([(a, b), (b, c)])) is None
 
     def test_two_cycle(self):
         a, b = txns(2)
-        adjacency = build_adjacency([(a, b), (b, a)])
-        cycle = find_cycle_from(a, adjacency)
+        cycle = find_cycle_from(a, neighbours([(a, b), (b, a)]))
         assert cycle is not None
         assert set(cycle) == {a, b}
 
     def test_self_loop(self):
         (a,) = txns(1)
-        adjacency = build_adjacency([(a, a)])
-        cycle = find_cycle_from(a, adjacency)
+        cycle = find_cycle_from(a, neighbours([(a, a)]))
         assert cycle == [a]
 
     def test_long_cycle(self):
@@ -51,14 +54,14 @@ class TestFindCycle:
         edges = [
             (nodes[i], nodes[(i + 1) % 6]) for i in range(6)
         ]
-        cycle = find_cycle_from(nodes[0], build_adjacency(edges))
+        cycle = find_cycle_from(nodes[0], neighbours(edges))
         assert set(cycle) == set(nodes)
 
     def test_cycle_not_through_start_is_ignored(self):
         a, b, c = txns(3)
         # b <-> c cycle, a only points in.
-        adjacency = build_adjacency([(a, b), (b, c), (c, b)])
-        assert find_cycle_from(a, adjacency) is None
+        edges = [(a, b), (b, c), (c, b)]
+        assert find_cycle_from(a, neighbours(edges)) is None
 
     def test_duplicate_edges_deduplicated(self):
         a, b = txns(2)
