@@ -12,19 +12,13 @@ with ``$REPRO_BENCH_OUT``):
 * **warm** — second run against the populated cache (what an
   incremental run pays: cache hits plus the uncacheable project pass);
 * **project-only** — the whole-program pass alone (model build + all
-  project rules);
-* **flow-only** — the flow-sensitive layer alone: the CFG/dataflow
-  file rules cold over every file, and the taint-based project rules
-  over a freshly built model (its per-scope flow cache empty), so
-  regressions in the engine show up separately from the rest of the
-  linter.
+  project rules).
 
 With ``$REPRO_BENCH_ENFORCE`` set (the CI lint job), the warm-cache
 contract is gated: the warm run must hit the cache for every file and
 stay at least :data:`WARM_SPEEDUP_FLOOR` times faster than cold — if
-a rule's cache signature starts churning per run (the flow rules'
-composite engine hashes are the new way to get that wrong), warm
-degenerates to cold and this trips.
+a rule's cache signature starts churning per run, warm degenerates to
+cold and this trips.
 
 Run standalone for a quick reading::
 
@@ -63,10 +57,6 @@ LINTED_TREES = ("src", "benchmarks", "tests")
 #: ``$REPRO_BENCH_ENFORCE`` is set.
 WARM_SPEEDUP_FLOOR = 1.2
 
-#: The flow-sensitive rules, timed separately.
-FLOW_FILE_RULES = ("lock-path-discipline", "waitable-escape")
-FLOW_PROJECT_RULES = ("float-time-equality", "stream-registry")
-
 
 def _roots() -> list[Path]:
     return [REPO_ROOT / tree for tree in LINTED_TREES]
@@ -85,7 +75,7 @@ def run_benchmark(tmp_cache: Path) -> dict:
 
     started = time.perf_counter()
     from repro.lint.project import ProjectModel
-    from repro.lint.registry import all_project_rules, get_rule
+    from repro.lint.registry import all_project_rules
 
     model = ProjectModel.build(discover_files(_roots()))
     project_findings = sum(
@@ -93,24 +83,6 @@ def run_benchmark(tmp_cache: Path) -> dict:
         for rule in all_project_rules()
     )
     project_seconds = time.perf_counter() - started
-
-    # Flow layer in isolation: CFG/dataflow file rules cold over every
-    # file, then the taint project rules over a fresh model (the first
-    # one has every flow cached by now).
-    model = ProjectModel.build(discover_files(_roots()))
-    started = time.perf_counter()
-    flow_file = lint_paths(
-        _roots(),
-        rules=[get_rule(rid) for rid in FLOW_FILE_RULES],
-        cache=None,
-        project_rules=[],
-    )
-    flow_file_seconds = time.perf_counter() - started
-    started = time.perf_counter()
-    for rid in FLOW_PROJECT_RULES:
-        get_rule(rid).check_project(model)
-    flow_project_seconds = time.perf_counter() - started
-    assert flow_file.files == cold.files
 
     return {
         "benchmark": "lint_full_tree",
@@ -122,8 +94,6 @@ def run_benchmark(tmp_cache: Path) -> dict:
         "warm_seconds": round(warm_seconds, 4),
         "warm_cache_hits": warm.cache_hits,
         "project_pass_seconds": round(project_seconds, 4),
-        "flow_file_pass_seconds": round(flow_file_seconds, 4),
-        "flow_project_pass_seconds": round(flow_project_seconds, 4),
         "warm_speedup": round(
             cold_seconds / warm_seconds if warm_seconds > 0 else 0.0,
             2,

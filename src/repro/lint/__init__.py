@@ -17,7 +17,7 @@ Usage::
 
     python -m repro.lint src benchmarks tests
     python -m repro.lint src --format=json
-    python -m repro.lint --format=sarif --jobs 4
+    python -m repro.lint --format=sarif
     python -m repro.lint --select 'stream-*' --list-rules
 
 The one waiver is an inline, per-rule comment on the flagged line::
@@ -29,7 +29,6 @@ Only live ``error``-severity findings fail a run.
 This package module imports nothing: the runtime sanitizer loads
 :mod:`repro.lint.violations` into every simulation process, which must
 not pay for the linter.  See :mod:`repro.lint.rules` for the file
-rules, :mod:`repro.lint.project` and :mod:`repro.lint.flow.rules` for
-the project rules, and :mod:`repro.lint.engine` for the caching,
-multi-process driver.
+rules, :mod:`repro.lint.project` for the project rules, and
+:mod:`repro.lint.engine` for file discovery and the per-file cache.
 """

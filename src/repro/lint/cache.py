@@ -26,8 +26,7 @@ from repro.lint.violations import Violation
 __all__ = ["LintCache", "default_cache_path"]
 
 #: Bump when the cache entry layout changes (2: violations carry
-#: severity/baselined fields; 3: flow-rule verdicts depend on the
-#: engine modules, hashed via extra_hash_modules).
+#: severity/baselined fields; 3: keys hashed the removed flow engine).
 CACHE_FORMAT = 3
 
 

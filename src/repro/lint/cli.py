@@ -59,15 +59,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="comma-separated rule ids or globs to skip",
     )
     parser.add_argument(
-        "--jobs",
-        type=int,
-        metavar="N",
-        help=(
-            "file-pass worker processes "
-            "(default: $REPRO_LINT_JOBS or 1)"
-        ),
-    )
-    parser.add_argument(
         "--list-rules",
         action="store_true",
         help="print the rule table and exit",
@@ -202,7 +193,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             rules,
             cache,
             project_rules=project_rules,
-            jobs=options.jobs,
         )
     except (FileNotFoundError, ValueError) as error:
         print(str(error), file=sys.stderr)

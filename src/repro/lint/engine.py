@@ -1,12 +1,11 @@
 """File discovery and the lint driver.
 
 ``lint_paths`` walks the given files/directories, lints every ``*.py``
-(through the content-hash cache when one is supplied, fanning out to a
-process pool when ``jobs > 1``), runs the whole-program project rules
-over the full tree, applies inline suppressions, and returns a
-:class:`LintReport` with stable ordering — the same tree always
-produces byte-identical output, which is itself a determinism property
-the reporters rely on.
+(through the content-hash cache when one is supplied), runs the
+whole-program project rules over the full tree, applies inline
+suppressions, and returns a :class:`LintReport` with stable ordering —
+the same tree always produces byte-identical output, which is itself a
+determinism property the reporters rely on.
 
 The two passes cache differently: per-file findings are a pure
 function of ``(file bytes, file-rule set)`` and go through the
@@ -19,12 +18,10 @@ a warm cache).
 from __future__ import annotations
 
 import ast
-import concurrent.futures
 import hashlib
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.lint.baseline import BaselineEntry
 from repro.lint.cache import LintCache
@@ -43,7 +40,6 @@ __all__ = [
     "discover_files",
     "lint_paths",
     "lint_source",
-    "resolve_lint_jobs",
 ]
 
 #: Directory names never descended into.
@@ -128,30 +124,6 @@ def discover_files(paths: Sequence[Path]) -> List[Path]:
     return files
 
 
-def resolve_lint_jobs(jobs: Optional[int] = None) -> int:
-    """Worker count: explicit > ``$REPRO_LINT_JOBS`` > 1 (serial).
-
-    Unlike the sweep executor, the default is serial — linting is
-    fast and the pool only pays off on a cold cache over the full
-    tree, so parallelism is opt-in (``--jobs`` / the env knob).
-    """
-    if jobs is None:
-        env = os.environ.get("REPRO_LINT_JOBS", "").strip()
-        if env:
-            try:
-                jobs = int(env)
-            except ValueError:
-                raise ValueError(
-                    "REPRO_LINT_JOBS must be a positive integer, "
-                    f"got {env!r}"
-                ) from None
-        else:
-            jobs = 1
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-    return jobs
-
-
 def lint_source(
     source: str, path: str, rules: Optional[List[Rule]] = None
 ) -> List[Violation]:
@@ -192,36 +164,20 @@ def lint_source(
     return violations
 
 
-def _lint_worker(
-    path_str: str, rules: List[Rule]
-) -> List[Violation]:
-    """Pool worker: lint one file with the given file rules.
-
-    The file is read in the worker — linting is a pure function of
-    the bytes, so the parent only needs them for the cache key.  Rule
-    instances are stateless value objects and travel by pickle.
-    """
-    path = Path(path_str)
-    source = path.read_bytes().decode("utf-8", errors="replace")
-    return lint_source(source, path_str, rules)
-
-
 def _file_pass(
     files: Sequence[Path],
     rules: List[Rule],
     cache: Optional[LintCache],
-    jobs: int,
     report: LintReport,
 ) -> None:
     """Per-file rules over ``files``, appending into ``report``."""
     signature = rules_signature(rules)
-    missing: List[Tuple[str, Optional[str]]] = []  # (path, cache key)
     for path in files:
         posix_path = path.as_posix()
         report.files += 1
+        data = path.read_bytes()
         key = None
         if cache is not None:
-            data = path.read_bytes()
             key = LintCache.key(
                 hashlib.sha256(data).hexdigest(), signature
             )
@@ -232,25 +188,9 @@ def _file_pass(
                     v.with_path(posix_path) for v in cached
                 )
                 continue
-        missing.append((posix_path, key))
-
-    if jobs > 1 and len(missing) > 1:
-        workers = min(jobs, len(missing))
-        with concurrent.futures.ProcessPoolExecutor(
-            max_workers=workers
-        ) as pool:
-            futures = [
-                pool.submit(_lint_worker, posix_path, rules)
-                for posix_path, _key in missing
-            ]
-            results = [future.result() for future in futures]
-    else:
-        results = [
-            _lint_worker(posix_path, rules)
-            for posix_path, _key in missing
-        ]
-    for (posix_path, key), violations in zip(missing, results):
-        if cache is not None and key is not None:
+        source = data.decode("utf-8", errors="replace")
+        violations = lint_source(source, posix_path, rules)
+        if key is not None:
             cache.put(key, violations)
         report.violations.extend(violations)
 
@@ -280,7 +220,6 @@ def lint_paths(
     rules: Optional[List[Rule]] = None,
     cache: Optional[LintCache] = None,
     project_rules: Optional[Sequence[ProjectRule]] = None,
-    jobs: Optional[int] = None,
 ) -> LintReport:
     """Lint a set of files/directories into one report.
 
@@ -288,16 +227,15 @@ def lint_paths(
     ``project_rules=None`` also runs every registered project rule.
     With an explicit ``rules`` list, project rules default to none —
     callers selecting a subset (tests, ``--select``) pass both lists
-    explicitly.  ``jobs`` follows :func:`resolve_lint_jobs`.
+    explicitly.
     """
     if project_rules is None:
         project_rules = all_project_rules() if rules is None else ()
     if rules is None:
         rules = all_rules()
-    jobs = resolve_lint_jobs(jobs)
     report = LintReport()
     files = discover_files(paths)
-    _file_pass(files, rules, cache, jobs, report)
+    _file_pass(files, rules, cache, report)
     if project_rules:
         _project_pass(files, project_rules, report)
     if cache is not None:

@@ -16,8 +16,7 @@ assigned from exactly one constructor spelling along the chain — never
 attribute calls on receivers whose type the model cannot pin down).
 
 :class:`~repro.lint.registry.ProjectRule` subclasses run after every
-file rule and see the full model; the ones registered here need no
-dataflow (the flow-based ones live in :mod:`repro.lint.flow.rules`).
+file rule and see the full model; every one of them is syntactic.
 Nothing in the linted tree is ever imported or executed — all analysis
 is static.
 """
@@ -29,9 +28,13 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from repro.lint.flow.dataflow import FunctionFlow
 from repro.lint.registry import ProjectRule, register_project
 from repro.lint.rules import body_walk
+from repro.lint.stream_draws import (
+    compile_patterns,
+    draw_is_registered,
+    iter_stream_draws,
+)
 from repro.lint.violations import Violation
 
 __all__ = [
@@ -42,6 +45,7 @@ __all__ = [
     "ModuleInfo",
     "ProcessProtocolRule",
     "ProjectModel",
+    "StreamRegistryRule",
 ]
 
 
@@ -196,7 +200,6 @@ class ProjectModel:
         self.functions_by_node: Dict[ast.AST, FunctionInfo] = {
             fn.node: fn for fn in self.functions.values()
         }
-        self._flows: Dict[ast.AST, FunctionFlow] = {}
 
     # ------------------------------------------------------------------
     # Construction
@@ -538,14 +541,6 @@ class ProjectModel:
                     return self.resolve_method(target, func.attr)
         return None
 
-    def flow(self, scope: ast.AST) -> FunctionFlow:
-        """CFG + reaching definitions of one scope, built once and
-        shared by every flow-based project rule."""
-        flow = self._flows.get(scope)
-        if flow is None:
-            flow = self._flows[scope] = FunctionFlow(scope)
-        return flow
-
     def sorted_modules(self) -> List[ModuleInfo]:
         """Every module, ordered by path for stable output."""
         return sorted(self.modules.values(), key=lambda m: m.path)
@@ -605,8 +600,7 @@ class ProjectModel:
 
 def is_network_ref(node: ast.AST) -> bool:
     """``network.post(...)`` / ``self.network.post(...)`` /
-    ``self.net._transmit...`` — the same spelling heuristic the stream
-    rules use for their receivers."""
+    ``self.net._transmit...``: a receiver spelled like the network."""
     if isinstance(node, ast.Name):
         return "network" in node.id or node.id == "net"
     if isinstance(node, ast.Attribute):
@@ -1037,3 +1031,69 @@ class ProcessProtocolRule(ProjectRule):
         return all(
             isinstance(value, _OBVIOUS_NON_WAITABLE) for value in values
         )
+
+
+@register_project
+class StreamRegistryRule(ProjectRule):
+    """The random-stream discipline at every draw site."""
+
+    rule_id = "stream-registry"
+    summary = (
+        "random-stream discipline broken: every draw must name a "
+        "register_stream() entry (a typo silently forks a fresh "
+        "stream), and fault code must draw only from fault-* streams "
+        "(a shared stream perturbs every failure-free sequence); "
+        "common-random-numbers comparisons rely on both"
+    )
+    #: v3: draw-escape check removed.
+    version = 3
+    include = ("repro/",)
+
+    def check_project(self, model: ProjectModel) -> List[Violation]:
+        violations: List[Violation] = []
+        patterns = model.stream_registry()
+        # No registry in scope: nothing to check names against.
+        compiled = compile_patterns(patterns) if patterns else None
+        registry_paths = model.stream_registry_paths()
+        for module in model.sorted_modules():
+            if self.applies_to(module.path):
+                self._check_draw_sites(
+                    module,
+                    None if module.path in registry_paths else compiled,
+                    violations,
+                )
+        return violations
+
+    def _check_draw_sites(self, module, compiled, violations) -> None:
+        """Unregistered names (against ``compiled``, when given) and
+        fault code drawing from non-``fault-*`` streams."""
+        in_faults = "repro/faults/" in module.path
+        for draw in iter_stream_draws(module.tree):
+            if in_faults and not draw.provably_prefixed("fault-"):
+                message = (
+                    "fault code draws from a stream not provably named "
+                    "fault-*; "
+                )
+            elif (
+                compiled is None
+                or draw.dynamic
+                or draw_is_registered(draw, compiled)
+            ):
+                continue
+            else:
+                drawn = (
+                    repr(draw.name)
+                    if draw.name is not None
+                    else f"f-string starting {draw.prefix!r}"
+                )
+                message = f"unregistered stream name {drawn}; "
+            violations.append(
+                Violation(
+                    rule_id=self.rule_id,
+                    path=module.path,
+                    line=draw.line,
+                    col=draw.col,
+                    message=message + self.summary,
+                    severity=self.severity,
+                )
+            )

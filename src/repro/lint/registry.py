@@ -11,8 +11,8 @@ Two kinds of rule live here:
 
 Rules register themselves with the :func:`register` /
 :func:`register_project` decorators at import time (importing
-:mod:`repro.lint.rules`, :mod:`repro.lint.project` and
-:mod:`repro.lint.flow.rules` populates the registries).  Each rule carries a ``version`` stamp and a *source
+:mod:`repro.lint.rules` and :mod:`repro.lint.project` populates the
+registries).  Each rule carries a ``version`` stamp and a *source
 hash* — a whitespace/comment-insensitive digest of the module that
 defines it — and the combined signature of every registered file rule
 feeds the per-file cache key, so editing a rule's logic invalidates
@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import ast
 import hashlib
-import importlib
 import inspect
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Type
@@ -47,7 +46,8 @@ __all__ = [
 #: Bumped when the engine's rule semantics change globally (severity
 #: model, suppression format, ...); part of every cache key.
 #: v3: flow-sensitive rule layer (CFG/dataflow/taint) added.
-RULESET_VERSION = 3
+#: v4: flow layer removed; every rule is syntactic again.
+RULESET_VERSION = 4
 
 
 class _BaseRule:
@@ -65,11 +65,6 @@ class _BaseRule:
     include: Tuple[str, ...] = ()
     #: Path fragments the rule never runs on.
     exclude: Tuple[str, ...] = ()
-    #: Dotted names of engine modules a file rule's cached verdicts
-    #: also depend on (the flow file rules name the CFG/dataflow/taint
-    #: modules here, so editing the engine busts their cached results,
-    #: not just edits to the rule module itself).
-    extra_hash_modules: Tuple[str, ...] = ()
 
     def applies_to(self, path: str) -> bool:
         """Whether this rule runs on ``path`` (POSIX string)."""
@@ -81,23 +76,12 @@ class _BaseRule:
 
     @property
     def source_hash(self) -> str:
-        """Digest of the defining module (plus any declared engine
-        modules), insensitive to formatting."""
+        """Digest of the defining module, insensitive to formatting."""
         try:
             module_file = inspect.getfile(type(self))
         except (TypeError, OSError):  # pragma: no cover - builtins only
             return "unknown"
-        digests = [module_source_hash(module_file)]
-        for dotted in self.extra_hash_modules:
-            module = importlib.import_module(dotted)
-            origin = getattr(module, "__file__", None)
-            digests.append(
-                module_source_hash(origin) if origin else dotted
-            )
-        if len(digests) == 1:
-            return digests[0]
-        combined = hashlib.sha256(":".join(digests).encode("utf-8"))
-        return combined.hexdigest()[:16]
+        return module_source_hash(module_file)
 
     def violation(
         self,
@@ -185,9 +169,9 @@ def register_project(
 
 
 def _ensure_loaded() -> None:
-    # The flow rules import the file- and project-rule modules, so this
-    # one import registers every rule; re-imports are cached no-ops.
-    import repro.lint.flow.rules  # noqa: F401 - registers on import
+    # The project rules import the file-rule module, so this one
+    # import registers every rule; re-imports are cached no-ops.
+    import repro.lint.project  # noqa: F401 - registers on import
 
 
 def all_rules() -> List[Rule]:

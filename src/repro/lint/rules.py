@@ -23,10 +23,13 @@ hit) while keeping figure replications seed-stable:
     (``d.keys() - e``) is outright hash-ordered (warning: insertion
     order *is* deterministic, so intended uses carry a waiver naming
     that intent instead of a sort).
+``float-time-equality``
+    ``==`` / ``!=`` with an operand that reads a clock or a stored
+    schedule time (a ``now``/``time`` name or attribute) is exact float
+    comparison; it is sound only between copies of one scheduled value,
+    so each such site carries a waiver saying why.
 
-The flow-sensitive file rules live in :mod:`repro.lint.flow.rules`;
-the whole-program rules in :mod:`repro.lint.project` and
-:mod:`repro.lint.flow.rules`.
+The whole-program rules live in :mod:`repro.lint.project`.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ from repro.lint.registry import Rule, register
 from repro.lint.violations import Violation
 
 __all__ = [
+    "FloatTimeEqualityRule",
     "IdKeyedContainerRule",
     "UnorderedIterationRule",
     "UnseededGlobalRandomRule",
@@ -435,4 +439,52 @@ class UnorderedIterationRule(Rule):
                                 severity="warning",
                             )
                         )
+        return violations
+
+
+def _is_timeish(node: ast.AST) -> bool:
+    """A ``now``/``time`` name or attribute: a clock or stored time."""
+    if isinstance(node, ast.Name):
+        return node.id in ("now", "time")
+    if isinstance(node, ast.Attribute):
+        return node.attr in ("now", "time")
+    return False
+
+
+@register
+class FloatTimeEqualityRule(Rule):
+    """Exact float comparison on simulated-time expressions."""
+
+    rule_id = "float-time-equality"
+    summary = (
+        "== / != on simulated time is exact float comparison; it is "
+        "only sound between copies of one scheduled value — "
+        "restructure, or suppress with the reason both operands are "
+        "stored schedule times"
+    )
+    version = 4
+    # Simulator sources only: tests legitimately assert exact clock
+    # values the kernel guarantees.
+    include = (
+        "repro/sim/",
+        "repro/core/",
+        "repro/cc/",
+        "repro/router/",
+    )
+
+    def check(self, tree, source, path):
+        violations: List[Violation] = []
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Compare):
+                continue
+            operands = [node.left, *node.comparators]
+            if any(
+                isinstance(op, (ast.Eq, ast.NotEq))
+                and (
+                    _is_timeish(operands[index])
+                    or _is_timeish(operands[index + 1])
+                )
+                for index, op in enumerate(node.ops)
+            ):
+                violations.append(self.violation(path, node))
         return violations

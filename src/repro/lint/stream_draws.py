@@ -1,8 +1,7 @@
 """Static extraction of RNG stream draws and registry matching.
 
-The ``stream-registry`` rule and the draw-taint lattice reason about
-the same syntactic event: *a named draw from a*
-:class:`~repro.sim.streams.RandomStreams` *family*
+The ``stream-registry`` rule reasons about one syntactic event: *a
+named draw from a* :class:`~repro.sim.streams.RandomStreams` *family*
 (``streams.get("page-choice")``, ``self._streams.bernoulli(
 "fault-msg-loss", p)``, ...).  This module recognizes those calls,
 extracts whatever is provable about the stream-name argument, and

@@ -878,9 +878,7 @@ class Environment:
                         # Exact: heap entry times are stored schedule
                         # values and ``now`` was copied from one, so
                         # equality means "same instant" by construction.
-                        # (Read as ``.time``, not ``top[0]``, so simlint's
-                        # dataflow can prove it a stored copy.)
-                        if top[2].time == now and top[1] < handle.seq:
+                        if top[2].time == now and top[1] < handle.seq:  # simlint: ignore[float-time-equality]
                             handle = heappop(heap)[2]
                         else:
                             fast.popleft()
@@ -903,7 +901,7 @@ class Environment:
                 # Exact: avoids a redundant attribute write when the
                 # clock has not moved; both values are stored schedule
                 # times, never arithmetic results.
-                if time != now:
+                if time != now:  # simlint: ignore[float-time-equality]
                     now = time
                     self.now = time
                 dispatched += 1
@@ -958,7 +956,7 @@ class Environment:
                             san.note_reaped(handle)
                         continue
                     # Exact: stored schedule times (see the clean loop).
-                    if time != self.now:
+                    if time != self.now:  # simlint: ignore[float-time-equality]
                         self.now = time
                         if san is not None:
                             san.advance_time(time)
@@ -966,7 +964,7 @@ class Environment:
                 batch = list(fast)
                 fast.clear()
                 # Exact: stored schedule times (see the clean loop).
-                while heap and heap[0][2].time == now:
+                while heap and heap[0][2].time == now:  # simlint: ignore[float-time-equality]
                     batch.append(heappop(heap)[2])
                 batch.sort(key=_handle_seq, reverse=reverse)
                 for handle in batch:

@@ -284,38 +284,3 @@ class TestSourceHashHardening:
         )
         assert report.cache_hits == 1
 
-
-class TestParallelFilePass:
-    def test_jobs_two_matches_serial_results(self, tmp_path):
-        root = write_tree(
-            tmp_path / "tree",
-            {
-                "a.py": CLEAN,
-                "bad.py": DIRTY,
-                "c.py": CLEAN,
-                "d.py": DIRTY,
-            },
-        )
-        serial = lint_paths([root], jobs=1)
-        parallel = lint_paths([root], jobs=2)
-        assert [v.as_dict() for v in parallel.violations] == [
-            v.as_dict() for v in serial.violations
-        ]
-        assert parallel.files == serial.files == 4
-
-    def test_parallel_results_populate_cache(self, tmp_path):
-        root = write_tree(
-            tmp_path / "tree", {"a.py": CLEAN, "bad.py": DIRTY}
-        )
-        cache_path = tmp_path / "cache.json"
-        lint_paths([root], cache=LintCache(cache_path), jobs=2)
-        warm = lint_paths([root], cache=LintCache(cache_path))
-        assert warm.cache_hits == 2
-
-    def test_bad_jobs_values_rejected(self, tmp_path, monkeypatch):
-        root = write_tree(tmp_path / "tree", {"a.py": CLEAN})
-        with pytest.raises(ValueError):
-            lint_paths([root], jobs=0)
-        monkeypatch.setenv("REPRO_LINT_JOBS", "banana")
-        with pytest.raises(ValueError):
-            lint_paths([root])

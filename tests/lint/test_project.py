@@ -13,12 +13,12 @@ import textwrap
 import pytest
 
 from repro.lint.engine import discover_files, lint_paths
-from repro.lint.flow.rules import StreamRegistryRule
 from repro.lint.project import (
     CCInterfaceRule,
     MessageHandlerRule,
     ProcessProtocolRule,
     ProjectModel,
+    StreamRegistryRule,
     module_name_for,
 )
 

@@ -47,17 +47,16 @@ def test_rule_set_is_one_rule_per_property():
         for rule in rules
     ]
     assert table == [
-        ("id-keyed-container", "file", "error", (), ()),
         (
-            "lock-path-discipline", "file", "error",
-            ("repro/cc/", "repro/router/"), (),
+            "float-time-equality", "file", "error",
+            SIM_CORE_CC + ("repro/router/",), (),
         ),
+        ("id-keyed-container", "file", "error", (), ()),
         (
             "unordered-iteration", "file", "error",
             ("repro/cc/", "repro/sim/", "repro/core/"), (),
         ),
         ("unseeded-global-random", "file", "error", SIM_CORE_CC, ()),
-        ("waitable-escape", "file", "error", ("repro/",), ()),
         (
             "wall-clock", "file", "error", (),
             ("experiments/", "benchmarks/"),
@@ -65,10 +64,6 @@ def test_rule_set_is_one_rule_per_property():
         (
             "cc-interface", "project", "error",
             ("repro/cc/", "repro/router/"), (),
-        ),
-        (
-            "float-time-equality", "project", "error",
-            SIM_CORE_CC + ("repro/router/",), (),
         ),
         (
             "message-handler-protocol", "project", "error",
@@ -368,6 +363,18 @@ class TestFloatTimeEquality:
                 if self.deadline.time == now:
                     self.fire()
             """,
+            # Even two stored schedule times, or a pure copy of one:
+            # the check is syntactic, so sound sites carry a waiver.
+            "if self.time != other.time:\n    pass\n",
+            "now = handle.time\nif handle.time == now:\n    pass\n",
+            # The kernel dispatch-loop shape its waivers cover.
+            """
+            def drain(self, top):
+                now = self.now
+                if top.time != now:
+                    return
+                self.fire(top)
+            """,
         ],
     )
     def test_flags_in_sim_scope(self, snippet):
@@ -383,26 +390,6 @@ class TestFloatTimeEquality:
         ],
     )
     def test_does_not_flag(self, snippet):
-        assert not rule_hits(snippet, SIM_PATH, self.RULE)
-
-    @pytest.mark.parametrize(
-        "snippet",
-        [
-            # Two stored schedule times: exact equality is sound.
-            "if self.time != other.time:\n    pass\n",
-            # A local that is provably a pure copy of a stored time.
-            "now = handle.time\nif handle.time == now:\n    pass\n",
-            # The kernel dispatch-loop shape the v1 waivers covered.
-            """
-            def drain(self, top):
-                now = self.now
-                if top.time != now:
-                    return
-                self.fire(top)
-            """,
-        ],
-    )
-    def test_flow_discharges_pure_copies(self, snippet):
         assert not rule_hits(snippet, SIM_PATH, self.RULE)
 
     def test_tests_are_out_of_scope(self):
