@@ -192,7 +192,6 @@ class Transaction:
         "commit_timestamp",
         "state",
         "attempt",
-        "cohorts",
         "abort_event",
         "abort_pending",
         "abort_reason",
@@ -226,7 +225,6 @@ class Transaction:
         self.commit_timestamp: Optional[Timestamp] = None
         self.state = TransactionState.PENDING
         self.attempt = 0
-        self.cohorts: List[Cohort] = []
         self.abort_event: Optional["Event"] = None
         self.abort_pending = False
         self.abort_reason: Optional[str] = None
@@ -248,14 +246,20 @@ class Transaction:
             is ExecutionPattern.PARALLEL
         )
 
-    def begin_attempt(self) -> None:
-        """Reset per-attempt state and build fresh cohort records."""
+    def begin_attempt(self) -> List[Cohort]:
+        """Reset per-attempt state and return fresh cohort records.
+
+        The caller (the attempt's coordinator) owns the list: a
+        transaction keeps no reference to its cohorts, so the only
+        edge between the two runs cohort → transaction, and a finished
+        attempt's cohorts are freed by reference counting.
+        """
         self.attempt += 1
         self.state = TransactionState.RUNNING
         self.abort_pending = False
         self.abort_reason = None
         self.commit_timestamp = None
-        self.cohorts = [
+        return [
             Cohort(self, spec, index)
             for index, spec in enumerate(self.spec.cohorts)
         ]

@@ -164,11 +164,11 @@ class TransactionManager:
             self.cc_algorithm.assign_timestamps(
                 transaction, self.env.now
             )
-            transaction.begin_attempt()
+            cohorts = transaction.begin_attempt()
             if self._tracing:
                 self._trace(EventKind.ATTEMPT_STARTED, transaction)
             committed = yield self.env.process(
-                self._attempt(transaction),
+                self._attempt(transaction, cohorts),
                 name=f"coord-{transaction.tid}.{transaction.attempt}",
             )
             if committed:
@@ -239,13 +239,12 @@ class TransactionManager:
             "restart-delay", mean, owner="transaction-manager"
         )
 
-    def _attempt(self, transaction: Transaction):
-        """One execution attempt; returns True on commit."""
+    def _attempt(self, transaction: Transaction, cohorts: List[Cohort]):
+        """One execution attempt over ``cohorts``; returns True on commit."""
         env = self.env
         transaction.abort_event = env.event()
         # Coordinator process startup at the host.
         yield from self.host.resources.execute(self._inst_per_startup)
-        cohorts = transaction.cohorts
         for cohort in cohorts:
             cohort.done_event = env.event()
             cohort.vote_event = env.event()
@@ -283,7 +282,7 @@ class TransactionManager:
                 if transaction.abort_pending:
                     break
         if transaction.abort_pending:
-            yield from self._abort_protocol(transaction)
+            yield from self._abort_protocol(transaction, cohorts)
             return False
         # ----- two-phase commit: phase one -----
         transaction.state = TransactionState.PREPARING
@@ -309,14 +308,14 @@ class TransactionManager:
                 "fault-prepare-timeout", record_blocked=True,
             )
         if transaction.abort_pending:
-            yield from self._abort_protocol(transaction)
+            yield from self._abort_protocol(transaction, cohorts)
             return False
         if not all(
             cohort.vote_event.fired and cohort.vote_event.value
             for cohort in cohorts
         ):
             transaction.mark_abort("certification-failed")
-            yield from self._abort_protocol(transaction)
+            yield from self._abort_protocol(transaction, cohorts)
             return False
         # ----- phase two: the decision is final -----
         transaction.state = TransactionState.COMMITTING
@@ -522,14 +521,12 @@ class TransactionManager:
         ):
             transaction.abort_event.succeed()
 
-    def _abort_protocol(self, transaction: Transaction):
+    def _abort_protocol(
+        self, transaction: Transaction, cohorts: List[Cohort]
+    ):
         """Broadcast aborts to loaded cohorts; await acknowledgements."""
         transaction.state = TransactionState.ABORTING
-        posted = [
-            cohort
-            for cohort in transaction.cohorts
-            if cohort.load_posted
-        ]
+        posted = [cohort for cohort in cohorts if cohort.load_posted]
         for cohort in posted:
             self.network.post(
                 HOST_NODE, cohort.node, self._deliver_abort, cohort

@@ -97,12 +97,10 @@ class Source:
         # neither — the default path stays bit-identical to the paper.
         self._skew_tables: Dict[Tuple[float, int], List[float]] = {}
         self._skew_draw = None
-        # Per-terminal think-stream handles, created on first draw.  At
-        # 10^5+ terminals, materialising every stream up front costs
-        # O(terminals) startup work for terminals that may never think;
-        # laziness changes no draw sequence (streams are seeded by
-        # name, not by creation order).
+        # Resident think-stream draws, and one byte per terminal that
+        # has drawn once (see think_time).
         self._think_draws: Dict[int, object] = {}
+        self._thought = bytearray(config.num_terminals)
         self._inv_think = (
             1.0 / config.think_time if config.think_time > 0.0 else 0.0
         )
@@ -311,14 +309,28 @@ class Source:
         ]
 
     def think_time(self, terminal: int) -> float:
-        """Draw an exponential think time (0 when the mean is 0)."""
+        """Draw an exponential think time (0 when the mean is 0).
+
+        A 2.5 KB stream per terminal would make memory grow with idle
+        terminals, and at scale most terminals think only once (at
+        boot) within the horizon.  So the first draw comes from a
+        transient stream that is dropped at once.  The second draw
+        rebuilds the stream, replays the first draw with the same
+        call, and keeps the stream resident from then on.  Streams are
+        seeded by name, so every terminal sees the sequence one
+        resident stream would give it.
+        """
         if self.config.think_time <= 0.0:
             return 0.0
         draw = self._think_draws.get(terminal)
         if draw is None:
-            draw = self.streams.get(
+            draw = self.streams.fresh(
                 f"think-{terminal}", owner="workload"
             ).expovariate
+            if not self._thought[terminal]:
+                self._thought[terminal] = 1
+                return draw(self._inv_think)
+            draw(self._inv_think)
             self._think_draws[terminal] = draw
         return draw(self._inv_think)
 

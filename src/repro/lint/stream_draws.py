@@ -33,6 +33,7 @@ STREAM_DRAW_METHODS = frozenset(
     {
         "bernoulli",
         "exponential",
+        "fresh",
         "get",
         "sample_without_replacement",
         "uniform",

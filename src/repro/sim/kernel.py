@@ -43,7 +43,8 @@ Hot-path design (the per-event cost caps every figure replication):
   once it has fired and resumed its waiter it may be handed out again,
   so holding on to a fired timeout object is not supported.
 * **GC paused during dispatch.**  ``run()`` disables the cyclic
-  collector for the duration of the loop (see :meth:`Environment.run`).
+  collector for the duration of the loop (see :meth:`Environment.run`),
+  so model objects must not form reference cycles.
 
 :meth:`Environment.run` has two dispatch loops.  The clean loop is the
 one every normal run takes.  The instrumented loop runs one
@@ -831,9 +832,15 @@ class Environment:
         The cyclic collector is paused for the duration of the loop.
         The loop allocates at a steady rate, and letting the collector
         interrupt it every few hundred allocations costs ~10-15% of
-        wall time on event-dense workloads.  Cyclic garbage (broken
-        promptly by the kernel dropping generator references when
-        processes finish) is reclaimed between runs instead.
+        wall time on event-dense workloads.  While it is paused,
+        anything left in a reference cycle stays resident until the
+        run ends.  Finished processes drop their generator frames, and
+        the model keeps its references one-way (a transaction does not
+        reference its cohorts), so reference counting frees a
+        committed transaction's records at commit.  The one cycle that
+        remains is an :class:`AllOf` abandoned before all its children
+        fire (the abort path), with its watchers and events; it is
+        reclaimed after the run.
         """
         if until is not None and until < self.now:
             raise SimulationError(

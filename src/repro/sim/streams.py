@@ -168,20 +168,34 @@ class RandomStreams:
         it is checked against the registration's declared ownership
         (the stream-discipline checker).  Clean runs ignore it.
         """
+        stream = self._streams.get(name)
+        if stream is None:
+            stream = self._streams[name] = self.fresh(name, owner)
+        elif self._san is not None:
+            self._san.check_stream(name, owner)
+        return stream
+
+    def fresh(self, name: str, owner: str = None) -> random.Random:
+        """Build a new stream for ``name`` without caching it.
+
+        Each call returns a new object that yields the sequence
+        :meth:`get` hands out for ``name``, so a caller can drop a
+        stream it rarely draws from and build it again later (the
+        workload's per-terminal think streams).  ``strict`` and the
+        sanitizer are checked exactly as in :meth:`get`, which builds
+        its streams here.
+        """
         san = self._san
         if san is not None:
             san.check_stream(name, owner)
-        stream = self._streams.get(name)
-        if stream is None:
-            if self.strict and not is_registered(name):
-                raise ValueError(
-                    f"unregistered stream name {name!r}; declare it "
-                    "with repro.sim.streams.register_stream"
-                )
-            stream = random.Random(derive_seed(self.seed, name))
-            if san is not None:
-                stream = san.wrap_stream(name, stream)
-            self._streams[name] = stream
+        if self.strict and not is_registered(name):
+            raise ValueError(
+                f"unregistered stream name {name!r}; declare it "
+                "with repro.sim.streams.register_stream"
+            )
+        stream = random.Random(derive_seed(self.seed, name))
+        if san is not None:
+            stream = san.wrap_stream(name, stream)
         return stream
 
     def exponential(self, name: str, mean: float, owner: str = None) -> float:

@@ -48,6 +48,17 @@ def page(index, partition=0, relation=0):
     return PageId(relation, partition, index)
 
 
+class OneCohortTransaction(Transaction):
+    """A transaction that keeps its one cohort for the test.
+
+    In a simulation the coordinator owns an attempt's cohorts and the
+    transaction does not reference them; these tests drive the CC
+    managers without a coordinator.
+    """
+
+    __slots__ = ("cohort",)
+
+
 def make_transaction(env, pages=(), node=0):
     """A one-cohort transaction touching ``pages`` at ``node``."""
     accesses = tuple(
@@ -56,10 +67,10 @@ def make_transaction(env, pages=(), node=0):
     spec = AccessSpec(
         relation=0, cohorts=(CohortSpec(node=node, accesses=accesses),)
     )
-    transaction = Transaction(
+    transaction = OneCohortTransaction(
         0, TransactionClassConfig(), spec, env.now
     )
-    transaction.begin_attempt()
+    (transaction.cohort,) = transaction.begin_attempt()
     return transaction
 
 

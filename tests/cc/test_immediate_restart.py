@@ -17,7 +17,7 @@ def manager(context):
 
 
 def cohort_of(txn):
-    return txn.cohorts[0]
+    return txn.cohort
 
 
 def test_uncontended_requests_granted(manager, new_txn):

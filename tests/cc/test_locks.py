@@ -14,7 +14,7 @@ def locks(env):
 
 
 def cohort_of(txn):
-    return txn.cohorts[0]
+    return txn.cohort
 
 
 class TestSharedLocks:
@@ -124,7 +124,7 @@ class TestUpgrades:
             results.append(value)
 
         env.process(waiter())
-        locks.release_all(b.cohorts[0].transaction)
+        locks.release_all(cohort_of(b).transaction)
         env.run()
         assert results == [RequestResult.GRANTED]
 

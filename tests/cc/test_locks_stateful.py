@@ -114,7 +114,7 @@ class LockTableMachine(RuleBasedStateMachine):
             LockMode.EXCLUSIVE if exclusive else LockMode.SHARED
         )
         granted, request, _conflicts = self.locks.acquire(
-            txn.cohorts[0], page, mode
+            txn.cohort, page, mode
         )
         if not granted:
             log = self.grant_log

@@ -15,7 +15,7 @@ def manager(context):
 
 
 def cohort_of(txn):
-    return txn.cohorts[0]
+    return txn.cohort
 
 
 def setup_cohort(manager, txn):

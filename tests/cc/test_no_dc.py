@@ -14,7 +14,7 @@ def manager(context):
 
 
 def cohort_of(txn):
-    return txn.cohorts[0]
+    return txn.cohort
 
 
 def test_everything_granted(manager, new_txn):
@@ -36,7 +36,7 @@ def test_prepare_always_yes(manager, new_txn):
 
 def test_commit_installs_all_updates(manager, new_txn):
     txn = new_txn()
-    assert manager.commit(cohort_of(txn)) == txn.cohorts[0].updated_pages
+    assert manager.commit(cohort_of(txn)) == cohort_of(txn).updated_pages
 
 
 def test_abort_noop(manager, new_txn):

@@ -97,8 +97,7 @@ class MiniHarness:
             self.algorithm.assign_timestamps(
                 transaction, self.env.now
             )
-            transaction.begin_attempt()
-            cohort = transaction.cohorts[0]
+            (cohort,) = transaction.begin_attempt()
             committed = yield from self._run_attempt(
                 transaction, cohort
             )

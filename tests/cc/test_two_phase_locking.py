@@ -17,7 +17,7 @@ def manager(context):
 
 
 def cohort_of(txn):
-    return txn.cohorts[0]
+    return txn.cohort
 
 
 class TestBasicLocking:
@@ -47,7 +47,7 @@ class TestBasicLocking:
         response = manager.read_request(cohort_of(waiter), page(1))
         assert response.result is RequestResult.BLOCKED
         installed = manager.commit(cohort_of(writer))
-        assert installed == writer.cohorts[0].updated_pages
+        assert installed == cohort_of(writer).updated_pages
         env.run()
         assert response.event.fired
         assert response.event.value is RequestResult.GRANTED

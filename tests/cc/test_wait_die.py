@@ -14,7 +14,7 @@ def manager(context):
 
 
 def cohort_of(txn):
-    return txn.cohorts[0]
+    return txn.cohort
 
 
 class TestWaitDieRules:
@@ -49,7 +49,7 @@ class TestWaitDieRules:
         # Held locks release only via the abort protocol, and the old
         # transaction keeps running normally.
         installed = manager.commit(cohort_of(old))
-        assert installed == old.cohorts[0].updated_pages
+        assert installed == cohort_of(old).updated_pages
 
     def test_death_keeps_already_held_locks(self, manager, new_txn):
         """Dying withdraws only the new request; previously granted

@@ -27,8 +27,8 @@ def make_cohort():
         ),
     )
     txn = Transaction(0, cls, spec, 0.0)
-    txn.begin_attempt()
-    return txn.cohorts[0]
+    (cohort,) = txn.begin_attempt()
+    return cohort
 
 
 class TestAuditorBookkeeping:
@@ -109,8 +109,7 @@ class TestAuditorBookkeeping:
         txn = cohort.transaction
         auditor.on_read_granted(cohort, PAGE_X)
         auditor.on_aborted(txn)
-        txn.begin_attempt()
-        retry = txn.cohorts[0]
+        (retry,) = txn.begin_attempt()
         auditor.on_read_granted(retry, PAGE_X)
         auditor.on_installed(retry, [PAGE_X])
         auditor.on_committed(txn)

@@ -1,5 +1,7 @@
 """Tests for transaction/cohort records and timestamps."""
 
+import gc
+
 from repro.core.config import (
     ExecutionPattern,
     TransactionClassConfig,
@@ -69,19 +71,31 @@ class TestTransactionLifecycle:
 
     def test_begin_attempt_builds_cohorts(self):
         txn = make_txn()
-        txn.begin_attempt()
+        cohorts = txn.begin_attempt()
         assert txn.attempt == 1
         assert txn.state is TransactionState.RUNNING
-        assert [c.node for c in txn.cohorts] == [0, 3]
+        assert [c.node for c in cohorts] == [0, 3]
+        assert all(c.transaction is txn for c in cohorts)
 
     def test_restart_builds_fresh_cohorts(self):
         txn = make_txn()
-        txn.begin_attempt()
-        first = txn.cohorts
-        txn.begin_attempt()
+        first = txn.begin_attempt()
+        second = txn.begin_attempt()
         assert txn.attempt == 2
-        assert txn.cohorts is not first
-        assert all(not c.started for c in txn.cohorts)
+        assert second is not first
+        assert all(not c.started for c in second)
+        assert [c.attempt for c in second] == [2, 2]
+
+    def test_transaction_does_not_reference_its_cohorts(self):
+        """Only the coordinator holds an attempt's cohorts, so a
+        finished attempt is freed by reference counting."""
+        txn = make_txn()
+        cohorts = txn.begin_attempt()
+        assert not hasattr(txn, "cohorts")
+        assert all(
+            referent is not cohorts and referent not in cohorts
+            for referent in gc.get_referents(txn)
+        )
 
     def test_restart_clears_abort_state(self):
         txn = make_txn()
@@ -116,9 +130,9 @@ class TestTransactionLifecycle:
 
     def test_updated_pages(self):
         txn = make_txn()
-        txn.begin_attempt()
-        assert txn.cohorts[0].updated_pages == [PageId(0, 0, 2)]
-        assert txn.cohorts[1].updated_pages == [PageId(0, 3, 9)]
+        first, second = txn.begin_attempt()
+        assert first.updated_pages == [PageId(0, 0, 2)]
+        assert second.updated_pages == [PageId(0, 3, 9)]
 
     def test_tids_unique(self):
         tids = {make_txn().tid for _ in range(10)}

@@ -1,5 +1,7 @@
 """Tests for the workload source."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,7 +15,7 @@ from repro.core.config import (
 )
 from repro.core.database import Database
 from repro.core.workload import Source
-from repro.sim.streams import RandomStreams
+from repro.sim.streams import RandomStreams, derive_seed
 
 
 def make_source(degree=8, num_terminals=128, classes=None, seed=1):
@@ -33,6 +35,12 @@ def make_source(degree=8, num_terminals=128, classes=None, seed=1):
         num_proc_nodes=8,
     )
     return Source(workload, database, RandomStreams(seed))
+
+
+def think_source(seed):
+    """A source whose terminals think for 8 s on average."""
+    workload = WorkloadConfig(think_time=8.0)
+    return Source(workload, Database(DatabaseConfig(), 8), RandomStreams(seed))
 
 
 class TestTerminalGrouping:
@@ -188,11 +196,33 @@ class TestTimings:
         assert source.think_time(0) == 0.0
 
     def test_positive_think_time_mean(self):
-        workload = WorkloadConfig(think_time=8.0)
-        database = Database(DatabaseConfig(), 8)
-        source = Source(workload, database, RandomStreams(2))
+        source = think_source(seed=2)
         draws = [source.think_time(0) for _ in range(5_000)]
         assert sum(draws) / len(draws) == pytest.approx(8.0, rel=0.1)
+
+    def test_think_draws_follow_one_stream_per_terminal(self):
+        """The transient first draw and the replayed one leave each
+        terminal on the sequence of its own ``think-T`` stream."""
+        source = think_source(seed=11)
+        reference = random.Random(derive_seed(11, "think-5"))
+        expected = [reference.expovariate(1 / 8.0) for _ in range(5)]
+        assert [source.think_time(5) for _ in range(5)] == expected
+
+    def test_think_stream_resident_only_from_second_draw(self):
+        source = think_source(seed=11)
+
+        def resident():
+            cached = [
+                name for name in source.streams._streams
+                if name.startswith("think-")
+            ]
+            return sorted(source._think_draws), cached
+
+        for terminal in range(4):
+            source.think_time(terminal)
+        assert resident() == ([], [])
+        source.think_time(2)
+        assert resident() == ([2], [])
 
     def test_page_instructions_exponential_mean(self):
         source = make_source()

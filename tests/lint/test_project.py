@@ -247,6 +247,39 @@ class TestStreamRegistry:
         )
         assert [v.rule_id for v in violations] == ["stream-registry"]
 
+    def test_misspelled_fresh_stream_is_one_error(self, tmp_path):
+        """``fresh`` builds a stream from its name just as ``get``
+        does, so a typo there forks a sequence all the same."""
+        violations = run_rule(
+            tmp_path,
+            StreamRegistryRule(),
+            {
+                "repro/sim/streams.py": _STREAMS_MODULE,
+                "repro/core/workload.py": """
+                    def think(streams, t):
+                        return streams.fresh(f"thnk-{t}")
+                """,
+            },
+        )
+        assert len(violations) == 1
+        (violation,) = violations
+        assert violation.rule_id == "stream-registry"
+        assert "thnk-" in violation.message
+
+    def test_registered_fresh_stream_passes(self, tmp_path):
+        violations = run_rule(
+            tmp_path,
+            StreamRegistryRule(),
+            {
+                "repro/sim/streams.py": _STREAMS_MODULE,
+                "repro/core/workload.py": """
+                    def think(streams, t):
+                        return streams.fresh(f"think-{t}")
+                """,
+            },
+        )
+        assert violations == []
+
     def test_unregistered_router_stream_is_one_error(self, tmp_path):
         """The ``router-*`` family is a set of discrete registered
         names, not a pattern: a draw from an uninvented sibling

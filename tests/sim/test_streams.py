@@ -86,3 +86,26 @@ class TestRandomStreams:
         streams = RandomStreams(3)
         with pytest.raises(ValueError):
             streams.sample_without_replacement("s", 3, 5)
+
+
+class TestFreshStreams:
+    def test_each_call_builds_a_new_stream(self):
+        streams = RandomStreams(5)
+        assert streams.fresh("think-0") is not streams.fresh("think-0")
+
+    def test_first_draw_matches_get(self):
+        fresh = RandomStreams(5).fresh("think-3").expovariate(0.5)
+        cached = RandomStreams(5).get("think-3").expovariate(0.5)
+        assert fresh == cached
+
+    def test_never_cached(self):
+        streams = RandomStreams(5)
+        streams.fresh("think-0").random()
+        assert streams._streams == {}
+        assert streams.get("think-0") is not streams.fresh("think-0")
+
+    def test_honours_strict(self):
+        streams = RandomStreams(5, strict=True)
+        streams.fresh("think-0")
+        with pytest.raises(ValueError, match="unregistered stream"):
+            streams.fresh("thnik-0")
