@@ -43,6 +43,12 @@ class LockMode(IntEnum):
     EXCLUSIVE = 1
 
 
+# Module constants are cheaper lookups than Enum members.
+_SHARED = LockMode.SHARED
+_EXCLUSIVE = LockMode.EXCLUSIVE
+_GRANTED = RequestResult.GRANTED
+
+
 class LockRequest:
     """A waiting lock request."""
 
@@ -130,24 +136,24 @@ class LockManager:
             self._table[page] = entry
         held = entry.holders.get(txn)
         is_upgrade = False
-        if mode is LockMode.SHARED:
+        if mode is _SHARED:
             if held is not None:
                 return True, None, []
             if not entry.queue and self._shared_grantable(entry):
-                self._grant_holder(entry, txn, page, LockMode.SHARED)
+                self._grant_holder(entry, txn, page, _SHARED)
                 return True, None, []
         else:
-            if held is LockMode.EXCLUSIVE:
+            if held is _EXCLUSIVE:
                 return True, None, []
-            if held is LockMode.SHARED:
+            if held is _SHARED:
                 is_upgrade = True
                 if len(entry.holders) == 1 and not (
                     entry.queue and self._upgrade_ahead(entry, txn)
                 ):
-                    entry.holders[txn] = LockMode.EXCLUSIVE
+                    entry.holders[txn] = _EXCLUSIVE
                     return True, None, []
             elif not entry.holders and not entry.queue:
-                self._grant_holder(entry, txn, page, LockMode.EXCLUSIVE)
+                self._grant_holder(entry, txn, page, _EXCLUSIVE)
                 return True, None, []
         request = LockRequest(
             cohort, page, mode, self.env.event(), is_upgrade
@@ -158,7 +164,7 @@ class LockManager:
 
     def _shared_grantable(self, entry: _LockEntry) -> bool:
         no_exclusive_holder = all(
-            mode is LockMode.SHARED for mode in entry.holders.values()
+            mode is _SHARED for mode in entry.holders.values()
         )
         return no_exclusive_holder and not entry.queue
 
@@ -212,20 +218,19 @@ class LockManager:
         queue = entry.queue
         request = queue[position]
         waiter = request.transaction
-        exclusive = LockMode.EXCLUSIVE
-        is_exclusive = request.mode is exclusive
+        is_exclusive = request.mode is _EXCLUSIVE
         blockers = [
             holder
             for holder, mode in entry.holders.items()  # simlint: ignore[unordered-iteration]
             if holder is not waiter
-            and (is_exclusive or mode is exclusive)
+            and (is_exclusive or mode is _EXCLUSIVE)
         ]
         for index in range(position):
             ahead = queue[index]
             other = ahead.transaction
             if (
                 other is not waiter
-                and (is_exclusive or ahead.mode is exclusive)
+                and (is_exclusive or ahead.mode is _EXCLUSIVE)
                 and other not in blockers
             ):
                 blockers.append(other)
@@ -294,26 +299,26 @@ class LockManager:
                 if not grantable:
                     break
                 entry.queue.pop(0)
-                entry.holders[txn] = LockMode.EXCLUSIVE
-            elif request.mode is LockMode.SHARED:
+                entry.holders[txn] = _EXCLUSIVE
+            elif request.mode is _SHARED:
                 if any(
-                    mode is LockMode.EXCLUSIVE
+                    mode is _EXCLUSIVE
                     for mode in entry.holders.values()
                 ):
                     break
                 entry.queue.pop(0)
                 self._grant_holder(
-                    entry, txn, page, LockMode.SHARED
+                    entry, txn, page, _SHARED
                 )
             else:
                 if entry.holders:
                     break
                 entry.queue.pop(0)
                 self._grant_holder(
-                    entry, txn, page, LockMode.EXCLUSIVE
+                    entry, txn, page, _EXCLUSIVE
                 )
             del self._waiting[txn]
-            request.event.succeed(RequestResult.GRANTED)
+            request.event.succeed(_GRANTED)
         if not entry.holders and not entry.queue:
             del self._table[page]
 
@@ -381,7 +386,7 @@ class LockManager:
             queued += len(entry.queue)
             exclusive = sum(
                 1 for m in entry.holders.values()
-                if m is LockMode.EXCLUSIVE
+                if m is _EXCLUSIVE
             )
             if exclusive and len(entry.holders) > 1:
                 raise AssertionError(
@@ -396,7 +401,7 @@ class LockManager:
                 if request.transaction in entry.holders and not (
                     request.is_upgrade
                     or entry.holders[request.transaction]
-                    is LockMode.SHARED
+                    is _SHARED
                 ):
                     raise AssertionError(
                         f"holder queued non-upgrade on {page}"

@@ -1,19 +1,26 @@
 """Per-node resource manager (paper §3.4, Table 3).
 
 Wraps one CPU and ``NumDisks`` disks, offering the services the
-transaction and concurrency control managers consume:
+transaction and concurrency control managers consume.  Each request
+kind has one plain method that returns the request, an event a process
+yields directly:
 
-* :meth:`execute` — processor-sharing CPU work, interruptible: when the
+* :meth:`cpu_job` — processor-sharing CPU work, interruptible: when the
   waiting process is aborted mid-service the residual work is cancelled
   so the CPU is not burned on a dead cohort.
-* :meth:`disk_read` — a synchronous page read on a randomly chosen disk
+* :meth:`read_page` — a synchronous page read on a randomly chosen disk
   (the paper assumes files are balanced over a node's disks, so each
   request picks a disk uniformly at random).  Queued reads are
   cancelled on interrupt; an in-service transfer completes (a seek
   cannot be abandoned) but the waiter stops waiting for it.
-* :meth:`initiate_async_write` — the post-commit write-back: charges
-  ``InstPerUpdate`` CPU and queues a high-priority disk write that
-  nobody waits for.
+* :meth:`initiate_async_write` — the post-commit write-back: queues a
+  high-priority disk write that nobody waits for (the caller charges
+  ``InstPerUpdate`` CPU first).
+
+A request cancels itself when its interrupted waiter unsubscribes.
+:meth:`execute` and :meth:`disk_read` are the same requests as
+generators for ``yield from``; they call the plain methods, so each
+request kind enters the resources from one call site.
 """
 
 from __future__ import annotations
@@ -21,10 +28,14 @@ from __future__ import annotations
 import random
 from typing import List
 
-from repro.sim.kernel import Environment, Interrupt
+from repro.sim.kernel import Environment, Event
 from repro.sim.resources import CPU, Disk, DiskRequestKind
 
 __all__ = ["ResourceManager"]
+
+# Module constants are cheaper lookups than Enum members.
+_READ = DiskRequestKind.READ
+_WRITE = DiskRequestKind.WRITE
 
 
 class ResourceManager:
@@ -62,16 +73,18 @@ class ResourceManager:
     # CPU
     # ------------------------------------------------------------------
 
+    def cpu_job(self, instructions: float) -> Event:
+        """Submit PS CPU work; the job fires on completion.
+
+        Callers skip non-positive work (``instructions > 0.0``).  An
+        interrupted waiter cancels the residual work.
+        """
+        return self.cpu.execute(instructions)
+
     def execute(self, instructions: float):
-        """Generator: perform PS CPU work; cancel residual on interrupt."""
-        if instructions <= 0.0:
-            return
-        event = self.cpu.execute(instructions)
-        try:
-            yield event
-        except Interrupt:
-            self.cpu.cancel(event)
-            raise
+        """Generator: :meth:`cpu_job` for ``yield from``."""
+        if instructions > 0.0:
+            yield self.cpu_job(instructions)
 
     # ------------------------------------------------------------------
     # Disks
@@ -80,19 +93,20 @@ class ResourceManager:
     def _pick_disk(self) -> Disk:
         return self.disks[self._disk_choice.randrange(len(self.disks))]
 
+    def read_page(self) -> Event:
+        """Read one page from a random disk; fires when it is read.
+
+        An interrupted waiter cancels the read if it is still queued.
+        """
+        return self._pick_disk().access(_READ)
+
     def disk_read(self):
-        """Generator: read one page from a random disk (blocking)."""
-        disk = self._pick_disk()
-        event = disk.access(DiskRequestKind.READ)
-        try:
-            yield event
-        except Interrupt:
-            disk.cancel(event)
-            raise
+        """Generator: :meth:`read_page` for ``yield from``."""
+        yield self.read_page()
 
     def initiate_async_write(self) -> None:
         """Queue a post-commit page write-back that nobody waits on."""
-        self._pick_disk().access(DiskRequestKind.WRITE)
+        self._pick_disk().access(_WRITE)
 
     # ------------------------------------------------------------------
     # Statistics

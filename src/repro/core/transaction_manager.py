@@ -56,6 +56,10 @@ __all__ = ["TransactionManager"]
 _PREPARE = "prepare"
 _COMMIT = "commit"
 
+# Module constants are cheaper lookups than Enum members.
+_GRANTED = RequestResult.GRANTED
+_REJECTED = RequestResult.REJECTED
+
 
 class TransactionManager:
     """Drives terminals, coordinators, and cohorts."""
@@ -572,9 +576,16 @@ class TransactionManager:
         node = self.proc_nodes[cohort.node]
         resources = node.resources
         manager = self._cc_manager(cohort.node)
+        # The cohort yields its resource requests directly, behind the
+        # same guard as ResourceManager.execute; an interrupt while it
+        # waits cancels the request.
+        cpu_job = resources.cpu_job
+        page_instructions = self.source.page_processing_instructions
+        class_config = transaction.class_config
         try:
             # Cohort process startup at the processing node.
-            yield from resources.execute(self._inst_per_startup)
+            if self._inst_per_startup > 0.0:
+                yield cpu_job(self._inst_per_startup)
             manager.register_cohort(cohort)
             for access in cohort.spec.accesses:
                 if access.install_only:
@@ -588,11 +599,9 @@ class TransactionManager:
                     if not granted:
                         self._report_local_reject(cohort)
                         return
-                    yield from resources.execute(
-                        self.source.page_processing_instructions(
-                            transaction.class_config
-                        )
-                    )
+                    instructions = page_instructions(class_config)
+                    if instructions > 0.0:
+                        yield cpu_job(instructions)
                     continue
                 granted = yield from self._cc_access(
                     cohort, manager, resources, access.page,
@@ -601,12 +610,10 @@ class TransactionManager:
                 if not granted:
                     self._report_local_reject(cohort)
                     return
-                yield from resources.disk_read()
-                yield from resources.execute(
-                    self.source.page_processing_instructions(
-                        transaction.class_config
-                    )
-                )
+                yield resources.read_page()
+                instructions = page_instructions(class_config)
+                if instructions > 0.0:
+                    yield cpu_job(instructions)
                 if access.is_update:
                     granted = yield from self._cc_access(
                         cohort, manager, resources, access.page,
@@ -615,11 +622,9 @@ class TransactionManager:
                     if not granted:
                         self._report_local_reject(cohort)
                         return
-                    yield from resources.execute(
-                        self.source.page_processing_instructions(
-                            transaction.class_config
-                        )
-                    )
+                    instructions = page_instructions(class_config)
+                    if instructions > 0.0:
+                        yield cpu_job(instructions)
             cohort.finished_work = True
             if self._tracing:
                 self._trace(
@@ -698,8 +703,10 @@ class TransactionManager:
         self, resources, pages: List[PageId]
     ):
         """Initiate the asynchronous post-commit disk writes."""
+        instructions = self._inst_per_update
         for _page in pages:
-            yield from resources.execute(self._inst_per_update)
+            if instructions > 0.0:
+                yield resources.cpu_job(instructions)
             resources.initiate_async_write()
 
     def _cc_access(
@@ -712,16 +719,16 @@ class TransactionManager:
     ):
         """One concurrency control request; returns True when granted."""
         if self._inst_per_cc_request > 0.0:
-            yield from resources.execute(self._inst_per_cc_request)
+            yield resources.cpu_job(self._inst_per_cc_request)
         if write:
             response = manager.write_request(cohort, page)
         else:
             response = manager.read_request(cohort, page)
-        if response.result is RequestResult.GRANTED:
+        if response.result is _GRANTED:
             if not write and self.auditor is not None:
                 self.auditor.on_read_granted(cohort, page)
             return True
-        if response.result is RequestResult.REJECTED:
+        if response.result is _REJECTED:
             return False
         assert response.event is not None
         blocked_at = self.env.now
@@ -745,7 +752,7 @@ class TransactionManager:
                 cohort.node,
                 outcome,
             )
-        granted = outcome is RequestResult.GRANTED
+        granted = outcome is _GRANTED
         if granted and not write and self.auditor is not None:
             self.auditor.on_read_granted(cohort, page)
         return granted

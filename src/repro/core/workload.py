@@ -22,7 +22,7 @@ from bisect import bisect_right
 from typing import Dict, List, Sequence, Tuple
 
 from repro.core.config import TransactionClassConfig, WorkloadConfig
-from repro.core.database import Database, PageId
+from repro.core.database import Database, PageId, PartitionId
 from repro.core.tracing import EventKind
 from repro.core.transaction import AccessSpec, CohortSpec, PageAccess, \
     Transaction
@@ -147,35 +147,47 @@ class Source:
         return terminal * num_relations // self.config.num_terminals
 
     def generate(self, terminal: int) -> AccessSpec:
-        """Draw the access specification for a new transaction."""
+        """Draw the access specification for a new transaction.
+
+        Placement looks up each partition's copy sites once.  Every
+        stream still draws in the same order as drawing all partitions
+        first and placing each access afterwards: the page streams per
+        partition, ``copy-choice`` per access.
+        """
         cls = self.class_of(terminal)
         relation = self.relation_of(terminal)
         partitions = self._choose_partitions(cls, relation)
-        page_accesses: List[PageAccess] = []
+        nodes_of_partition = self.database.nodes_of_partition
+        placed: List[tuple] = []
         for partition in partitions:
-            page_accesses.extend(
-                self._draw_partition_accesses(cls, relation, partition)
+            accesses = self._draw_partition_accesses(
+                cls, relation, partition
             )
-        placed = self._place_accesses(page_accesses)
+            copy_nodes = nodes_of_partition(
+                PartitionId(relation, partition)
+            )
+            if len(copy_nodes) == 1:
+                node = copy_nodes[0]
+                placed.extend([(node, access) for access in accesses])
+            else:
+                self._place_replicated(copy_nodes, accesses, placed)
         cohorts = self._group_into_cohorts(placed)
         return AccessSpec(relation=relation, cohorts=tuple(cohorts))
 
-    def _place_accesses(
-        self, accesses: Sequence[PageAccess]
-    ) -> List[tuple]:
-        """Assign each access to node(s): read-one / write-all.
+    def _place_replicated(
+        self,
+        copy_nodes: Sequence[int],
+        accesses: Sequence[PageAccess],
+        placed: List[tuple],
+    ) -> None:
+        """Append one partition's accesses to ``placed``: read-one /
+        write-all over its ``copy_nodes``.
 
-        Without replication every access goes to the page's single
-        node.  With copies > 1 the read happens at one randomly chosen
-        copy; an update additionally produces an install-only write
-        access at every other copy site.
+        The read happens at one randomly chosen copy; an update
+        additionally produces an install-only write access at every
+        other copy site.
         """
-        placed: List[tuple] = []
         for access in accesses:
-            copy_nodes = self.database.nodes_of_page(access.page)
-            if len(copy_nodes) == 1:
-                placed.append((copy_nodes[0], access))
-                continue
             read_index = self.streams.uniform_int(
                 "copy-choice", 0, len(copy_nodes) - 1,
                 owner="workload",
@@ -195,7 +207,6 @@ class Source:
                             ),
                         )
                     )
-        return placed
 
     def _choose_partitions(
         self, cls: TransactionClassConfig, relation: int
@@ -405,12 +416,13 @@ class AggregatedTerminalSource:
     * Shared-stream draws (``page-count``, ``page-choice``,
       ``write-coin``, ``file-choice``…) happen in ``generate`` at the
       arrival instant, inside the arrival callback.
-    * Kernel sequence numbers: boot consumes one ``schedule_now`` per
-      terminal; each think consumes one ``schedule``; each arrival
-      consumes one ``schedule_now`` (transaction-process start); each
-      completion consumes one ``schedule_now`` (watcher notification).
+    * Kernel entries: boot makes one ``schedule_now`` per terminal;
+      each think makes one ``schedule``; each arrival makes one
+      ``schedule_now`` (transaction-process start); each completion
+      makes one ``schedule_now`` (watcher notification).
 
-    The fig2/fig10 goldens pin the resulting ``(time, seq)`` schedule.
+    The fig2/fig10 goldens pin the resulting ``(time, seq)`` dispatch
+    order.
     Terminals all attach to the host node in this model (paper §3.2),
     so one source per simulation is one source per (host) node.
     """

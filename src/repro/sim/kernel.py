@@ -29,14 +29,19 @@ Hot-path design (the per-event cost caps every figure replication):
   (DESIGN §9).
 * **Same-time fast lane.**  Zero-delay work — deferred event
   deliveries, process-termination notifications, pending interrupts —
-  is the majority of all scheduled callbacks, and none of it needs a
-  priority queue: it always runs at the current timestamp.  Such
-  callbacks go onto a FIFO ``deque`` instead of the heap.  Every
-  callback carries the sequence number it was scheduled with, and the
-  dispatch loop interleaves same-time heap entries with fast-lane
-  entries in sequence order, so dispatch follows exact global
-  ``(time, seq)`` order.
-* **Pooled handles and timeouts.**  Dispatched
+  is about half of all dispatches, and none of it needs a priority
+  queue: it always runs at the current timestamp.  It goes onto a FIFO
+  ``deque`` instead of the heap.  On the clean path
+  :meth:`Environment.schedule_now` appends a plain ``(callback, args)``
+  pair — no handle, no seq — and :meth:`Environment.schedule` sends an
+  entry due at ``now`` (a zero or sub-ulp delay) there as
+  ``(handle, None)``, so it stays cancellable.  The dispatch loop runs,
+  at each instant, the heap entries due then and after them the lane.
+  That is exact global ``(time, seq)`` order: a heap entry due at
+  ``now`` was scheduled while the clock was earlier, so its seq
+  precedes every lane entry, and nothing scheduled at ``now`` enters
+  the heap (DESIGN §15).
+* **Pooled handles and timeouts.**  Dispatched heap and lane
   :class:`ScheduledCallback` handles are recycled for later
   ``schedule`` calls, and :meth:`Environment.timeout` recycles fired
   :class:`Timeout` objects from a free list.  A timeout is single-use:
@@ -108,13 +113,15 @@ class Interrupt(Exception):
 
 
 class ScheduledCallback:
-    """Handle for a callback placed on the event heap or fast lane.
+    """Handle for a callback placed by :meth:`Environment.schedule`.
 
     Scheduling is append-only; cancellation just flips a flag and the
     entry is discarded when popped.  Positional arguments are stored on
-    the handle and passed to the callback when it runs, so the hot
-    scheduling paths (event delivery, timeout firing, process
-    notification) need no per-event closure allocation.
+    the handle and passed to the callback when it runs, so timer and
+    message callbacks need no per-event closure allocation.  A handle
+    sits on the heap, or on the fast lane when it is due at the current
+    instant.  :meth:`Environment.schedule_now` builds one only under the
+    instrumented loop; on the clean path its entries carry no handle.
 
     Ownership: once a handle has run (or was cancelled and reaped by the
     dispatch loop), it belongs to the kernel again and may be recycled
@@ -256,7 +263,8 @@ class Timeout(Waitable):
     __slots__ = ("env", "delay", "value", "_waiter", "_handle", "_extra")
 
     def __init__(self, env: "Environment", delay: float, value: Any = None):
-        if delay < 0:
+        # Written so that a NaN delay fails too.
+        if not delay >= 0:
             raise SimulationError(f"negative timeout delay: {delay!r}")
         self.env = env
         self.delay = delay
@@ -660,6 +668,11 @@ class Environment:
     model code.  ``dispatch_count`` counts callbacks actually run — the
     events/second benchmarks divide it by wall-clock time.
 
+    Fast-lane entries are pairs: ``(callback, args)`` from
+    :meth:`schedule_now` on the clean path, or ``(handle, None)`` for a
+    :class:`ScheduledCallback` (every entry under the instrumented
+    loop, and ``schedule`` entries due at the current instant).
+
     ``sanitizer`` attaches a runtime sanitizer (``repro.sanitizer``);
     ``False`` is accepted as an explicit "off".  ``tiebreak`` selects
     the order among same-timestamp callbacks: ``"fifo"`` (the default,
@@ -678,6 +691,7 @@ class Environment:
         "_handle_pool",
         "_san",
         "_tiebreak",
+        "_clean",
         "dispatch_count",
     )
 
@@ -688,7 +702,7 @@ class Environment:
     ):
         self.now = 0.0
         self._heap: list[tuple[float, int, ScheduledCallback]] = []
-        self._fast: deque[ScheduledCallback] = deque()
+        self._fast: deque[tuple[Any, Optional[tuple]]] = deque()
         self._seq = 0
         self._crashes: list[tuple[Process, BaseException]] = []
         self._timeout_pool: list[Timeout] = []
@@ -713,6 +727,9 @@ class Environment:
         # attribute load and a predictable branch.
         self._san = sanitizer
         self._tiebreak = tiebreak
+        # Whether run() takes the clean loop, whose fast lane needs no
+        # handles for schedule_now.
+        self._clean = sanitizer is None and tiebreak is None
         if sanitizer is not None:
             sanitizer.attach_env(self)
         self.dispatch_count = 0
@@ -725,12 +742,18 @@ class Environment:
     def schedule(
         self, delay: float, callback: Callable[..., None], *args: Any
     ) -> ScheduledCallback:
-        """Run ``callback(*args)`` after ``delay`` simulated seconds."""
-        if delay < 0:
+        """Run ``callback(*args)`` after ``delay`` simulated seconds.
+
+        An entry due at the current instant (a zero or sub-ulp delay)
+        joins the fast lane behind its handle, so it stays cancellable.
+        """
+        # Written so that a NaN delay fails too.
+        if not delay >= 0:
             raise SimulationError(f"negative delay: {delay!r}")
         seq = self._seq
         self._seq = seq + 1
-        time = self.now + delay
+        now = self.now
+        time = now + delay
         san = self._san
         if san is not None:
             # Sanitized handles are never pooled: stable identity is
@@ -747,38 +770,35 @@ class Environment:
                 handle.cancelled = False
             else:
                 handle = ScheduledCallback(time, seq, callback, args)
-        if delay == 0.0:
-            self._fast.append(handle)
-        else:
+        # The delay is not negative, so the entry is due now or later.
+        if time > now:
             heapq.heappush(self._heap, (time, seq, handle))
+        else:
+            self._fast.append((handle, None))
         return handle
 
     def schedule_now(
         self, callback: Callable[..., None], *args: Any
-    ) -> ScheduledCallback:
+    ) -> None:
         """Run ``callback(*args)`` on the next step at the current time.
 
-        The zero-delay fast path used by all deferred deliveries; it
-        skips the negative-delay check and the heap.
+        The path of every deferred delivery.  It cannot be cancelled
+        (use ``schedule(0.0, ...)`` for that): on the clean path it
+        appends a plain ``(callback, args)`` pair to the fast lane and
+        builds no handle.  Under the instrumented loop it takes a seq
+        and a handle like :meth:`schedule`.
         """
+        if self._clean:
+            self._fast.append((callback, args))
+            return
         seq = self._seq
         self._seq = seq + 1
         san = self._san
         if san is not None:
             handle = san.new_handle(self.now, seq, callback, args)
         else:
-            pool = self._handle_pool
-            if pool:
-                handle = pool.pop()
-                handle.time = self.now
-                handle.seq = seq
-                handle.callback = callback
-                handle.args = args
-                handle.cancelled = False
-            else:
-                handle = ScheduledCallback(self.now, seq, callback, args)
-        self._fast.append(handle)
-        return handle
+            handle = ScheduledCallback(self.now, seq, callback, args)
+        self._fast.append((handle, None))
 
     def process(
         self, generator: ProcessGenerator, name: str = ""
@@ -790,7 +810,7 @@ class Environment:
         """Create a delay waitable (recycling fired ones from the pool)."""
         pool = self._timeout_pool
         if pool:
-            if delay < 0:
+            if not delay >= 0:
                 raise SimulationError(
                     f"negative timeout delay: {delay!r}"
                 )
@@ -850,7 +870,7 @@ class Environment:
         if pause_gc:
             gc.disable()
         try:
-            if self._san is None and self._tiebreak is None:
+            if self._clean:
                 self._run_clean(until)
             else:
                 self._run_instrumented(until)
@@ -863,14 +883,18 @@ class Environment:
     def _run_clean(self, until: Optional[float]) -> None:
         """The dispatch loop of every normal run.
 
-        The earliest ``(time, seq)`` across the heap and the fast lane
-        runs next.  Fast-lane entries always carry the current
-        timestamp, so the comparison only needs the sequence number
-        when a heap entry is due at the same instant.  Dispatched and
-        reaped handles are recycled.
+        Each instant runs in two phases: the heap entries due at ``now``
+        in seq order, then the fast lane until it is empty.  A heap
+        entry due at ``now`` was scheduled while the clock was earlier,
+        so its seq precedes every lane entry, and everything scheduled
+        at ``now`` joins the lane: the two phases are exact global
+        ``(time, seq)`` order.  The clock then moves to the earliest
+        live heap entry; reaping a cancelled one never moves it.
+        Dispatched and reaped handles are recycled.
         """
         heap = self._heap
         fast = self._fast
+        popleft = fast.popleft
         heappop = heapq.heappop
         pool = self._handle_pool
         pool_append = pool.append
@@ -878,47 +902,48 @@ class Environment:
         dispatched = self.dispatch_count
         try:
             while True:
-                if fast:
-                    handle = fast[0]
-                    if heap:
-                        top = heap[0]
-                        # Exact: heap entry times are stored schedule
-                        # values and ``now`` was copied from one, so
-                        # equality means "same instant" by construction.
-                        if top[2].time == now and top[1] < handle.seq:  # simlint: ignore[float-time-equality]
-                            handle = heappop(heap)[2]
-                        else:
-                            fast.popleft()
-                    else:
-                        fast.popleft()
-                elif heap:
-                    if until is not None and heap[0][0] > until:
-                        self.now = until
-                        return
+                # A heap top never precedes ``now``.
+                while heap and not heap[0][0] > now:
                     handle = heappop(heap)[2]
-                else:
-                    break
-                if handle.cancelled:
+                    if not handle.cancelled:
+                        dispatched += 1
+                        handle.callback(*handle.args)
+                    # The handle is kernel-owned again (see
+                    # ScheduledCallback); recycle it.
                     handle.callback = None
                     handle.args = ()
                     if len(pool) < _HANDLE_POOL_LIMIT:
                         pool_append(handle)
-                    continue
-                time = handle.time
-                # Exact: avoids a redundant attribute write when the
-                # clock has not moved; both values are stored schedule
-                # times, never arithmetic results.
-                if time != now:  # simlint: ignore[float-time-equality]
-                    now = time
-                    self.now = time
-                dispatched += 1
-                handle.callback(*handle.args)
-                # The handle is kernel-owned again (see
-                # ScheduledCallback); recycle it.
-                handle.callback = None
-                handle.args = ()
-                if len(pool) < _HANDLE_POOL_LIMIT:
-                    pool_append(handle)
+                while fast:
+                    callback, args = popleft()
+                    if args is not None:
+                        dispatched += 1
+                        callback(*args)
+                        continue
+                    handle = callback
+                    if not handle.cancelled:
+                        dispatched += 1
+                        handle.callback(*handle.args)
+                    handle.callback = None
+                    handle.args = ()
+                    if len(pool) < _HANDLE_POOL_LIMIT:
+                        pool_append(handle)
+                while heap:
+                    time, _seq, handle = heap[0]
+                    if until is not None and time > until:
+                        self.now = until
+                        return
+                    if not handle.cancelled:
+                        break
+                    heappop(heap)
+                    handle.callback = None
+                    handle.args = ()
+                    if len(pool) < _HANDLE_POOL_LIMIT:
+                        pool_append(handle)
+                else:
+                    break
+                now = time
+                self.now = time
         finally:
             self.dispatch_count = dispatched
 
@@ -962,15 +987,16 @@ class Environment:
                         if san is not None:
                             san.note_reaped(handle)
                         continue
-                    # Exact: stored schedule times (see the clean loop).
+                    # Exact: heap times are stored schedule values and
+                    # ``now`` was copied from one.
                     if time != self.now:  # simlint: ignore[float-time-equality]
                         self.now = time
                         if san is not None:
                             san.advance_time(time)
                 now = self.now
-                batch = list(fast)
+                batch = [handle for handle, _args in fast]
                 fast.clear()
-                # Exact: stored schedule times (see the clean loop).
+                # Exact: stored schedule times (see above).
                 while heap and heap[0][2].time == now:  # simlint: ignore[float-time-equality]
                     batch.append(heappop(heap)[2])
                 batch.sort(key=_handle_seq, reverse=reverse)

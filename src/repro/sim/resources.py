@@ -18,9 +18,12 @@ Two physical resources are modeled:
   asynchronous post-commit write-back keeps up.  Access times are
   sampled uniformly from [MinDiskTime, MaxDiskTime].
 
-Both resources fire a kernel :class:`~repro.sim.kernel.Event` on
-completion and support cancellation of not-yet-finished work, which the
-transaction manager uses when a cohort is aborted mid-request.
+A request is its own kernel :class:`~repro.sim.kernel.Event`: it fires
+on completion, and its state says in O(1) whether it can still be
+cancelled.  When the last waiter of a pending request stops waiting
+(a cohort interrupted by an abort mid-request, or a losing
+:class:`~repro.sim.kernel.AnyOf` child), the request cancels itself, so
+no resource is spent on a dead cohort.
 """
 
 from __future__ import annotations
@@ -42,15 +45,26 @@ __all__ = ["CPU", "Disk", "DiskRequestKind"]
 _V_EPSILON = 1e-9
 
 
-class _PsJob:
-    """A processor-sharing job: completes when V reaches ``target_v``."""
+class _PsJob(Event):
+    """A processor-sharing job, itself the event its completion fires.
 
-    __slots__ = ("target_v", "event", "cancelled")
+    It completes when the CPU's virtual clock reaches the target it is
+    keyed by in the PS heap.  A cancelled job stays in the heap until
+    it reaches the top.
+    """
 
-    def __init__(self, target_v: float, event: Event):
-        self.target_v = target_v
-        self.event = event
+    __slots__ = ("cpu", "cancelled")
+
+    def __init__(self, env: Environment, cpu: "CPU"):
+        Event.__init__(self, env)
+        self.cpu = cpu
         self.cancelled = False
+
+    def _unsubscribe(self, process) -> None:
+        Event._unsubscribe(self, process)
+        if not self._waiters:
+            # Nobody waits for the residual work any more.
+            self.cpu.cancel(self)
 
 
 class CPU:
@@ -74,12 +88,6 @@ class CPU:
         self._v = 0.0
         self._v_updated_at = env.now
         self._ps_heap: list[tuple[float, int, _PsJob]] = []
-        # Keyed by the Event object itself (identity hash).  Keying by
-        # id(event) would invite the same collision-after-GC class of
-        # bug as the old id(process)-keyed Timeout handles: CPython
-        # recycles ids, so a stale entry could be claimed by an
-        # unrelated event allocated at the same address.
-        self._ps_jobs: dict[Event, _PsJob] = {}
         self._ps_active = 0
         self._ps_timer: Optional[ScheduledCallback] = None
         # Message (FIFO, high-priority) state.
@@ -101,14 +109,18 @@ class CPU:
     # and statistics updates are part of the model's results.
 
     def execute(self, instructions: float) -> Event:
-        """Submit processor-sharing work; the event fires on completion."""
+        """Submit processor-sharing work; the event fires on completion.
+
+        The event is the job itself; an interrupted last waiter cancels
+        it (see :meth:`cancel`).
+        """
         env = self.env
         san = env._san
         if san is not None:
             san.write(("cpu", self))
-        event = env.event()
         seconds = instructions / self._instructions_per_second
         if seconds <= 0.0:
+            event = Event(env)
             env.schedule_now(event.succeed)
             return event
         now = env.now
@@ -118,13 +130,14 @@ class CPU:
             if elapsed > 0.0:
                 self._v += elapsed / active
         self._v_updated_at = now
-        job = _PsJob(self._v + seconds, event)
-        heapq.heappush(self._ps_heap, (job.target_v, next(self._seq), job))
-        self._ps_jobs[event] = job
+        job = _PsJob(env, self)
+        heapq.heappush(
+            self._ps_heap, (self._v + seconds, next(self._seq), job)
+        )
         self._ps_active = active + 1
         self.busy_time.update(now, 1.0)
         self._reschedule_ps()
-        return event
+        return job
 
     def execute_message(self, instructions: float) -> Event:
         """Submit high-priority FIFO message-processing work."""
@@ -141,9 +154,11 @@ class CPU:
             self._start_next_message()
         return event
 
-    def cancel(self, event: Event) -> bool:
+    def cancel(self, job: Event) -> bool:
         """Cancel a pending PS job; returns True if it was still pending.
 
+        Anything else — another event, another CPU's job, a finished or
+        already cancelled job — is left alone and yields False.
         In-service message work cannot be cancelled (messages are tiny
         and non-preemptive); queued message work is not cancellable
         either, because nothing in the model ever abandons a message.
@@ -151,8 +166,12 @@ class CPU:
         san = self.env._san
         if san is not None:
             san.write(("cpu", self))
-        job = self._ps_jobs.pop(event, None)
-        if job is None:
+        if (
+            type(job) is not _PsJob
+            or job.cpu is not self
+            or job._fired
+            or job.cancelled
+        ):
             return False
         now = self.env.now
         active = self._ps_active
@@ -187,7 +206,10 @@ class CPU:
             heapq.heappop(heap)
         if not heap:
             return
-        remaining_v = max(0.0, heap[0][0] - self._v)
+        remaining_v = heap[0][0] - self._v
+        # max(0.0, remaining_v), also for -0.0 and NaN.
+        if not remaining_v > 0.0:
+            remaining_v = 0.0
         delay = remaining_v * self._ps_active
         self._ps_timer = self.env.schedule(delay, self._complete_ps)
 
@@ -213,14 +235,12 @@ class CPU:
             if front_target > self._v:
                 self._v = front_target
         threshold = self._v + _V_EPSILON
-        ps_jobs = self._ps_jobs
         while heap and heap[0][0] <= threshold:
             _target, _seq, job = heappop(heap)
             if job.cancelled:
                 continue
-            del ps_jobs[job.event]
             active -= 1
-            job.event.succeed()
+            job.succeed()
         self._ps_active = active
         self.busy_time.update(now, 1.0 if active > 0 else 0.0)
         self._reschedule_ps()
@@ -267,13 +287,33 @@ class DiskRequestKind(Enum):
     WRITE = "write"
 
 
-class _DiskRequest:
-    __slots__ = ("kind", "event", "cancelled")
+# A module constant is a cheaper lookup than an Enum member.
+_WRITE = DiskRequestKind.WRITE
 
-    def __init__(self, kind: DiskRequestKind, event: Event):
+
+class _DiskRequest(Event):
+    """One disk access, itself the event its completion fires.
+
+    ``queued`` holds until the request enters service or is cancelled;
+    a cancelled request stays in its queue until it reaches the head.
+    """
+
+    __slots__ = ("disk", "kind", "queued")
+
+    def __init__(
+        self, env: Environment, disk: "Disk", kind: DiskRequestKind
+    ):
+        Event.__init__(self, env)
+        self.disk = disk
         self.kind = kind
-        self.event = event
-        self.cancelled = False
+        self.queued = True
+
+    def _unsubscribe(self, process) -> None:
+        Event._unsubscribe(self, process)
+        if not self._waiters:
+            # Nobody waits for the read any more; an in-service
+            # transfer still completes.
+            self.disk.cancel(self)
 
 
 class Disk:
@@ -313,40 +353,46 @@ class Disk:
         san = self.env._san
         if san is not None:
             san.write(("disk", self))
-        request = _DiskRequest(kind, self.env.event())
-        if kind is DiskRequestKind.WRITE:
+        request = _DiskRequest(self.env, self, kind)
+        if kind is _WRITE:
             self._write_queue.append(request)
         else:
             self._read_queue.append(request)
         if not self._busy:
             self._start_next()
-        return request.event
+        return request
 
-    def cancel(self, event: Event) -> bool:
-        """Cancel a *queued* request; in-service transfers complete."""
+    def cancel(self, request: Event) -> bool:
+        """Cancel a *queued* request; in-service transfers complete.
+
+        Returns True if ``request`` was queued here and now is not.
+        """
         san = self.env._san
         if san is not None:
             san.write(("disk", self))
-        for queue in (self._write_queue, self._read_queue):
-            for request in queue:
-                if request.event is event and not request.cancelled:
-                    request.cancelled = True
-                    return True
-        return False
+        if (
+            type(request) is not _DiskRequest
+            or request.disk is not self
+            or not request.queued
+        ):
+            return False
+        request.queued = False
+        return True
 
     @property
     def queue_length(self) -> int:
         """Number of requests waiting (not counting one in service)."""
         pending = sum(
-            1 for r in self._write_queue if not r.cancelled
-        ) + sum(1 for r in self._read_queue if not r.cancelled)
+            1 for r in self._write_queue if r.queued
+        ) + sum(1 for r in self._read_queue if r.queued)
         return pending
 
     def _pop_next(self) -> Optional[_DiskRequest]:
         for queue in (self._write_queue, self._read_queue):
             while queue:
                 request = queue.popleft()
-                if not request.cancelled:
+                if request.queued:
+                    request.queued = False
                     return request
         return None
 
@@ -360,11 +406,11 @@ class Disk:
         self.env.schedule(service, self._finish, request)
 
     def _finish(self, request: _DiskRequest) -> None:
-        if request.kind is DiskRequestKind.WRITE:
+        if request.kind is _WRITE:
             self.writes_served += 1
         else:
             self.reads_served += 1
-        request.event.succeed()
+        request.succeed()
         self._busy = False
         self.busy_time.update(self.env.now, 0.0)
         self._start_next()

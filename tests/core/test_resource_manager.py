@@ -76,6 +76,28 @@ class TestExecute:
         assert outcome[0] == pytest.approx(0.2)
         assert outcome[1][1] == pytest.approx(1.1)
 
+    def test_interrupt_cancels_job_yielded_directly(self, env):
+        # The same case as above, waiting on cpu_job's request itself.
+        rm = make_rm(env)
+        outcome = []
+
+        def victim():
+            try:
+                yield rm.cpu_job(1_000_000)  # 1s
+            except Interrupt:
+                outcome.append(env.now)
+
+        def bystander():
+            yield rm.cpu_job(1_000_000)
+            outcome.append(("done", env.now))
+
+        victim_process = env.process(victim())
+        env.process(bystander())
+        env.schedule(0.2, lambda: victim_process.interrupt())
+        env.run()
+        assert outcome[0] == pytest.approx(0.2)
+        assert outcome[1][1] == pytest.approx(1.1)
+
 
 class TestDisks:
     def test_disk_read_blocks_for_service(self, env):
@@ -124,6 +146,28 @@ class TestDisks:
         env.run()
         assert outcome == ["interrupted"]
         assert rm.disks[0].reads_served == 1  # victim's read gone
+
+    def test_interrupt_cancels_queued_read_yielded_directly(self, env):
+        # The same case as above, waiting on read_page's request itself.
+        rm = make_rm(env, disks=1)
+        outcome = []
+
+        def holder():
+            yield rm.read_page()
+
+        def victim():
+            try:
+                yield rm.read_page()
+            except Interrupt:
+                outcome.append("interrupted")
+
+        env.process(holder())
+        victim_process = env.process(victim())
+        env.schedule(0.005, lambda: victim_process.interrupt())
+        env.run()
+        assert outcome == ["interrupted"]
+        assert rm.disks[0].reads_served == 1  # victim's read gone
+        assert env.now == pytest.approx(0.01)
 
     def test_async_write_needs_no_waiter(self, env):
         rm = make_rm(env, disks=1)

@@ -14,6 +14,7 @@ from repro.core.config import (
     WorkloadConfig,
 )
 from repro.core.database import Database
+from repro.core.transaction import AccessSpec, PageAccess
 from repro.core.workload import Source
 from repro.sim.streams import RandomStreams, derive_seed
 
@@ -143,6 +144,73 @@ class TestCohortGrouping:
             for access in cohort.accesses
         ]
         assert sorted(pages_8way) == sorted(pages_1way)
+
+
+def per_access_spec(source, terminal):
+    """Reference placement: draw every partition's accesses first,
+    then place each access through ``Database.nodes_of_page``
+    (read-one at a ``copy-choice`` copy, write-all install legs)."""
+    cls = source.class_of(terminal)
+    relation = source.relation_of(terminal)
+    accesses = []
+    for partition in source._choose_partitions(cls, relation):
+        accesses.extend(
+            source._draw_partition_accesses(cls, relation, partition)
+        )
+    placed = []
+    for access in accesses:
+        copy_nodes = source.database.nodes_of_page(access.page)
+        if len(copy_nodes) == 1:
+            placed.append((copy_nodes[0], access))
+            continue
+        read_index = source.streams.uniform_int(
+            "copy-choice", 0, len(copy_nodes) - 1, owner="workload"
+        )
+        placed.append((copy_nodes[read_index], access))
+        if access.is_update:
+            for index, node in enumerate(copy_nodes):
+                if index != read_index:
+                    placed.append(
+                        (
+                            node,
+                            PageAccess(
+                                page=access.page,
+                                is_update=True,
+                                install_only=True,
+                            ),
+                        )
+                    )
+    return AccessSpec(
+        relation=relation,
+        cohorts=tuple(source._group_into_cohorts(placed)),
+    )
+
+
+class TestPlacementReference:
+    @pytest.mark.parametrize("copies", [1, 2, 3])
+    @pytest.mark.parametrize("seed", [1, 42, 1989])
+    def test_generate_matches_per_access_placement(self, copies, seed):
+        def build():
+            return Source(
+                WorkloadConfig(
+                    num_terminals=32,
+                    classes=(
+                        TransactionClassConfig(write_probability=0.5),
+                    ),
+                ),
+                Database(DatabaseConfig(copies=copies), 8),
+                RandomStreams(seed),
+            )
+
+        source, reference = build(), build()
+        for terminal in range(32):
+            assert source.generate(terminal) == per_access_spec(
+                reference, terminal
+            )
+        assert (
+            source.streams.get("copy-choice").getstate()
+            == reference.streams.get("copy-choice").getstate()
+        )
 
 
 class TestClasses:

@@ -55,6 +55,15 @@ class TestScheduling:
         with pytest.raises(SimulationError):
             env.schedule(-0.1, lambda: None)
 
+    def test_nan_delay_rejected(self, env):
+        # NaN passes a ``delay < 0`` test; scheduled, it would sort
+        # before entries due earlier and could move the clock to NaN.
+        env.schedule(1.0, lambda: None)
+        with pytest.raises(SimulationError, match="negative delay: nan"):
+            env.schedule(float("nan"), lambda: None)
+        env.run()
+        assert env.now == 1.0
+
     def test_run_until_advances_clock_exactly(self, env):
         env.schedule(10.0, lambda: None)
         env.run(until=4.0)

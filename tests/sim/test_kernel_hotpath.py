@@ -10,6 +10,8 @@ transaction manager depends on.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sanitizer.core import Sanitizer
 from repro.sim.kernel import (
@@ -115,6 +117,84 @@ class TestFastLaneOrdering:
         env.run(until=1.0)
         assert seen == ["z"]
         assert env.now == 1.0
+
+
+#: Step kinds of a generated script: a nested ``schedule_now``, a
+#: cancel, or a ``schedule`` delay.  The delays are dyadic, so entries
+#: scheduled from different instants collide exactly, and ``1e-18`` is
+#: below one ulp of every clock value the scripts reach (they start at
+#: 1.0), so it is due at the current instant.
+_STEP_KINDS = ("now", "cancel", 0.0, 1e-18, 0.5, 1.0, 2.0)
+
+
+@st.composite
+def _scripts(draw):
+    """Steps ``(parent, kind, target)``: each runs when its parent
+    fires (parent -1 is the root, at t=1.0); a cancel step cancels
+    ``target``'s handle if it is still pending."""
+    count = draw(st.integers(min_value=1, max_value=16))
+    steps = [
+        (
+            draw(st.integers(min_value=-1, max_value=index - 1)),
+            draw(st.sampled_from(_STEP_KINDS)),
+            draw(st.integers(min_value=0, max_value=count - 1)),
+        )
+        for index in range(count)
+    ]
+    split = draw(st.sampled_from((None, 1.0, 1.5, 2.0, 3.0)))
+    return steps, split
+
+
+def _play(env, script):
+    """Run ``script``; the ``(now, tag)`` order of what fired."""
+    steps, split = script
+    children = {}
+    for index, (parent, _kind, _target) in enumerate(steps):
+        children.setdefault(parent, []).append(index)
+    pending = {}
+    order = []
+
+    def fire(index):
+        # The kernel owns a handle again once its callback runs.
+        pending.pop(index, None)
+        order.append((env.now, index))
+        spawn(index)
+
+    def spawn(parent):
+        for index in children.get(parent, ()):
+            _parent, kind, target = steps[index]
+            if kind == "now":
+                env.schedule_now(fire, index)
+            elif kind == "cancel":
+                handle = pending.pop(target, None)
+                if handle is not None:
+                    handle.cancel()
+                    order.append((env.now, f"cancel-{target}"))
+            else:
+                pending[index] = env.schedule(kind, fire, index)
+
+    env.schedule(1.0, spawn, -1)
+    if split is not None:
+        env.run(until=split)
+        order.append((env.now, "split"))
+    env.run()
+    order.append((env.now, env.dispatch_count))
+    return order
+
+
+class TestDispatchRuleDifferential:
+    @given(_scripts())
+    @settings(max_examples=300, deadline=None)
+    def test_generated_scripts_match_instrumented_loop(self, script):
+        """The clean loop's two phases per instant (heap entries due
+        now, then the fast lane) give the instrumented loop's global
+        seq order on scripts mixing zero and sub-ulp delays,
+        equal-time heap entries from different instants, cancels of
+        heap and lane handles, nested ``schedule_now`` and a
+        ``run(until)`` split."""
+        assert _play(Environment(), script) == _play(
+            _sanitized_env(), script
+        )
 
 
 class TestReverseBatch:

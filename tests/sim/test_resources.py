@@ -317,47 +317,65 @@ class TestDisk:
         assert disk.writes_served == 2
 
 
-class TestPsJobKeying:
-    """Regression tests for the _ps_jobs id()-key migration.
+class TestCancelState:
+    """A request is its own event, and cancel reads its state in O(1)."""
 
-    The table is keyed by the Event object itself (identity hash).
-    Keying by id(event) is the collision-after-GC bug class fixed for
-    Timeout handles in the kernel: CPython recycles ids, so once an
-    event is freed an unrelated object can be allocated at the same
-    address and claim the stale entry.
-    """
-
-    def test_jobs_keyed_by_event_objects(self, env):
+    def test_cpu_cancel_pending_job(self, env):
         cpu = CPU(env, mips=1.0)
-        event = cpu.execute(1_000_000)
-        assert list(cpu._ps_jobs) == [event]
+        job = cpu.execute(1_000_000)
+        assert cpu.cancel(job) is True
+        env.run()
+        assert not job.fired
+        assert cpu.busy_time.mean(env.now) == 0.0
 
-    def test_gc_id_reuse_cannot_claim_foreign_entries(self, env):
-        import gc
-
+    def test_cpu_cancel_foreign_event(self, env):
         cpu = CPU(env, mips=1.0)
-        event = cpu.execute(1_000_000)
-        recycled_id = id(event)
-        env.run()  # completes the job; its table entry is removed
-        assert cpu._ps_jobs == {}
-        del event
-        gc.collect()
-        # Allocate fresh events; under refcounting, freed memory is
-        # reused aggressively, so one frequently lands on the old id.
-        # None of them may be treated as a tracked job, id match or
-        # not.
-        for _ in range(256):
-            impostor = env.event()
-            assert cpu.cancel(impostor) is False
-            if id(impostor) == recycled_id:
-                break
-        assert cpu._ps_jobs == {}
-
-    def test_cancel_distinguishes_live_jobs_by_identity(self, env):
-        cpu = CPU(env, mips=1.0)
-        tracked = cpu.execute(1_000_000)
-        # A foreign event can never alias a live tracked one.
+        cpu.execute(1_000_000)
         assert cpu.cancel(env.event()) is False
-        assert list(cpu._ps_jobs) == [tracked]
-        assert cpu.cancel(tracked) is True
-        assert cpu._ps_jobs == {}
+        env.run()
+        assert env.now == pytest.approx(1.0)
+
+    def test_cpu_cancel_other_cpus_job(self, env):
+        cpu = CPU(env, mips=1.0)
+        other = CPU(env, mips=1.0)
+        job = other.execute(1_000_000)
+        assert cpu.cancel(job) is False
+        env.run()
+        assert job.fired
+
+    def test_cpu_cancel_finished_job(self, env):
+        cpu = CPU(env, mips=1.0)
+        job = cpu.execute(1_000_000)
+        env.run()
+        assert job.fired
+        assert cpu.cancel(job) is False
+
+    def test_cpu_second_cancel(self, env):
+        cpu = CPU(env, mips=1.0)
+        job = cpu.execute(1_000_000)
+        survivor = cpu.execute(1_000_000)
+        assert cpu.cancel(job) is True
+        assert cpu.cancel(job) is False
+        env.run()
+        # The second cancel left the survivor's share alone.
+        assert survivor.fired
+        assert env.now == pytest.approx(1.0)
+
+    def test_disk_cancel_in_service_request(self, env):
+        disk = Disk(env, 0.01, 0.01, random.Random(7))
+        request = disk.access(DiskRequestKind.READ)
+        assert disk.cancel(request) is False
+        env.run()
+        assert request.fired
+
+    def test_disk_cancel_queued_request_once(self, env):
+        disk = Disk(env, 0.01, 0.01, random.Random(7))
+        disk.access(DiskRequestKind.READ)  # in service
+        queued = disk.access(DiskRequestKind.READ)
+        assert disk.queue_length == 1
+        assert disk.cancel(queued) is True
+        assert disk.cancel(queued) is False
+        assert disk.queue_length == 0
+        env.run()
+        assert not queued.fired
+        assert disk.reads_served == 1
