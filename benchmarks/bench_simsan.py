@@ -1,20 +1,21 @@
 """Sanitizer overhead benchmark on the fig. 2 saturation point.
 
-simsan is opt-in, but its cost decides whether the sanitize-smoke CI
-job and routine ``--sanitize`` sweeps stay usable, so the slowdown is
-part of the perf trajectory.  This benchmark runs the saturated fig. 2
+simsan is opt-in, but its cost decides whether the CI simsan job and
+routine ``python -m repro.sanitizer`` runs stay usable, so the slowdown
+is part of the perf trajectory.  This benchmark runs the saturated fig. 2
 point (2PL, think=0, 8 nodes — the densest same-timestamp activity in
 the paper grid) three ways:
 
 * **clean** — the production path (hooks compiled to no-ops);
 * **sanitized** — full instrumentation, confirmer off (pure hook +
   bookkeeping overhead);
-* **sanitized+confirm** — the default ``--sanitize`` mode, which adds
-  one perturbed clean-speed re-run for race classification.
+* **sanitized+confirm** — the default ``python -m repro.sanitizer``
+  mode, which adds one perturbed clean-speed re-run for race
+  classification.
 
 Appends to ``BENCH_simsan.json`` at the repo root (override with
 ``$REPRO_BENCH_OUT``).  With ``$REPRO_BENCH_ENFORCE`` set (the CI
-sanitize-smoke job), the default-mode slowdown must stay under
+simsan job), the default-mode slowdown must stay under
 ``MAX_SLOWDOWN``.
 
 Run standalone or through pytest::
@@ -48,7 +49,7 @@ from repro.sanitizer.core import Sanitizer, diff_results
 REPO_ROOT = Path(__file__).resolve().parents[1]
 DEFAULT_OUT = REPO_ROOT / "BENCH_simsan.json"
 
-#: CI gate: the default --sanitize mode (hooks + confirmer) may cost
+#: CI gate: the default sanitizer mode (hooks + confirmer) may cost
 #: at most this many clean-run equivalents on the saturated point.
 MAX_SLOWDOWN = 5.0
 
@@ -153,8 +154,8 @@ def test_simsan_overhead():
     if os.environ.get("REPRO_BENCH_ENFORCE"):
         assert record["confirm_slowdown"] <= MAX_SLOWDOWN, (
             f"sanitized run is {record['confirm_slowdown']}x clean "
-            f"(gate: {MAX_SLOWDOWN}x) — the sanitize-smoke job and "
-            "--sanitize sweeps are becoming unusable"
+            f"(gate: {MAX_SLOWDOWN}x) — the CI simsan job and "
+            "sanitized experiment runs are becoming unusable"
         )
 
 

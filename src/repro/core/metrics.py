@@ -48,7 +48,6 @@ class MetricsCollector:
         #: global-deadlock, timestamp-reject, certification-failed).
         self.abort_reasons: Dict[str, int] = {}
         self.blocking_times = Tally()
-        self.restarts_in_progress = Counter()
         #: Time spent blocked on a 2PC decision (coordinator resend
         #: waits and participant blocking detection; fault mode only).
         self.blocked_2pc_times = Tally()

@@ -28,7 +28,6 @@ from repro.core.node import Node
 from repro.core.resource_manager import ResourceManager
 from repro.core.transaction_manager import TransactionManager
 from repro.core.workload import Source
-from repro.sanitizer import session as sanitizer_session
 from repro.sim.kernel import Environment
 from repro.sim.streams import RandomStreams
 
@@ -38,12 +37,8 @@ __all__ = ["Simulation", "run_simulation"]
 class Simulation:
     """One fully wired simulation instance.
 
-    ``sanitizer`` selects the execution mode: ``None`` (the default)
-    auto-creates a :class:`~repro.sanitizer.core.Sanitizer` when a
-    sanitizer session is active (``$REPRO_SIMSAN=1`` or
-    ``repro.sanitizer.activate()``), ``False`` forces a clean run (the
-    differential confirmer's perturbed re-run uses this), and an
-    explicit instance is used as-is.  ``tiebreak`` selects the
+    ``sanitizer`` attaches a :class:`~repro.sanitizer.core.Sanitizer`
+    (``None``, the default, is a clean run).  ``tiebreak`` selects the
     same-timestamp dispatch order (``"fifo"`` default,
     ``"reverse-batch"`` for the confirmer) and is mutually exclusive
     with a sanitizer.
@@ -58,17 +53,6 @@ class Simulation:
         tiebreak=None,
     ):
         config.validate()
-        if sanitizer is None and sanitizer_session.sanitizing_active():
-            from repro.sanitizer.core import Sanitizer
-
-            sanitizer = Sanitizer(
-                confirm=sanitizer_session.confirm_enabled()
-            )
-            self._publish_findings = True
-        else:
-            self._publish_findings = False
-        if sanitizer is False:
-            sanitizer = None
         self.sanitizer = sanitizer
         self.config = config
         self.auditor = auditor
@@ -218,8 +202,6 @@ class Simulation:
             # Leak audit (stranded work becomes findings instead of an
             # exception) + the differential race confirmer.
             sanitizer.finish_run(self, result)
-            if self._publish_findings:
-                sanitizer_session.record_run(sanitizer.finalize())
         return result
 
     def _reset_statistics(self) -> None:
@@ -230,6 +212,8 @@ class Simulation:
             resources.reset_statistics(now)
         self.network.messages_sent.reset()
         self.network.messages_dropped.reset()
+        if self.fault_injector is not None:
+            self.fault_injector.crashes = 0
 
     def _build_result(self) -> SimulationResult:
         now = self.env.now

@@ -68,19 +68,13 @@ class Tracer:
     """Bounded in-memory trace buffer.
 
     ``capacity`` bounds memory: the oldest events are dropped first
-    (a full-fidelity run generates millions of events).  ``kinds``
-    optionally restricts recording to a subset of event kinds.
+    (a full-fidelity run generates millions of events).
     """
 
-    def __init__(
-        self,
-        capacity: int = 100_000,
-        kinds: Optional[set] = None,
-    ):
+    def __init__(self, capacity: int = 100_000):
         if capacity < 1:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
-        self.kinds = kinds
         self._events: Deque[TraceEvent] = deque(maxlen=capacity)
         self.dropped = 0
         self.recorded = 0
@@ -95,8 +89,6 @@ class Tracer:
         detail: Any = None,
     ) -> None:
         """Record one event (dropping the oldest if at capacity)."""
-        if self.kinds is not None and kind not in self.kinds:
-            return
         if len(self._events) == self.capacity:
             self.dropped += 1
         self._events.append(

@@ -128,8 +128,6 @@ class Cohort:
         "attempt",
         "process",
         "load_posted",
-        "started",
-        "finished_work",
         "crashed",
         "done_event",
         "vote_event",
@@ -149,8 +147,6 @@ class Cohort:
         self.attempt = transaction.attempt
         self.process: Optional["Process"] = None
         self.load_posted = False
-        self.started = False
-        self.finished_work = False
         #: Set when the cohort's node crashed while it was resident.
         self.crashed = False
         self.done_event: Optional["Event"] = None

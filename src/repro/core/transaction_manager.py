@@ -419,7 +419,6 @@ class TransactionManager:
             # An abort raced ahead; the pending ABORT message (queued
             # behind this one) will clean up and acknowledge.
             return
-        cohort.started = True
         if self._tracing:
             self._trace(
                 EventKind.COHORT_STARTED, transaction, cohort.node
@@ -625,7 +624,6 @@ class TransactionManager:
                     instructions = page_instructions(class_config)
                     if instructions > 0.0:
                         yield cpu_job(instructions)
-            cohort.finished_work = True
             if self._tracing:
                 self._trace(
                     EventKind.COHORT_DONE, transaction, cohort.node

@@ -9,11 +9,13 @@ The :mod:`~repro.experiments.runner` memoizes simulation runs within the
 process, so the figures that share a sweep (2-7 share one, 8-13 share
 another) pay for it once.  Independent grid points additionally fan out
 in chunks over a session-persistent worker pool (``--jobs N`` /
-``$REPRO_JOBS``, default ``os.cpu_count()``; chunk size ``--chunk`` /
-``$REPRO_CHUNK``), and an optional on-disk result cache
-(:mod:`~repro.experiments.result_cache`) persists finished points
-across sessions, keyed so only sim-relevant source changes invalidate
-them.
+``$REPRO_JOBS``, default ``os.cpu_count()``), and an optional on-disk
+result cache (:mod:`~repro.experiments.result_cache`) persists finished
+points across sessions, keyed so only sim-relevant source changes
+invalidate them.  Importing this package loads neither simsan
+(:mod:`repro.sanitizer`) nor simlint (:mod:`repro.lint`):
+``python -m repro.sanitizer`` runs the same experiments on its own
+sanitizing executor.
 
 Command line::
 

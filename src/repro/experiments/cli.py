@@ -5,15 +5,14 @@ Examples::
     python -m repro.experiments list
     python -m repro.experiments run fig2 --fidelity smoke
     python -m repro.experiments run all --fidelity full --out results/
-    python -m repro.experiments run fig9 --jobs 4 --chunk 2
+    python -m repro.experiments run fig9 --jobs 4
     python -m repro.experiments cache stats
     python -m repro.experiments cache prune
     python -m repro.experiments cache clear
 
 ``run`` fans independent sweep points out in chunks over ``--jobs``
-persistent worker processes (default ``$REPRO_JOBS``, else all cores;
-chunk size ``--chunk`` / ``$REPRO_CHUNK``, default computed) and
-persists finished simulations under ``results/.cache/``
+persistent worker processes (default ``$REPRO_JOBS``, else all cores)
+and persists finished simulations under ``results/.cache/``
 (``$REPRO_CACHE_DIR`` overrides the location; ``--no-cache`` or
 ``REPRO_CACHE=off`` disables persistence), so a re-run only simulates
 missing points.  Cache keys track the sim-relevant source content, so
@@ -109,27 +108,9 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     run_parser.add_argument(
-        "--chunk",
-        type=_positive_int,
-        default=None,
-        help=(
-            "grid points per worker chunk "
-            "(default: $REPRO_CHUNK or ceil(missing / (jobs * 4)))"
-        ),
-    )
-    run_parser.add_argument(
         "--no-cache",
         action="store_true",
         help="do not read or write the persistent result cache",
-    )
-    run_parser.add_argument(
-        "--sanitize",
-        action="store_true",
-        help=(
-            "run under the determinism sanitizer (repro.sanitizer): "
-            "serial, cache-blind, ~2-5x slower; prints a findings "
-            "report after the tables and fails on unwaived findings"
-        ),
     )
     cache_parser = subparsers.add_parser(
         "cache", help="inspect or maintain the persistent result cache"
@@ -297,7 +278,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 default_cache_dir() if _cache_enabled(arguments)
                 else None
             ),
-            chunk=arguments.chunk,
         )
     except ValueError as error:
         print(f"repro-experiments run: error: {error}", file=sys.stderr)
@@ -307,57 +287,35 @@ def main(argv: Optional[List[str]] = None) -> int:
     if ids == ["all"]:
         ids = list(EXPERIMENTS)
     exit_code = 0
-    sanitize = getattr(arguments, "sanitize", False)
-    if sanitize:
-        from repro.sanitizer import session as sanitizer_session
-
-        sanitizer_session.reset_findings()
-        sanitizer_session.activate()
-    try:
-        for experiment_id in ids:
-            try:
-                experiment = get_experiment(experiment_id)
-            except KeyError as error:
-                print(error, file=sys.stderr)
-                exit_code = 2
-                continue
-            started = time.time()
-            figures = experiment.run(fidelity)
-            elapsed = time.time() - started
-            chunks = [format_table(figure) for figure in figures]
-            if arguments.chart:
-                chunks.extend(
-                    render_chart(figure) for figure in figures
-                )
-            body = "\n\n".join(chunks)
-            print(f"=== {experiment.id} ({elapsed:.1f}s wall, "
-                  f"fidelity={fidelity.name}) ===")
-            print(body)
-            print()
-            if arguments.out is not None:
-                arguments.out.mkdir(parents=True, exist_ok=True)
-                path = arguments.out / f"{experiment.id}.txt"
-                path.write_text(body + "\n", encoding="utf-8")
-                write_figures(
-                    figures,
-                    arguments.out,
-                    experiment.id,
-                    csv_output=arguments.csv,
-                    json_output=arguments.json,
-                )
-    finally:
-        if sanitize:
-            sanitizer_session.deactivate()
-    if sanitize:
-        from repro.sanitizer.report import build_report, render
-
-        report = build_report(
-            sanitizer_session.session_findings(),
-            runs=sanitizer_session.session_runs(),
-        )
-        print(render(report, "text", show_suppressed=False))
-        if not report.ok:
-            exit_code = exit_code or 1
+    for experiment_id in ids:
+        try:
+            experiment = get_experiment(experiment_id)
+        except KeyError as error:
+            print(error, file=sys.stderr)
+            exit_code = 2
+            continue
+        started = time.time()
+        figures = experiment.run(fidelity)
+        elapsed = time.time() - started
+        chunks = [format_table(figure) for figure in figures]
+        if arguments.chart:
+            chunks.extend(render_chart(figure) for figure in figures)
+        body = "\n\n".join(chunks)
+        print(f"=== {experiment.id} ({elapsed:.1f}s wall, "
+              f"fidelity={fidelity.name}) ===")
+        print(body)
+        print()
+        if arguments.out is not None:
+            arguments.out.mkdir(parents=True, exist_ok=True)
+            path = arguments.out / f"{experiment.id}.txt"
+            path.write_text(body + "\n", encoding="utf-8")
+            write_figures(
+                figures,
+                arguments.out,
+                experiment.id,
+                csv_output=arguments.csv,
+                json_output=arguments.json,
+            )
     stats = runner.cache_stats()
     summary = (
         f"cache: {stats['simulated']} simulated, "

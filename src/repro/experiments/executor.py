@@ -13,10 +13,9 @@ is a pure function of its config, seed included).
 Scheduling is work-stealing in completion order: at most ``jobs``
 chunks are in flight at once, and a worker that finishes its chunk is
 immediately handed the next one, so a slow grid point never idles the
-rest of the pool behind an in-order collection barrier.  Chunk size
-defaults to ``ceil(missing / (jobs * 4))`` — small enough to balance,
-large enough to amortize per-task dispatch — and can be pinned with
-``$REPRO_CHUNK`` / the executor's ``chunk`` knob.
+rest of the pool behind an in-order collection barrier.  Chunk size is
+``ceil(missing / (jobs * 4))`` — small enough to balance, large enough
+to amortize per-task dispatch.
 
 Results travel back as **compressed cache-codec payloads**, not
 pickled ``SimulationResult`` graphs: workers serialize each result
@@ -41,14 +40,11 @@ Result reuse is layered:
 serialization); ``jobs=None`` resolves ``$REPRO_JOBS`` and falls back
 to ``os.cpu_count()``.
 
-Sanitized runs (``repro.sanitizer``) bypass every reuse layer in both
-directions: a sanitized sweep neither reads results cached by clean
-runs (the instrumented execution must actually execute) nor writes
-entries a later clean run could pick up (cache keys hash the sources,
-not the execution mode, so a poisoned entry would be indistinguishable
-from a clean one).  They also stay serial and in-process so findings
-accumulate in this process's sanitizer session instead of dying with
-pool workers.
+In-process runs — the serial path and :meth:`SweepExecutor.run_one`,
+plus experiments that time a run themselves — build their
+``Simulation`` through :meth:`SweepExecutor.simulation`, the seam a
+subclass overrides to run the same sweeps another way
+(:class:`repro.sanitizer.executor.SanitizingExecutor`).
 """
 
 from __future__ import annotations
@@ -73,7 +69,6 @@ from repro.experiments.result_cache import (
     decode_result,
     encode_result,
 )
-from repro.sanitizer.session import sanitizing_active
 
 __all__ = [
     "ExecutorStats",
@@ -83,9 +78,8 @@ __all__ = [
     "resolve_jobs",
 ]
 
-#: Chunks per worker when no explicit chunk size is given: enough
-#: slack for work-stealing to even out unequal point costs without
-#: paying per-point dispatch.
+#: Chunks per worker: enough slack for work-stealing to even out
+#: unequal point costs without paying per-point dispatch.
 OVERSUBSCRIBE = 4
 
 
@@ -122,28 +116,10 @@ def resolve_jobs(jobs: Optional[int] = None) -> int:
     return jobs
 
 
-def resolve_chunk_size(
-    missing: int, jobs: int, chunk: Optional[int] = None
-) -> int:
-    """Points per chunk: explicit > ``$REPRO_CHUNK`` > computed.
-
-    The computed default splits the batch into ``jobs *``
-    :data:`OVERSUBSCRIBE` chunks (rounded up), clamped to at least one
-    point per chunk.
+def resolve_chunk_size(missing: int, jobs: int) -> int:
+    """Points per chunk: the batch split into ``jobs *``
+    :data:`OVERSUBSCRIBE` chunks (rounded up), at least one point each.
     """
-    if chunk is None:
-        env = os.environ.get("REPRO_CHUNK", "").strip()
-        if env:
-            try:
-                chunk = int(env)
-            except ValueError:
-                raise ValueError(
-                    f"REPRO_CHUNK must be a positive integer, got {env!r}"
-                ) from None
-    if chunk is not None:
-        if chunk < 1:
-            raise ValueError(f"chunk must be >= 1, got {chunk}")
-        return chunk
     return max(1, math.ceil(missing / (jobs * OVERSUBSCRIBE)))
 
 
@@ -191,12 +167,6 @@ def _run_chunk(
     persists even if the sweep is interrupted before assembly.
     """
     cache = ResultCache(Path(cache_dir)) if cache_dir else None
-    if sanitizing_active():
-        # Defense in depth: the parent already routes sanitized sweeps
-        # away from the pool, but $REPRO_SIMSAN is inherited by
-        # workers, and a sanitized result must never be written where
-        # a clean run would read it.
-        cache = None
     payloads: List[str] = []
     started = time.perf_counter()
     for offset, config in enumerate(configs):
@@ -265,13 +235,10 @@ class SweepExecutor:
         self,
         jobs: Optional[int] = None,
         cache: Optional[ResultCache] = None,
-        chunk: Optional[int] = None,
     ):
         #: ``None`` defers to :func:`resolve_jobs` at each batch.
         self.jobs = jobs
         self.cache = cache
-        #: ``None`` defers to :func:`resolve_chunk_size` at each batch.
-        self.chunk = chunk
         self.stats = ExecutorStats()
         #: PIDs observed serving this executor's chunks; together with
         #: :func:`worker_pool.pool_generation` this proves pool reuse.
@@ -309,18 +276,18 @@ class SweepExecutor:
     # Execution
     # ------------------------------------------------------------------
 
+    def simulation(self, config: SimulationConfig) -> Simulation:
+        """Build the in-process ``Simulation`` for ``config``."""
+        return Simulation(config)
+
     def run_one(self, config: SimulationConfig) -> SimulationResult:
         """Run (or fetch the cached result of) one configuration.
 
         Always in-process: a single point gains nothing from a pool.
         """
-        if sanitizing_active():
-            result = _simulate(config)
-            self.stats.simulated += 1
-            return result
         result = self._lookup(config)
         if result is None:
-            result = _simulate(config)
+            result = self.simulation(config).run()
             self._store(config, result)
         return result
 
@@ -339,8 +306,6 @@ class SweepExecutor:
         :class:`SweepExecutionError` rather than yielding a partial
         grid.
         """
-        if sanitizing_active():
-            return self._run_sanitized_batch(configs)
         jobs = resolve_jobs(self.jobs if jobs is None else jobs)
         missing: List[SimulationConfig] = []
         missing_set: Set[SimulationConfig] = set()
@@ -360,7 +325,7 @@ class SweepExecutor:
             else:
                 for config in missing:
                     try:
-                        result = _simulate(config)
+                        result = self.simulation(config).run()
                     except Exception as cause:
                         raise SweepExecutionError(
                             config, cause
@@ -371,37 +336,10 @@ class SweepExecutor:
         # above, so read the memo directly to keep stats meaningful.
         return [self._memo[config] for config in configs]
 
-    def _run_sanitized_batch(
-        self, configs: Sequence[SimulationConfig]
-    ) -> List[SimulationResult]:
-        """Serial, cache-blind execution for a sanitized sweep.
-
-        The memo here is local to one batch: it only collapses exact
-        duplicates *within* the request (re-sanitizing the same config
-        twice would double-count findings) and is dropped on return,
-        so no sanitized result outlives the sweep that produced it.
-        """
-        local: Dict[SimulationConfig, SimulationResult] = {}
-        results: List[SimulationResult] = []
-        for config in configs:
-            result = local.get(config)
-            if result is None:
-                config.validate()
-                try:
-                    result = _simulate(config)
-                except Exception as cause:
-                    raise SweepExecutionError(config, cause) from cause
-                self.stats.simulated += 1
-                local[config] = result
-            results.append(result)
-        return results
-
     def _run_pool(
         self, missing: List[SimulationConfig], jobs: int
     ) -> None:
-        chunk_size = resolve_chunk_size(
-            len(missing), jobs, self.chunk
-        )
+        chunk_size = resolve_chunk_size(len(missing), jobs)
         chunks = [
             missing[start:start + chunk_size]
             for start in range(0, len(missing), chunk_size)

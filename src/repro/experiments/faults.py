@@ -55,6 +55,7 @@ __all__ = [
     "LOSS_PROBABILITIES",
     "MTBF_FACTORS",
     "crash_config",
+    "faulted_smoke_config",
     "faults_experiment",
     "loss_config",
 ]
@@ -140,6 +141,30 @@ def loss_config(
         faults=_fault_config(
             message_loss_probability=loss_probability,
         )
+    )
+
+
+def faulted_smoke_config(algorithm: str) -> SimulationConfig:
+    """The canonical crash/loss-faulted smoke point for ``algorithm``.
+
+    Two crashes plus message loss inside a 15 s window after a 5 s
+    warmup, at think 8 s and 2-way declustering: the injector's
+    crash/recovery paths, the 2PC timeouts and the stranded-work
+    audit all run.  CI's fault-injection smoke runs it for the four
+    distributed algorithms and ``python -m repro.sanitizer
+    --faulted-smoke`` sanitizes its 2PL point.
+    """
+    config = paper_default_config(
+        algorithm, think_time=_THINK_TIME, placement_degree=2
+    )
+    return config.with_(
+        duration=15.0,
+        warmup=5.0,
+        faults=_fault_config(
+            node_mtbf=60.0,
+            node_mttr=1.0,
+            message_loss_probability=0.005,
+        ),
     )
 
 

@@ -9,28 +9,34 @@ therefore hashable, so the memo key is the configuration itself.
 On top of the per-process memo, two opt-in layers:
 
 * **Parallelism** — ``sweep``/``run_many`` fan missing grid points out
-  in chunks over the session-persistent worker pool
-  (:mod:`~repro.experiments.worker_pool`: spawned once, reused by
-  every batch).  The worker count comes from an explicit ``jobs``
-  argument, else ``$REPRO_JOBS``, else ``os.cpu_count()``; chunk size
-  from ``configure(chunk=...)``, else ``$REPRO_CHUNK``, else
-  ``ceil(missing / (jobs * 4))``.  ``jobs=1`` is the fully serial
-  path.  Parallel results are assembled deterministically and are
-  bit-identical to serial runs.
+  in chunks of ``ceil(missing / (jobs * 4))`` over the
+  session-persistent worker pool (:mod:`~repro.experiments.worker_pool`:
+  spawned once, reused by every batch).  The worker count comes from
+  an explicit ``jobs`` argument, else ``$REPRO_JOBS``, else
+  ``os.cpu_count()``.  ``jobs=1`` is the fully serial path.  Parallel
+  results are assembled deterministically and are bit-identical to
+  serial runs.
 * **Persistence** — ``configure(cache_dir=...)`` attaches an on-disk
   :class:`~repro.experiments.result_cache.ResultCache` (the CLI and
   benchmarks point it at ``results/.cache``), so re-running a sweep
   after an interrupted or previous session only simulates missing
   points.
+
+Every module-level function here serves the process-wide executor
+(:func:`get_executor`).  :func:`using_executor` swaps another one in
+for a block; ``python -m repro.sanitizer`` runs experiments that way
+on a sanitizing executor.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from pathlib import Path
 from typing import (
     Callable,
     Dict,
     Iterable,
+    Iterator,
     List,
     Optional,
     Sequence,
@@ -40,7 +46,6 @@ from typing import (
 
 from repro.core.config import SimulationConfig
 from repro.core.metrics import SimulationResult
-from repro.core.simulation import Simulation  # noqa: F401 - legacy seam
 from repro.experiments.executor import (
     SweepExecutionError,
     SweepExecutor,
@@ -60,6 +65,7 @@ __all__ = [
     "run_config",
     "run_many",
     "sweep",
+    "using_executor",
 ]
 
 #: The process-wide default executor.  No disk cache by default: library
@@ -72,23 +78,32 @@ def get_executor() -> SweepExecutor:
     return _EXECUTOR
 
 
+@contextmanager
+def using_executor(executor: SweepExecutor) -> Iterator[SweepExecutor]:
+    """Make ``executor`` the process-wide one for the ``with`` block.
+
+    The previous executor comes back on exit, also when the block
+    raises.
+    """
+    global _EXECUTOR
+    previous, _EXECUTOR = _EXECUTOR, executor
+    try:
+        yield executor
+    finally:
+        _EXECUTOR = previous
+
+
 def configure(
     jobs: Optional[int] = None,
     cache_dir: Union[Path, str, None] = None,
-    chunk: Optional[int] = None,
 ) -> SweepExecutor:
-    """Set the default executor's workers, disk cache, and chunking.
+    """Set the default executor's workers and disk cache.
 
     ``jobs=None`` keeps per-call resolution (``$REPRO_JOBS`` /
-    cpu count); ``cache_dir=None`` detaches any disk cache;
-    ``chunk=None`` keeps per-batch resolution (``$REPRO_CHUNK`` /
-    computed size).
+    cpu count); ``cache_dir=None`` detaches any disk cache.
     """
     resolve_jobs(jobs)  # validate now, including a bad $REPRO_JOBS
-    if chunk is not None and chunk < 1:
-        raise ValueError(f"chunk must be >= 1, got {chunk}")
     _EXECUTOR.jobs = jobs
-    _EXECUTOR.chunk = chunk
     if cache_dir is None:
         _EXECUTOR.cache = None
     else:

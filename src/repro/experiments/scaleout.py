@@ -19,8 +19,8 @@ load fixed, and reports three curves against machine size:
   curve shows what the kernel's O(log n) heap costs as the population
   reaches the tens of thousands.  Wall-clock numbers are machine-
   dependent and non-deterministic, so this figure is measured on fresh
-  in-process runs (never cached) and is excluded from determinism
-  comparisons.
+  in-process runs (never cached), each built by the runner's executor,
+  and is excluded from determinism comparisons.
 
 Scaleout configuration, relative to the paper's §4.2 machine: the
 relation count grows with the machine (one new 8-partition,
@@ -44,8 +44,8 @@ from repro.core.config import (
     SimulationConfig,
     paper_default_config,
 )
-from repro.core.simulation import Simulation
 from repro.experiments.fidelity import Fidelity
+from repro.experiments.runner import get_executor
 
 __all__ = [
     "DEGREE",
@@ -141,8 +141,11 @@ def scaleout_experiment(fidelity: Fidelity) -> List[FigureSeries]:
     throughput: List[float] = []
     p99: List[float] = []
     events_per_sec: List[float] = []
+    executor = get_executor()
     for num_nodes in node_counts:
-        simulation = Simulation(scaleout_config(fidelity, num_nodes))
+        simulation = executor.simulation(
+            scaleout_config(fidelity, num_nodes)
+        )
         start = time.perf_counter()
         result = simulation.run()
         wall = time.perf_counter() - start

@@ -3,10 +3,10 @@
 simlint (:mod:`repro.lint`) guards the bit-reproducibility property
 statically; simsan guards it *dynamically*.  An opt-in instrumented
 execution mode — ``Environment(sanitizer=...)`` /
-``Simulation(config, sanitizer=...)`` / ``$REPRO_SIMSAN=1`` — routes
-cheap hook points in the kernel (process creation, event scheduling,
-mailboxes, and its instrumented dispatch loop), the stream registry,
-the resources, the network, and the fault injector into a
+``Simulation(config, sanitizer=...)`` — routes cheap hook points in
+the kernel (process creation, event scheduling, mailboxes, and its
+instrumented dispatch loop), the stream registry, the resources, the
+network, and the fault injector into a
 :class:`~repro.sanitizer.core.Sanitizer`, which runs four checkers:
 
 ``same-time-race``
@@ -36,26 +36,14 @@ the resources, the network, and the fault injector into a
 Findings are ordinary :class:`~repro.lint.violations.Violation`
 objects: they flow through the existing text/JSON/SARIF reporters,
 ``# simsan: waive[check-id]`` inline comments, and a checked-in
-baseline (``src/repro/sanitizer/baseline.json``).  Entry points:
-``python -m repro.sanitizer`` and ``--sanitize`` on the experiments
-runner.
+baseline (``src/repro/sanitizer/baseline.json``).  There are two
+entry points: ``Simulation(config, sanitizer=Sanitizer())`` sanitizes
+one run, and ``python -m repro.sanitizer <ids>`` sanitizes whole
+experiments by running them on a
+:class:`~repro.sanitizer.executor.SanitizingExecutor`.
 """
 
 from repro.sanitizer.checks import CHECKS, get_check
 from repro.sanitizer.core import Sanitizer
-from repro.sanitizer.driver import run_sanitized
-from repro.sanitizer.session import (
-    activate,
-    deactivate,
-    sanitizing_active,
-)
 
-__all__ = [
-    "CHECKS",
-    "Sanitizer",
-    "activate",
-    "deactivate",
-    "get_check",
-    "run_sanitized",
-    "sanitizing_active",
-]
+__all__ = ["CHECKS", "Sanitizer", "get_check"]

@@ -1,10 +1,11 @@
 """``python -m repro.sanitizer`` — run experiments under simsan.
 
-Runs the named experiments (default: the fig2/fig10 smoke anchors) with
-the process-global sanitizer session active, then reports every finding
-through the shared lint reporters.  The sweep executor bypasses its
-memo and the persistent result cache while the session is live, so
-every point is actually simulated under instrumentation.
+Runs the named experiments (default: the fig2/fig10 smoke anchors) on
+a :class:`~repro.sanitizer.executor.SanitizingExecutor`, swapped in as
+the runner's process-wide executor for the command, then reports every
+finding through the shared lint reporters.  That executor is serial
+and has no disk cache, so every point is actually simulated under
+instrumentation, and nothing it produces reaches the result cache.
 
 Exit codes mirror simlint: 0 clean, 1 findings (live error-severity
 violations or a stale baseline), 2 usage/config errors.
@@ -17,9 +18,13 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
+from repro.experiments.faults import faulted_smoke_config
+from repro.experiments.fidelity import Fidelity
+from repro.experiments.registry import EXPERIMENTS, get_experiment
+from repro.experiments.runner import using_executor
 from repro.lint.baseline import Baseline
 from repro.sanitizer import report as report_mod
-from repro.sanitizer import session
+from repro.sanitizer.executor import SanitizingExecutor
 
 __all__ = ["main"]
 
@@ -77,7 +82,8 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help=(
             "also sanitize one canonical crash/loss-faulted 2PL point "
-            "(the faults-smoke CI configuration), so fault-injection "
+            "(faulted_smoke_config, the point CI's fault-injection "
+            "smoke runs), so fault-injection "
             "hook paths and the stranded-work audit run under "
             "instrumentation in the same report"
         ),
@@ -98,28 +104,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _faulted_smoke_config():
-    """One crash/loss-faulted 2PL point, mirroring the faults-smoke CI
-    job: two crashes plus message loss inside a 15 s horizon, so the
-    injector's crash/recovery paths, the 2PC timeout machinery, and
-    the stranded-work audit all execute under instrumentation."""
-    from repro.core.config import paper_default_config
-    from repro.faults.schedule import FaultConfig
-
-    faults = FaultConfig(
-        node_mtbf=60.0,
-        node_mttr=1.0,
-        message_loss_probability=0.005,
-        execution_timeout=12.0,
-        prepare_timeout=1.5,
-        decision_timeout=1.5,
-        ack_timeout=1.5,
-    )
-    return paper_default_config(
-        "2pl", think_time=8.0, placement_degree=2
-    ).with_(duration=15.0, warmup=5.0, faults=faults)
-
-
 def _resolve_baseline(options) -> Optional[Baseline]:
     if options.no_baseline or options.update_baseline:
         return Baseline.empty()
@@ -130,9 +114,6 @@ def _resolve_baseline(options) -> Optional[Baseline]:
 
 def main(argv: Optional[List[str]] = None) -> int:
     """Run the sanitizer CLI; returns the process exit code."""
-    from repro.experiments.fidelity import Fidelity
-    from repro.experiments.registry import EXPERIMENTS, get_experiment
-
     options = _build_parser().parse_args(argv)
     try:
         baseline = _resolve_baseline(options)
@@ -157,9 +138,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(error, file=sys.stderr)
             return 2
 
-    session.reset_findings()
-    session.activate(confirm=not options.no_confirm)
-    try:
+    executor = SanitizingExecutor(confirm=not options.no_confirm)
+    with using_executor(executor):
         for experiment in experiments:
             print(
                 f"simsan: sanitizing {experiment.id} "
@@ -168,18 +148,14 @@ def main(argv: Optional[List[str]] = None) -> int:
             )
             experiment.run(fidelity)
         if options.faulted_smoke:
-            from repro.core.simulation import Simulation
-
             print(
                 "simsan: sanitizing faulted smoke point "
                 "(2pl, mtbf=60, loss=0.005)",
                 file=sys.stderr,
             )
-            Simulation(_faulted_smoke_config()).run()
-        findings = session.session_findings()
-        runs = session.session_runs()
-    finally:
-        session.deactivate()
+            executor.run_one(faulted_smoke_config("2pl"))
+    findings = executor.findings()
+    runs = executor.runs
 
     if options.update_baseline:
         target = Path(

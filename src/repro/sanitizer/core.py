@@ -509,7 +509,12 @@ class Sanitizer:
         self._audit_cancelled()
 
     def finish_run(self, sim, result) -> None:
-        """Simulation-level end-of-run audit plus the confirmer."""
+        """Simulation-level end-of-run audit plus the confirmer.
+
+        Afterwards the sanitizer keeps only its findings: it drops the
+        environment and the processes, so a sweep that sanitizes many
+        runs never holds every finished simulation at once.
+        """
         env = sim.env
         drained = self._queues_drained(env)
         if drained:
@@ -527,6 +532,9 @@ class Sanitizer:
                 )
         if self._races and self.confirm:
             self._confirm_races(sim, result)
+        self.env = None
+        self._processes.clear()
+        self._last_access.clear()
 
     # ------------------------------------------------------------------
     # Differential confirmer
@@ -546,7 +554,7 @@ class Sanitizer:
 
         try:
             perturbed = Simulation(
-                sim.config, sanitizer=False, tiebreak="reverse-batch"
+                sim.config, tiebreak="reverse-batch"
             ).run()
         except Exception as exc:  # noqa: BLE001 - any divergence is a verdict
             self._race_verdict = True

@@ -673,12 +673,11 @@ class Environment:
     :class:`ScheduledCallback` (every entry under the instrumented
     loop, and ``schedule`` entries due at the current instant).
 
-    ``sanitizer`` attaches a runtime sanitizer (``repro.sanitizer``);
-    ``False`` is accepted as an explicit "off".  ``tiebreak`` selects
-    the order among same-timestamp callbacks: ``"fifo"`` (the default,
-    schedule order) or ``"reverse-batch"`` (the differential
-    confirmer's perturbed order).  Either one routes :meth:`run`
-    through the instrumented loop.
+    ``sanitizer`` attaches a runtime sanitizer (``repro.sanitizer``).
+    ``tiebreak`` selects the order among same-timestamp callbacks:
+    ``"fifo"`` (the default, schedule order) or ``"reverse-batch"``
+    (the differential confirmer's perturbed order).  Either one routes
+    :meth:`run` through the instrumented loop.
     """
 
     __slots__ = (
@@ -713,10 +712,6 @@ class Environment:
             )
         if tiebreak == "fifo":
             tiebreak = None
-        if not sanitizer:
-            # False is accepted as an explicit "off" (the differential
-            # confirmer forces it for its perturbed re-run).
-            sanitizer = None
         if sanitizer is not None and tiebreak is not None:
             raise SimulationError(
                 "sanitizer and a non-FIFO tiebreak are mutually "

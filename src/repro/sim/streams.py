@@ -20,8 +20,9 @@ draws from is declared below via :func:`register_stream`, with
 name does not fail — it silently forks a fresh stream and perturbs
 every common-random-numbers comparison — so the name set must be
 introspectable: the ``stream-registry`` lint rule statically checks
-every draw site against these registrations, and a strict
-:class:`RandomStreams` enforces the same contract at runtime.
+every draw site against these registrations, and simsan's
+``stream-discipline`` check (:mod:`repro.sanitizer`) checks every
+runtime lookup against them.
 """
 
 from __future__ import annotations
@@ -128,10 +129,8 @@ def stream_owner(name: str) -> str:
 class RandomStreams:
     """A family of independent named random streams.
 
-    With ``strict=True`` every drawn name must match a registered
-    stream (:func:`register_stream`); an unregistered name raises
-    instead of silently forking a new stream.  The default stays
-    permissive so ad-hoc experiments and tests can draw freely.
+    Any name can be drawn from; a runtime sanitizer, when attached,
+    reports names that no :func:`register_stream` call declares.
 
     Examples
     --------
@@ -140,9 +139,8 @@ class RandomStreams:
     >>> page_count.expovariate(1.0)  # doctest: +SKIP
     """
 
-    def __init__(self, seed: int = 0, strict: bool = False):
+    def __init__(self, seed: int = 0):
         self.seed = seed
-        self.strict = strict
         self._streams: Dict[str, random.Random] = {}
         # Runtime sanitizer; None on the clean path (zero-cost hooks).
         self._san = None
@@ -181,18 +179,12 @@ class RandomStreams:
         Each call returns a new object that yields the sequence
         :meth:`get` hands out for ``name``, so a caller can drop a
         stream it rarely draws from and build it again later (the
-        workload's per-terminal think streams).  ``strict`` and the
-        sanitizer are checked exactly as in :meth:`get`, which builds
-        its streams here.
+        workload's per-terminal think streams).  The sanitizer checks
+        it exactly as in :meth:`get`, which builds its streams here.
         """
         san = self._san
         if san is not None:
             san.check_stream(name, owner)
-        if self.strict and not is_registered(name):
-            raise ValueError(
-                f"unregistered stream name {name!r}; declare it "
-                "with repro.sim.streams.register_stream"
-            )
         stream = random.Random(derive_seed(self.seed, name))
         if san is not None:
             stream = san.wrap_stream(name, stream)

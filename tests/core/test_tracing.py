@@ -29,13 +29,6 @@ class TestTracerUnit:
         assert tracer.recorded == 5
         assert tracer.events[0].tid == 2
 
-    def test_kind_filter(self):
-        tracer = Tracer(kinds={EventKind.COMMITTED})
-        tracer.emit(1.0, EventKind.ORIGINATED, 1, 1)
-        tracer.emit(2.0, EventKind.COMMITTED, 1, 1)
-        assert len(tracer) == 1
-        assert tracer.events[0].kind is EventKind.COMMITTED
-
     def test_per_transaction_view(self):
         tracer = Tracer()
         tracer.emit(1.0, EventKind.ORIGINATED, 1, 1)

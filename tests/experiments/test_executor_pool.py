@@ -51,30 +51,13 @@ def fresh_pool():
 
 
 class TestChunkSizing:
-    def test_computed_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_CHUNK", raising=False)
+    def test_computed_default(self):
         # 30 missing over 2 jobs * OVERSUBSCRIBE chunks.
         assert OVERSUBSCRIBE == 4
         assert resolve_chunk_size(30, 2) == 4
         assert resolve_chunk_size(8, 2) == 1
         assert resolve_chunk_size(1, 8) == 1
         assert resolve_chunk_size(1000, 4) == 63
-
-    def test_explicit_wins(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CHUNK", "9")
-        assert resolve_chunk_size(30, 2, chunk=2) == 2
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CHUNK", "7")
-        assert resolve_chunk_size(30, 2) == 7
-
-    def test_bad_values_rejected(self, monkeypatch):
-        monkeypatch.delenv("REPRO_CHUNK", raising=False)
-        with pytest.raises(ValueError):
-            resolve_chunk_size(30, 2, chunk=0)
-        monkeypatch.setenv("REPRO_CHUNK", "zero")
-        with pytest.raises(ValueError):
-            resolve_chunk_size(30, 2)
 
 
 class TestPoolReuse:
@@ -163,10 +146,11 @@ class TestStatsUnderPool:
         assert executor.stats.ipc_bytes == ipc_before
 
     def test_chunk_accounting_matches_grid(self):
-        configs = small_grid()  # 6 distinct points
-        executor = SweepExecutor(jobs=2, chunk=2)
+        configs = small_grid() + small_grid(seed=8)  # 12 distinct points
+        executor = SweepExecutor(jobs=2)
         executor.run_many(configs)
-        assert executor.stats.chunks_dispatched == 3
+        # Chunks of resolve_chunk_size(12, 2) == 2 points.
+        assert executor.stats.chunks_dispatched == 6
         assert executor.stats.chunks_cancelled == 0
 
     def test_duplicate_configs_deduplicated(self):
@@ -185,16 +169,17 @@ class TestFailureSemantics:
 
         The poison passes ``validate()`` but fails at simulation
         setup, so it dies in a worker almost instantly while the other
-        chunks are real simulations; chunk size 1 with jobs=2 keeps at
-        most two chunks in flight, leaving the rest cancellable.
+        chunks are real simulations; seven points at jobs=2 make
+        one-point chunks, at most two in flight, leaving the rest
+        cancellable.
         """
         poison = tiny_config().with_(cc_algorithm="bogus")
         grid = [poison] + [
             tiny_config("opt", think_time, seed=seed)
-            for seed in (1, 2, 3, 4)
+            for seed in (1, 2, 3)
             for think_time in (0.0, 30.0)
         ]
-        executor = SweepExecutor(jobs=2, chunk=1)
+        executor = SweepExecutor(jobs=2)
         with pytest.raises(SweepExecutionError) as excinfo:
             executor.run_many(grid)
         assert excinfo.value.config.cc_algorithm == "bogus"

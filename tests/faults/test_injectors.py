@@ -76,6 +76,23 @@ class TestExplicitTimeline:
         )
         assert len(result.per_node_downtime) == 8
 
+    def test_warmup_outage_is_not_counted(self):
+        """An outage over [0.5, 1.0] ends inside the 2 s warmup, so
+        the measurement window sees no crash, downtime, degraded
+        commit or dropped message."""
+        faults = FaultConfig(
+            events=(
+                FaultEvent(0.5, "crash", 0),
+                FaultEvent(1.0, "recover", 0),
+            ),
+            **TIMEOUTS,
+        )
+        result = run_simulation(tiny_config("2pl", faults))
+        assert result.node_crashes == 0
+        assert result.per_node_downtime == [0.0] * 8
+        assert result.commits_despite_faults == 0
+        assert result.messages_dropped == 0
+
     def test_unrecovered_crash_downtime_extends_to_sim_end(self):
         """A node that never repairs accrues downtime to the end of
         the run and still must not strand any process (the leak check

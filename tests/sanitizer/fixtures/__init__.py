@@ -135,7 +135,7 @@ def stream_unregistered_draw():
     """A dynamically named draw that never went through
     register_stream — the hole the static rule must exempt."""
     env, sanitizer = make_env()
-    streams = RandomStreams(7, strict=False)
+    streams = RandomStreams(7)
     streams.attach_sanitizer(sanitizer)
 
     def draw():
@@ -152,7 +152,7 @@ def stream_cross_owner_draw():
     """'page-count' belongs to the workload generator; a draw declared
     by the resource model entangles the two sequences."""
     env, sanitizer = make_env()
-    streams = RandomStreams(7, strict=False)
+    streams = RandomStreams(7)
     streams.attach_sanitizer(sanitizer)
 
     def draw():
@@ -168,7 +168,7 @@ def stream_near_miss_owned_draws():
     """Registered draws by their declared owners stay clean, including
     a dynamic per-terminal name matched via its {placeholder} family."""
     env, sanitizer = make_env()
-    streams = RandomStreams(7, strict=False)
+    streams = RandomStreams(7)
     streams.attach_sanitizer(sanitizer)
 
     def draw():

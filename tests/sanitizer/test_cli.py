@@ -1,16 +1,15 @@
-"""``python -m repro.sanitizer`` — exit codes, baseline update loop,
-and session hygiene, driven through a registered tiny experiment so a
-CLI test costs one small simulation instead of a figure sweep."""
+"""``python -m repro.sanitizer`` — exit codes and the baseline update
+loop, driven through a registered tiny experiment so a CLI test costs
+one small simulation instead of a figure sweep."""
 
 import json
 
 import pytest
 
 from repro.core.config import paper_default_config
-from repro.core.simulation import Simulation
 from repro.experiments import registry
 from repro.experiments.registry import Experiment
-from repro.sanitizer import session
+from repro.experiments.runner import run_config
 from repro.sanitizer.cli import main
 
 
@@ -18,7 +17,7 @@ def _tiny_experiment(fidelity):
     config = paper_default_config(
         "2pl", think_time=1.0, seed=11
     ).with_(duration=4.0, warmup=1.0).with_workload(num_terminals=6)
-    Simulation(config).run()
+    run_config(config)
     return []
 
 
@@ -49,10 +48,6 @@ class TestExitCodes:
         assert code == (0 if all(
             v["severity"] != "error" for v in data["violations"]
         ) else 1)
-
-    def test_session_deactivated_after_main(self, tiny_registered, capsys):
-        main(["tiny", "--no-baseline", "--no-confirm"])
-        assert not session.sanitizing_active()
 
 
 class TestBaselineLoop:

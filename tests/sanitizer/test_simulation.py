@@ -10,7 +10,7 @@ import pytest
 
 from repro.core.config import paper_default_config
 from repro.core.simulation import Simulation
-from repro.sanitizer import checks, run_sanitized, session
+from repro.sanitizer import checks
 from repro.sanitizer.core import Sanitizer, diff_results
 from repro.sim.kernel import Environment, SimulationError
 
@@ -23,15 +23,22 @@ def tiny_config(algorithm="2pl", seed=11):
     ).with_(duration=4.0, warmup=1.0).with_workload(num_terminals=6)
 
 
+def sanitized_run(config, confirm):
+    """Run ``config`` under a fresh sanitizer: (result, findings)."""
+    sanitizer = Sanitizer(confirm=confirm)
+    result = Simulation(config, sanitizer=sanitizer).run()
+    return result, sanitizer.finalize()
+
+
 class TestBitIdentical:
     def test_sanitized_result_equals_clean_result(self):
         clean = Simulation(tiny_config()).run()
-        sanitized, _ = run_sanitized(tiny_config(), confirm=False)
+        sanitized, _ = sanitized_run(tiny_config(), confirm=False)
         assert diff_results(clean, sanitized) == ""
 
     def test_sanitized_rerun_is_deterministic(self):
-        _, first = run_sanitized(tiny_config(), confirm=False)
-        _, second = run_sanitized(tiny_config(), confirm=False)
+        _, first = sanitized_run(tiny_config(), confirm=False)
+        _, second = sanitized_run(tiny_config(), confirm=False)
         assert [v.as_dict() for v in first] == [
             v.as_dict() for v in second
         ]
@@ -39,7 +46,7 @@ class TestBitIdentical:
 
 class TestConfirmer:
     def test_contended_run_produces_races(self):
-        _, findings = run_sanitized(tiny_config(), confirm=False)
+        _, findings = sanitized_run(tiny_config(), confirm=False)
         races = [
             v for v in findings if v.rule_id == checks.SAME_TIME_RACE
         ]
@@ -48,7 +55,7 @@ class TestConfirmer:
         assert all(v.severity == "warning" for v in races)
 
     def test_confirmer_classifies_every_race(self):
-        _, findings = run_sanitized(tiny_config(), confirm=True)
+        _, findings = sanitized_run(tiny_config(), confirm=True)
         races = [
             v for v in findings if v.rule_id == checks.SAME_TIME_RACE
         ]
@@ -114,30 +121,14 @@ class TestModeSelection:
         default = Simulation(tiny_config()).run()
         assert diff_results(explicit, default) == ""
 
-    def test_env_var_auto_sanitizes_and_publishes(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIMSAN", "1")
-        monkeypatch.setenv("REPRO_SIMSAN_CONFIRM", "0")
-        Simulation(tiny_config()).run()
-        assert session.session_runs() == 1
-        assert session.session_findings()
 
-    def test_explicit_sanitizer_does_not_publish(self):
-        session.activate(confirm=False)
-        try:
-            sanitizer = Sanitizer(confirm=False)
-            Simulation(tiny_config(), sanitizer=sanitizer).run()
-        finally:
-            session.deactivate()
-        # The session counted nothing: an explicit instance is the
-        # caller's to finalize.
-        assert session.session_runs() == 0
-
-    def test_sanitizer_false_forces_clean_run(self):
-        session.activate(confirm=False)
-        try:
-            simulation = Simulation(tiny_config(), sanitizer=False)
-            assert simulation.sanitizer is None
-            simulation.run()
-        finally:
-            session.deactivate()
-        assert session.session_runs() == 0
+class TestFinishedRun:
+    def test_keeps_only_its_findings(self):
+        """A sweep holds every run's sanitizer until it reports, so a
+        finished one must not pin its simulation."""
+        sanitizer = Sanitizer(confirm=True)
+        Simulation(tiny_config(), sanitizer=sanitizer).run()
+        assert sanitizer.env is None
+        assert not sanitizer._processes
+        assert not sanitizer._last_access
+        assert sanitizer.finalize()

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.sanitizer.core import Sanitizer
 from repro.sim.streams import RandomStreams, derive_seed
 
 
@@ -104,8 +105,12 @@ class TestFreshStreams:
         assert streams._streams == {}
         assert streams.get("think-0") is not streams.fresh("think-0")
 
-    def test_honours_strict(self):
-        streams = RandomStreams(5, strict=True)
+    def test_sanitizer_checks_the_registry(self):
+        sanitizer = Sanitizer(confirm=False)
+        streams = RandomStreams(5)
+        streams.attach_sanitizer(sanitizer)
         streams.fresh("think-0")
-        with pytest.raises(ValueError, match="unregistered stream"):
-            streams.fresh("thnik-0")
+        streams.fresh("thnik-0")
+        [finding] = sanitizer.finalize()
+        assert finding.rule_id == "stream-discipline"
+        assert "'thnik-0'" in finding.message
