@@ -1,6 +1,7 @@
-"""``python -m repro.sanitizer`` — exit codes and the baseline update
-loop, driven through a registered tiny experiment so a CLI test costs
-one small simulation instead of a figure sweep."""
+"""``python -m repro.sanitizer`` — exit codes, the baseline update
+loop, and that sanitizing ends with the command, driven through a
+registered tiny experiment so a CLI test costs one small simulation
+instead of a figure sweep."""
 
 import json
 
@@ -9,15 +10,19 @@ import pytest
 from repro.core.config import paper_default_config
 from repro.experiments import registry
 from repro.experiments.registry import Experiment
-from repro.experiments.runner import run_config
+from repro.experiments.runner import get_executor, run_config
 from repro.sanitizer.cli import main
+from repro.sanitizer.executor import SanitizingExecutor
+
+
+def _tiny_config():
+    return paper_default_config(
+        "2pl", think_time=1.0, seed=11
+    ).with_(duration=4.0, warmup=1.0).with_workload(num_terminals=6)
 
 
 def _tiny_experiment(fidelity):
-    config = paper_default_config(
-        "2pl", think_time=1.0, seed=11
-    ).with_(duration=4.0, warmup=1.0).with_workload(num_terminals=6)
-    run_config(config)
+    run_config(_tiny_config())
     return []
 
 
@@ -48,6 +53,13 @@ class TestExitCodes:
         assert code == (0 if all(
             v["severity"] != "error" for v in data["violations"]
         ) else 1)
+
+    def test_session_deactivated_after_main(self, tiny_registered, capsys):
+        """Sanitizing lasts for one command: afterwards the runner's
+        executor builds clean simulations again."""
+        main(["tiny", "--no-baseline", "--no-confirm"])
+        assert not isinstance(get_executor(), SanitizingExecutor)
+        assert get_executor().simulation(_tiny_config()).sanitizer is None
 
 
 class TestBaselineLoop:

@@ -22,7 +22,7 @@ from repro.core.simulation import Simulation
 from repro.experiments import registry, runner, worker_pool
 from repro.experiments.registry import Experiment
 from repro.sanitizer.cli import main
-from repro.sanitizer.core import Sanitizer
+from repro.sanitizer.core import diff_results
 from repro.sanitizer.executor import SanitizingExecutor
 
 
@@ -86,6 +86,28 @@ class TestCacheIsolation:
         assert cache.stats.as_dict() == before
         assert default_executor.stats.memo_hits == 0
         assert default_executor.stats.disk_hits == 0
+
+    def test_cli_sweep_reads_no_disk_entry(
+        self, register, default_executor, tmp_path, capsys
+    ):
+        runner.configure(jobs=1, cache_dir=tmp_path / "cache")
+        [clean] = runner.run_many([tiny_config()])
+        runner.clear_cache()  # only the disk entry stays warm
+        cache = default_executor.cache
+        assert cache.get(tiny_config()) is not None
+        before = cache.stats.as_dict()
+        sanitized = []
+
+        def sweep(fidelity):
+            sanitized.extend(runner.run_many([tiny_config()]))
+            return sanitized
+
+        register("tiny", sweep)
+        summary = sanitize(["tiny"], capsys)
+        assert summary["files"] == 1  # simulated under the hooks
+        assert cache.stats.as_dict() == before
+        # The hooks only observe: the result is the clean one.
+        assert diff_results(clean, sanitized[0]) == ""
 
     def test_cli_run_writes_no_entry(
         self, register, default_executor, tmp_path, capsys
@@ -168,14 +190,12 @@ class TestSwap:
 
     def test_only_executor_builds_are_sanitized(self):
         """No process-wide switch: with a sanitizing executor swapped
-        in, a directly built Simulation runs clean, and one given its
-        own Sanitizer is the caller's, not counted by the executor."""
+        in, a directly built Simulation runs clean."""
         executor = SanitizingExecutor(confirm=False)
         with runner.using_executor(executor):
             direct = Simulation(tiny_config())
             assert direct.sanitizer is None
             direct.run()
-            Simulation(tiny_config(), sanitizer=Sanitizer(confirm=False)).run()
         assert executor.runs == 0
         assert executor.findings() == []
 
@@ -208,6 +228,15 @@ class TestSwap:
 
 
 class TestFindings:
+    def test_runs_counted_and_findings_collected(self):
+        executor = SanitizingExecutor(confirm=False)
+        simulation = executor.simulation(tiny_config())
+        assert executor.runs == 1
+        simulation.run()
+        own = [finding_key(v) for v in simulation.sanitizer.finalize()]
+        assert own
+        assert [finding_key(v) for v in executor.findings()] == own
+
     def test_findings_deduplicated_across_runs(self):
         """Each run's findings, merged in run order; a finding every
         run reports is one row, as in the report."""

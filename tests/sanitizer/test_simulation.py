@@ -10,8 +10,10 @@ import pytest
 
 from repro.core.config import paper_default_config
 from repro.core.simulation import Simulation
+from repro.experiments.runner import using_executor
 from repro.sanitizer import checks
 from repro.sanitizer.core import Sanitizer, diff_results
+from repro.sanitizer.executor import SanitizingExecutor
 from repro.sim.kernel import Environment, SimulationError
 
 
@@ -120,6 +122,18 @@ class TestModeSelection:
         explicit = Simulation(tiny_config(), tiebreak="fifo").run()
         default = Simulation(tiny_config()).run()
         assert diff_results(explicit, default) == ""
+
+    def test_explicit_sanitizer_does_not_publish(self):
+        """A caller's own Sanitizer is the caller's to finalize: a
+        sanitizing executor swapped in counts neither the run nor its
+        findings."""
+        executor = SanitizingExecutor(confirm=False)
+        sanitizer = Sanitizer(confirm=False)
+        with using_executor(executor):
+            Simulation(tiny_config(), sanitizer=sanitizer).run()
+        assert sanitizer.finalize()
+        assert executor.runs == 0
+        assert executor.findings() == []
 
 
 class TestFinishedRun:
