@@ -31,24 +31,16 @@ from __future__ import annotations
 
 import json
 import os
-import sys
 import time
 from pathlib import Path
 
-# Standalone-script convenience: make src/ importable without
-# PYTHONPATH (pytest runs get it from the usual test environment).
-try:
-    import repro  # noqa: F401
-except ImportError:  # pragma: no cover
-    sys.path.insert(
-        0, str(Path(__file__).resolve().parents[1] / "src")
-    )
+# Imported first: it puts src/ on the path for standalone runs.
+from trajectory import REPO_ROOT, append_record, out_path, spin_rate
 
 from repro.core.simulation import Simulation
 from repro.experiments.fidelity import Fidelity
 from repro.experiments.scaling import scaling_config
 
-REPO_ROOT = Path(__file__).resolve().parents[1]
 DEFAULT_OUT = REPO_ROOT / "BENCH_kernel_events.json"
 BASELINE_PATH = (
     Path(__file__).resolve().parent / "baselines" / "kernel_events.json"
@@ -56,8 +48,6 @@ BASELINE_PATH = (
 
 #: Allowed normalized-throughput drop before the check fails.
 REGRESSION_TOLERANCE = 0.30
-
-_SPIN_ITERATIONS = 2_000_000
 
 
 def _bench_config(fidelity: Fidelity):
@@ -73,20 +63,6 @@ def _bench_config(fidelity: Fidelity):
     return config.with_(
         target_commits=0, max_duration=config.duration
     )
-
-
-def spin_rate(iterations: int = _SPIN_ITERATIONS) -> float:
-    """Pure-Python iterations/second on this interpreter (best of 3)."""
-    best = float("inf")
-    for _ in range(3):
-        counter = 0
-        started = time.perf_counter()
-        for value in range(iterations):
-            counter += value
-        elapsed = time.perf_counter() - started
-        if elapsed < best:
-            best = elapsed
-    return iterations / best
 
 
 def run_benchmark(fidelity: Fidelity, repeats: int = 3) -> dict:
@@ -152,27 +128,6 @@ def check_regression(record: dict) -> tuple[bool, str]:
     return measured >= floor, message
 
 
-def _out_path() -> Path:
-    override = os.environ.get("REPRO_BENCH_OUT")
-    return Path(override) if override else DEFAULT_OUT
-
-
-def append_record(record: dict, path: Path) -> None:
-    """Append to the JSON trajectory (a list of records)."""
-    records = []
-    if path.is_file():
-        try:
-            records = json.loads(path.read_text(encoding="utf-8"))
-            if not isinstance(records, list):
-                records = [records]
-        except (OSError, ValueError):
-            records = []
-    records.append(record)
-    path.write_text(
-        json.dumps(records, indent=2) + "\n", encoding="utf-8"
-    )
-
-
 def test_kernel_hotpath_events_per_sec():
     """Record the dispatch rate; enforce the baseline when asked.
 
@@ -184,7 +139,7 @@ def test_kernel_hotpath_events_per_sec():
     record = run_benchmark(fidelity)
     ok, message = check_regression(record)
     record["baseline_check"] = message
-    append_record(record, _out_path())
+    append_record(record, out_path(DEFAULT_OUT))
     print(json.dumps(record, indent=2))
     if os.environ.get("REPRO_BENCH_ENFORCE"):
         assert ok, f"kernel dispatch rate regressed: {message}"

@@ -33,23 +33,15 @@ from __future__ import annotations
 
 import json
 import os
-import sys
 import time
 from pathlib import Path
 
-# Standalone-script convenience: make src/ importable without
-# PYTHONPATH (pytest runs get it from the usual test environment).
-try:
-    import repro  # noqa: F401
-except ImportError:  # pragma: no cover
-    sys.path.insert(
-        0, str(Path(__file__).resolve().parents[1] / "src")
-    )
+# Imported first: it puts src/ on the path for standalone runs.
+from trajectory import REPO_ROOT, append_record, out_path
 
 from repro.lint.cache import LintCache
 from repro.lint.engine import discover_files, lint_paths
 
-REPO_ROOT = Path(__file__).resolve().parents[1]
 DEFAULT_OUT = REPO_ROOT / "BENCH_lint.json"
 LINTED_TREES = ("src", "benchmarks", "tests")
 
@@ -104,27 +96,6 @@ def run_benchmark(tmp_cache: Path) -> dict:
     }
 
 
-def _out_path() -> Path:
-    override = os.environ.get("REPRO_BENCH_OUT")
-    return Path(override) if override else DEFAULT_OUT
-
-
-def append_record(record: dict, path: Path) -> None:
-    """Append to the JSON trajectory (a list of records)."""
-    records = []
-    if path.is_file():
-        try:
-            records = json.loads(path.read_text(encoding="utf-8"))
-            if not isinstance(records, list):
-                records = [records]
-        except (OSError, ValueError):
-            records = []
-    records.append(record)
-    path.write_text(
-        json.dumps(records, indent=2) + "\n", encoding="utf-8"
-    )
-
-
 def test_lint_full_tree_timing(tmp_path=None):
     """Record cold/warm lint timings; sanity-check cache behaviour."""
     import tempfile
@@ -132,7 +103,7 @@ def test_lint_full_tree_timing(tmp_path=None):
     with tempfile.TemporaryDirectory() as scratch:
         cache_file = Path(scratch) / "simlint-bench-cache.json"
         record = run_benchmark(cache_file)
-    append_record(record, _out_path())
+    append_record(record, out_path(DEFAULT_OUT))
     print(json.dumps(record, indent=2))
     # The warm run must actually hit the cache for every file.
     assert record["warm_cache_hits"] == record["files"]

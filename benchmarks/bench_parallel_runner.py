@@ -37,27 +37,17 @@ from __future__ import annotations
 import json
 import os
 import pickle
-import sys
 import time
-from pathlib import Path
 
-# Standalone-script convenience: make src/ importable without
-# PYTHONPATH (pytest runs get it from the usual test environment).
-try:
-    import repro  # noqa: F401
-except ImportError:  # pragma: no cover
-    sys.path.insert(
-        0, str(Path(__file__).resolve().parents[1] / "src")
-    )
+# Imported first: it puts src/ on the path for standalone runs.
+from trajectory import REPO_ROOT, append_record, out_path
 
 import repro.experiments.worker_pool as worker_pool
 from repro.experiments.executor import SweepExecutor, resolve_jobs
 from repro.experiments.fidelity import Fidelity
 from repro.experiments.scaling import ALGORITHMS, scaling_config
 
-DEFAULT_OUT = Path(__file__).resolve().parents[1] / (
-    "BENCH_parallel_runner.json"
-)
+DEFAULT_OUT = REPO_ROOT / "BENCH_parallel_runner.json"
 
 #: The jobs=2 speedup floor enforced under REPRO_BENCH_ENFORCE=1.
 #: A persistent pool with chunked dispatch and codec transport should
@@ -122,27 +112,6 @@ def run_benchmark(fidelity: Fidelity, jobs: int) -> dict:
     }
 
 
-def _out_path() -> Path:
-    override = os.environ.get("REPRO_BENCH_OUT")
-    return Path(override) if override else DEFAULT_OUT
-
-
-def append_record(record: dict, path: Path) -> None:
-    """Append to the JSON trajectory (a list of records)."""
-    records = []
-    if path.is_file():
-        try:
-            records = json.loads(path.read_text(encoding="utf-8"))
-            if not isinstance(records, list):
-                records = [records]
-        except (OSError, ValueError):
-            records = []
-    records.append(record)
-    path.write_text(
-        json.dumps(records, indent=2) + "\n", encoding="utf-8"
-    )
-
-
 def test_parallel_runner_speedup():
     """Parallel sweep matches serial bit-for-bit; record the timing.
 
@@ -154,7 +123,7 @@ def test_parallel_runner_speedup():
     fidelity = Fidelity.from_env(default="smoke")
     jobs = resolve_jobs()
     record = run_benchmark(fidelity, jobs=max(jobs, 2))
-    append_record(record, _out_path())
+    append_record(record, out_path(DEFAULT_OUT))
     print(json.dumps(record, indent=2))
     enforce = os.environ.get("REPRO_BENCH_ENFORCE", "") == "1"
     if enforce and record["jobs"] == 2:

@@ -35,18 +35,10 @@ from __future__ import annotations
 
 import json
 import os
-import sys
 import time
-from pathlib import Path
 
-# Standalone-script convenience: make src/ importable without
-# PYTHONPATH (pytest runs get it from the usual test environment).
-try:
-    import repro  # noqa: F401
-except ImportError:  # pragma: no cover
-    sys.path.insert(
-        0, str(Path(__file__).resolve().parents[1] / "src")
-    )
+# Imported first: it puts src/ on the path for standalone runs.
+from trajectory import REPO_ROOT, append_record, out_path
 
 from repro.experiments.fidelity import Fidelity
 from repro.experiments.router import (
@@ -55,9 +47,7 @@ from repro.experiments.router import (
 )
 from repro.experiments.runner import run_many
 
-DEFAULT_OUT = Path(__file__).resolve().parents[1] / (
-    "BENCH_router.json"
-)
+DEFAULT_OUT = REPO_ROOT / "BENCH_router.json"
 
 #: The headline operating point: every terminal saturated.
 HEADLINE_THINK = 0.0
@@ -130,27 +120,6 @@ def run_benchmark(fidelity: Fidelity) -> dict:
     return record
 
 
-def _out_path() -> Path:
-    override = os.environ.get("REPRO_BENCH_OUT")
-    return Path(override) if override else DEFAULT_OUT
-
-
-def append_record(record: dict, path: Path) -> None:
-    """Append to the JSON trajectory (a list of records)."""
-    records = []
-    if path.is_file():
-        try:
-            records = json.loads(path.read_text(encoding="utf-8"))
-            if not isinstance(records, list):
-                records = [records]
-        except (OSError, ValueError):
-            records = []
-    records.append(record)
-    path.write_text(
-        json.dumps(records, indent=2) + "\n", encoding="utf-8"
-    )
-
-
 def test_router_headline():
     """Record the headline point; gate the strict win under CI.
 
@@ -161,7 +130,7 @@ def test_router_headline():
     """
     fidelity = Fidelity.from_env(default="bench")
     record = run_benchmark(fidelity)
-    append_record(record, _out_path())
+    append_record(record, out_path(DEFAULT_OUT))
     print(json.dumps(record, indent=2))
     assert record["read_only_lock_waits"] == 0, record
     assert record["read_only_aborts"] == 0, record

@@ -120,9 +120,6 @@ class LockManager:
         one is queued is a caller bug and raises immediately rather
         than corrupting the queue.
         """
-        san = self.env._san
-        if san is not None:
-            san.write(("lock", self))
         txn = cohort.transaction
         pending = self._waiting.get(txn)
         if pending is not None:
@@ -247,9 +244,6 @@ class LockManager:
         is withdrawn — locks the transaction already holds stay held
         until the abort protocol reaches this node.
         """
-        san = self.env._san
-        if san is not None:
-            san.write(("lock", self))
         entry = self._table.get(request.page)
         if entry is not None and request in entry.queue:
             entry.queue.remove(request)
@@ -258,9 +252,6 @@ class LockManager:
 
     def release_all(self, txn: Transaction) -> None:
         """Drop every lock and queued request of ``txn`` at this node."""
-        san = self.env._san
-        if san is not None:
-            san.write(("lock", self))
         touched: List[PageId] = []
         # The grant pass fires blocked requests' events in the order
         # pages are visited, so iterating the held-set directly would
@@ -333,9 +324,6 @@ class LockManager:
         blockers of its one queued request here, or nobody if it is
         not waiting.  Costs one request's queue, not the table.
         """
-        san = self.env._san
-        if san is not None:
-            san.read(("lock", self))
         request = self._waiting.get(txn)
         if request is None:
             return []
@@ -350,9 +338,6 @@ class LockManager:
         Pages in table order (insertion order: page first touched),
         then each queued request's :meth:`_blockers`.
         """
-        san = self.env._san
-        if san is not None:
-            san.read(("lock", self))
         edges: List[Tuple[Transaction, Transaction]] = []
         for entry in self._table.values():  # simlint: ignore[unordered-iteration]
             if not entry.queue:

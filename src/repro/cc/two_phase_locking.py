@@ -55,14 +55,11 @@ def local_deadlock_cycle(
     waits_for = locks.waits_for
 
     def blockers(txn: Transaction) -> List[Transaction]:
-        # Asked before the test below so the search always records
-        # its lock-table read with the sanitizer.
-        waiting_for = waits_for(txn)
         if txn in doomed or txn.abort_pending:
             return []
         return [
             other
-            for other in waiting_for
+            for other in waits_for(txn)
             if other not in doomed and not other.abort_pending
         ]
 

@@ -185,9 +185,6 @@ class NetworkManager:
         this contract, so arity drift is caught at review time rather
         than as a mid-simulation ``TypeError``.
         """
-        san = self.env._san
-        if san is not None:
-            san.write(("net", source, destination))
         if source == destination:
             self.env.schedule_now(handler, payload)
             return

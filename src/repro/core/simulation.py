@@ -38,10 +38,7 @@ class Simulation:
     """One fully wired simulation instance.
 
     ``sanitizer`` attaches a :class:`~repro.sanitizer.core.Sanitizer`
-    (``None``, the default, is a clean run).  ``tiebreak`` selects the
-    same-timestamp dispatch order (``"fifo"`` default,
-    ``"reverse-batch"`` for the confirmer) and is mutually exclusive
-    with a sanitizer.
+    (``None``, the default, is a clean run).
     """
 
     def __init__(
@@ -50,7 +47,6 @@ class Simulation:
         auditor=None,
         tracer=None,
         sanitizer=None,
-        tiebreak=None,
     ):
         config.validate()
         self.sanitizer = sanitizer
@@ -58,7 +54,7 @@ class Simulation:
         self.auditor = auditor
         self.tracer = tracer
         self._measured_duration = config.duration
-        self.env = Environment(sanitizer=sanitizer, tiebreak=tiebreak)
+        self.env = Environment(sanitizer=sanitizer)
         self.streams = RandomStreams(config.seed)
         if sanitizer is not None:
             self.streams.attach_sanitizer(sanitizer)
@@ -199,9 +195,9 @@ class Simulation:
             self.fault_injector.assert_no_leaks()
         result = self._build_result()
         if sanitizer is not None:
-            # Leak audit (stranded work becomes findings instead of an
-            # exception) + the differential race confirmer.
-            sanitizer.finish_run(self, result)
+            # Leak audit: stranded work becomes findings instead of an
+            # exception.
+            sanitizer.finish_run(self)
         return result
 
     def _reset_statistics(self) -> None:

@@ -53,7 +53,6 @@ class FaultInjector:
         self.metrics = metrics
         self.num_nodes = len(proc_nodes)
         self.crashes = 0
-        self.recoveries = 0
         self._down = [False] * self.num_nodes
         self._down_count = 0
         self._down_since: List[Optional[float]] = (
@@ -154,7 +153,6 @@ class FaultInjector:
                 (self._degraded_since, now)
             )
             self._degraded_since = None
-        self.recoveries += 1
 
     # ------------------------------------------------------------------
     # Availability accounting

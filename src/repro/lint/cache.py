@@ -26,8 +26,9 @@ from repro.lint.violations import Violation
 __all__ = ["LintCache", "default_cache_path"]
 
 #: Bump when the cache entry layout changes (2: violations carry
-#: severity/baselined fields; 3: keys hashed the removed flow engine).
-CACHE_FORMAT = 3
+#: severity/baselined fields; 3: keys hashed the removed flow engine;
+#: 4: violations drop the baselined field).
+CACHE_FORMAT = 4
 
 
 def default_cache_path() -> Path:

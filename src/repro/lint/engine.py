@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence
 
-from repro.lint.baseline import BaselineEntry
 from repro.lint.cache import LintCache
 from repro.lint.registry import (
     ProjectRule,
@@ -64,14 +63,11 @@ class LintReport:
     violations: List[Violation] = field(default_factory=list)
     files: int = 0
     cache_hits: int = 0
-    #: Baseline entries that waived fewer findings than they claim
-    #: (simsan reports only: simlint has no baseline).
-    stale_baseline: List[BaselineEntry] = field(default_factory=list)
 
     @property
     def active(self) -> List[Violation]:
-        """Live findings — neither suppressed nor baselined."""
-        return [v for v in self.violations if v.counts]
+        """Live findings — the ones not suppressed."""
+        return [v for v in self.violations if not v.suppressed]
 
     @property
     def failures(self) -> List[Violation]:
@@ -85,14 +81,9 @@ class LintReport:
         return [v for v in self.violations if v.suppressed]
 
     @property
-    def baselined(self) -> List[Violation]:
-        """Findings inventoried by the baseline file."""
-        return [v for v in self.violations if v.baselined]
-
-    @property
     def ok(self) -> bool:
-        """Clean: no live errors and no stale baseline entries."""
-        return not self.failures and not self.stale_baseline
+        """Clean: no live errors."""
+        return not self.failures
 
 
 def discover_files(paths: Sequence[Path]) -> List[Path]:

@@ -21,14 +21,9 @@ def render_text(
     """Human-readable report: one line per finding plus a summary."""
     lines: List[str] = []
     for violation in report.violations:
-        waived = violation.suppressed or violation.baselined
-        if waived and not show_suppressed:
+        if violation.suppressed and not show_suppressed:
             continue
-        marker = ""
-        if violation.suppressed:
-            marker = " (suppressed)"
-        elif violation.baselined:
-            marker = " (baselined)"
+        marker = " (suppressed)" if violation.suppressed else ""
         tag = violation.rule_id
         if violation.severity != "error":
             tag += f":{violation.severity}"
@@ -36,26 +31,16 @@ def render_text(
             f"{violation.path}:{violation.line}:{violation.col}: "
             f"[{tag}]{marker} {violation.message}"
         )
-    for entry in report.stale_baseline:
-        lines.append(
-            f"stale baseline entry: {entry.path} [{entry.rule}] "
-            f"waives {entry.count} finding(s) that no longer exist — "
-            "trim the baseline"
-        )
     active = len(report.active)
     suppressed = len(report.suppressed)
-    baselined = len(report.baselined)
-    waived_bits = f"{suppressed} suppressed"
-    if baselined:
-        waived_bits += f", {baselined} baselined"
     if active:
         summary = (
             f"{active} violation{'s' if active != 1 else ''}"
-            f" ({waived_bits}) in {report.files} files"
+            f" ({suppressed} suppressed) in {report.files} files"
         )
     else:
         summary = (
-            f"clean: 0 violations ({waived_bits}) in "
+            f"clean: 0 violations ({suppressed} suppressed) in "
             f"{report.files} files"
         )
     if report.cache_hits:
@@ -65,23 +50,18 @@ def render_text(
 
 
 def render_json(report: LintReport) -> str:
-    """Machine-readable report; always includes waived findings."""
+    """Machine-readable report; always includes suppressed findings."""
     payload = {
-        "version": 2,
+        "version": 3,
         "summary": {
             "files": report.files,
             "violations": len(report.active),
             "failures": len(report.failures),
             "suppressed": len(report.suppressed),
-            "baselined": len(report.baselined),
-            "stale_baseline": len(report.stale_baseline),
             "cache_hits": report.cache_hits,
             "ok": report.ok,
         },
         "violations": [v.as_dict() for v in report.violations],
-        "stale_baseline": [
-            entry.as_dict() for entry in report.stale_baseline
-        ],
     }
     return json.dumps(payload, indent=2, sort_keys=True)
 
@@ -96,10 +76,9 @@ def render_sarif(
     ``rules`` is the list of rule objects that ran (file and project
     rules together); None means every registered rule.  The runtime
     sanitizer reuses this renderer with its check descriptors and
-    ``driver_name="simsan"``.  Waived findings are emitted with a
-    ``suppressions`` entry (``inSource`` for inline comments,
-    ``external`` for simsan's baseline waivers) so code scanners show
-    them as dismissed instead of dropping them.
+    ``driver_name="simsan"``.  Suppressed findings are emitted with an
+    ``inSource`` ``suppressions`` entry so code scanners show them as
+    dismissed instead of dropping them.
     """
     if rules is None:
         from repro.lint.registry import all_project_rules, all_rules
@@ -147,13 +126,6 @@ def render_sarif(
                 {
                     "kind": "inSource",
                     "justification": "simlint: ignore comment",
-                }
-            ]
-        elif violation.baselined:
-            result["suppressions"] = [
-                {
-                    "kind": "external",
-                    "justification": "inventoried in the baseline",
                 }
             ]
         results.append(result)

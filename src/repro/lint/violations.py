@@ -18,9 +18,8 @@ class Violation:
     """One finding: a rule fired at a source location.
 
     ``suppressed`` is True when the flagged line carries a matching
-    ``# simlint: ignore[rule-id]`` comment; ``baselined`` is True when
-    a checked-in baseline entry inventories the finding.  Neither kind
-    fails the run, but both are reported (JSON/SARIF always, text on
+    ``# simlint: ignore[rule-id]`` comment.  A suppressed finding does
+    not fail the run, but it is reported (JSON/SARIF always, text on
     request) so the waiver inventory stays auditable.
     """
 
@@ -31,17 +30,11 @@ class Violation:
     message: str
     severity: str = "error"
     suppressed: bool = False
-    baselined: bool = False
 
     @property
     def sort_key(self) -> tuple:
         """Stable report order: location first, then rule."""
         return (self.path, self.line, self.col, self.rule_id)
-
-    @property
-    def counts(self) -> bool:
-        """Whether this finding is live (neither waived nor baselined)."""
-        return not self.suppressed and not self.baselined
 
     def as_dict(self) -> Dict[str, Any]:
         """JSON-ready rendering (used by the reporter and the cache)."""
@@ -53,7 +46,6 @@ class Violation:
             "message": self.message,
             "severity": self.severity,
             "suppressed": self.suppressed,
-            "baselined": self.baselined,
         }
 
     @classmethod
@@ -67,7 +59,6 @@ class Violation:
             message=data["message"],
             severity=str(data.get("severity", "error")),
             suppressed=bool(data["suppressed"]),
-            baselined=bool(data.get("baselined", False)),
         )
 
     def with_path(self, path: str) -> "Violation":
@@ -84,7 +75,3 @@ class Violation:
     def as_suppressed(self) -> "Violation":
         """A copy marked as waived by an inline comment."""
         return replace(self, suppressed=True)
-
-    def as_baselined(self) -> "Violation":
-        """A copy marked as inventoried by the baseline file."""
-        return replace(self, baselined=True)

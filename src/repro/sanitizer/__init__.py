@@ -1,23 +1,14 @@
 """simsan: a runtime determinism sanitizer for the simulation kernel.
 
 simlint (:mod:`repro.lint`) guards the bit-reproducibility property
-statically; simsan guards it *dynamically*.  An opt-in instrumented
-execution mode — ``Environment(sanitizer=...)`` /
-``Simulation(config, sanitizer=...)`` — routes cheap hook points in
-the kernel (process creation, event scheduling, mailboxes, and its
-instrumented dispatch loop), the stream registry, the resources, the
-network, and the fault injector into a
-:class:`~repro.sanitizer.core.Sanitizer`, which runs four checkers:
+statically; simsan guards what only a live run shows.  An opt-in
+instrumented execution mode — ``Environment(sanitizer=...)`` /
+``Simulation(config, sanitizer=...)`` — routes hook points in the
+kernel (process creation, handle scheduling and cancellation, and its
+instrumented dispatch loop), the stream registry, the network's
+in-flight couriers, and the fault injector into a
+:class:`~repro.sanitizer.core.Sanitizer`, which runs three checkers:
 
-``same-time-race``
-    Two same-timestamp events with intersecting read/write footprints
-    over kernel-visible mutable state (lock tables, mailboxes, CPU/disk
-    queues, streams, couriers) whose relative order is decided only by
-    the scheduling sequence number.  A differential confirmer re-runs
-    the configuration under a perturbed tie-break order
-    (``tiebreak="reverse-batch"``) and diffs the
-    :class:`~repro.core.metrics.SimulationResult` to classify each flag
-    as benign-commutative (warning) or outcome-changing (error).
 ``stream-discipline``
     Every runtime stream lookup is checked against the
     :func:`~repro.sim.streams.register_stream` registry and the drawing
@@ -34,12 +25,10 @@ network, and the fault injector into a
     reaped.
 
 Findings are ordinary :class:`~repro.lint.violations.Violation`
-objects: they flow through the existing text/JSON/SARIF reporters,
-``# simsan: waive[check-id]`` inline comments, and a checked-in
-baseline (``src/repro/sanitizer/baseline.json``).  There are two
-entry points: ``Simulation(config, sanitizer=Sanitizer())`` sanitizes
-one run, and ``python -m repro.sanitizer <ids>`` sanitizes whole
-experiments by running them on a
+objects rendered by the shared text/JSON/SARIF reporters.  There are
+two entry points: ``Simulation(config, sanitizer=Sanitizer())``
+sanitizes one run, and ``python -m repro.sanitizer <ids>`` sanitizes
+whole experiments by running them on a
 :class:`~repro.sanitizer.executor.SanitizingExecutor`.
 """
 

@@ -3,10 +3,9 @@
 Mirrors the shape the lint reporters expect from a rule: each check
 exposes ``rule_id``, ``summary``, and a default ``severity``, so a
 simsan report can be rendered by :func:`repro.lint.reporters.render_text`
-/ ``render_json`` / ``render_sarif`` unchanged.  Individual findings may
-carry a different severity than the check default (the differential
-confirmer upgrades outcome-changing races to errors and downgrades
-benign-commutative ones to warnings).
+/ ``render_json`` / ``render_sarif`` unchanged.  A finding may carry a
+different severity than its check's default: a double cancel is a
+``handle-lifecycle`` warning.
 """
 
 from __future__ import annotations
@@ -14,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
-SAME_TIME_RACE = "same-time-race"
 STREAM_DISCIPLINE = "stream-discipline"
 HANDLE_LIFECYCLE = "handle-lifecycle"
 LEAK_AUDIT = "leak-audit"
@@ -30,15 +28,6 @@ class Check:
 
 
 CHECKS: Tuple[Check, ...] = (
-    Check(
-        rule_id=SAME_TIME_RACE,
-        summary=(
-            "two same-timestamp events touched the same kernel-visible "
-            "mutable state and their relative order is decided only by "
-            "the scheduling sequence number"
-        ),
-        severity="warning",
-    ),
     Check(
         rule_id=STREAM_DISCIPLINE,
         summary=(
@@ -72,7 +61,3 @@ _BY_ID: Dict[str, Check] = {check.rule_id: check for check in CHECKS}
 
 def get_check(rule_id: str) -> Check:
     return _BY_ID[rule_id]
-
-
-def is_check_id(rule_id: str) -> bool:
-    return rule_id in _BY_ID

@@ -7,22 +7,20 @@ finding through the shared lint reporters.  That executor is serial
 and has no disk cache, so every point is actually simulated under
 instrumentation, and nothing it produces reaches the result cache.
 
-Exit codes mirror simlint: 0 clean, 1 findings (live error-severity
-violations or a stale baseline), 2 usage/config errors.
+Exit codes mirror simlint: 0 clean, 1 findings (error-severity
+violations), 2 usage errors.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 from typing import List, Optional
 
 from repro.experiments.faults import faulted_smoke_config
 from repro.experiments.fidelity import Fidelity
 from repro.experiments.registry import EXPERIMENTS, get_experiment
 from repro.experiments.runner import using_executor
-from repro.lint.baseline import Baseline
 from repro.sanitizer import report as report_mod
 from repro.sanitizer.executor import SanitizingExecutor
 
@@ -34,8 +32,8 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="python -m repro.sanitizer",
         description=(
             "simsan: runtime determinism sanitizer — run experiments "
-            "instrumented and report races, stream-discipline breaks, "
-            "handle misuse, and leaks"
+            "instrumented and report stream-discipline breaks, handle "
+            "misuse, and leaks"
         ),
     )
     parser.add_argument(
@@ -57,27 +55,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="report format (default: text)",
     )
     parser.add_argument(
-        "--baseline",
-        metavar="PATH",
-        help=(
-            "baseline of inventoried findings (default: the committed "
-            "src/repro/sanitizer/baseline.json when present)"
-        ),
-    )
-    parser.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="ignore any baseline, report every finding",
-    )
-    parser.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help=(
-            "rewrite the baseline to inventory every current "
-            "error-severity finding, then exit 0"
-        ),
-    )
-    parser.add_argument(
         "--faulted-smoke",
         action="store_true",
         help=(
@@ -88,39 +65,12 @@ def _build_parser() -> argparse.ArgumentParser:
             "instrumentation in the same report"
         ),
     )
-    parser.add_argument(
-        "--no-confirm",
-        action="store_true",
-        help=(
-            "skip the differential confirmer (race candidates stay "
-            "unclassified warnings; roughly halves sanitized cost)"
-        ),
-    )
-    parser.add_argument(
-        "--show-suppressed",
-        action="store_true",
-        help="include waived/baselined findings in text output",
-    )
     return parser
-
-
-def _resolve_baseline(options) -> Optional[Baseline]:
-    if options.no_baseline or options.update_baseline:
-        return Baseline.empty()
-    if options.baseline:
-        return Baseline.load(Path(options.baseline))
-    return None  # build_report falls back to the committed baseline
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     """Run the sanitizer CLI; returns the process exit code."""
     options = _build_parser().parse_args(argv)
-    try:
-        baseline = _resolve_baseline(options)
-    except ValueError as error:
-        print(str(error), file=sys.stderr)
-        return 2
-
     fidelity = {
         "smoke": Fidelity.smoke,
         "quick": Fidelity.quick,
@@ -138,7 +88,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(error, file=sys.stderr)
             return 2
 
-    executor = SanitizingExecutor(confirm=not options.no_confirm)
+    executor = SanitizingExecutor()
     with using_executor(executor):
         for experiment in experiments:
             print(
@@ -154,34 +104,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 file=sys.stderr,
             )
             executor.run_one(faulted_smoke_config("2pl"))
-    findings = executor.findings()
-    runs = executor.runs
-
-    if options.update_baseline:
-        target = Path(
-            options.baseline
-            if options.baseline
-            else report_mod.default_baseline_path()
-        )
-        inventory = report_mod.build_report(
-            findings, runs=runs, baseline=Baseline.empty()
-        )
-        updated = Baseline.from_violations(
-            inventory.failures,
-            reason="inventoried by --update-baseline; justify or fix",
-        )
-        updated.write(target)
-        print(
-            f"baseline: inventoried "
-            f"{sum(e.count for e in updated.entries)} finding(s) in "
-            f"{target}"
-        )
-        return 0
-
-    report = report_mod.build_report(findings, runs=runs, baseline=baseline)
-    print(
-        report_mod.render(
-            report, options.format, show_suppressed=options.show_suppressed
-        )
-    )
+    report = report_mod.build_report(executor.findings(), runs=executor.runs)
+    print(report_mod.render(report, options.format))
     return 0 if report.ok else 1

@@ -35,14 +35,12 @@ __all__ = ["SanitizingExecutor"]
 class SanitizingExecutor(SweepExecutor):
     """Serial, cache-free executor that sanitizes each simulation."""
 
-    def __init__(self, confirm: bool = True):
+    def __init__(self):
         super().__init__(jobs=1)
-        #: Whether each run's sanitizer runs the differential confirmer.
-        self.confirm = confirm
         self._sanitizers: List[Sanitizer] = []
 
     def simulation(self, config: SimulationConfig) -> Simulation:
-        sanitizer = Sanitizer(confirm=self.confirm)
+        sanitizer = Sanitizer()
         self._sanitizers.append(sanitizer)
         return Simulation(config, sanitizer=sanitizer)
 

@@ -52,10 +52,10 @@ Hot-path design (the per-event cost caps every figure replication):
   so model objects must not form reference cycles.
 
 :meth:`Environment.run` has two dispatch loops.  The clean loop is the
-one every normal run takes.  The instrumented loop runs one
-same-timestamp batch at a time and serves the runtime sanitizer
-(``repro.sanitizer``, FIFO batches with hooks) and its differential
-confirmer (``tiebreak="reverse-batch"``, batches in descending seq).
+one every normal run takes.  The instrumented loop serves the runtime
+sanitizer (``repro.sanitizer``): it runs one same-timestamp batch at a
+time in seq order, which makes it the reference the clean loop's
+two-phase order is tested against.
 """
 
 from __future__ import annotations
@@ -637,9 +637,6 @@ class Mailbox:
 
     def put(self, item: Any) -> None:
         """Deposit an item, waking the oldest pending getter if any."""
-        san = self.env._san
-        if san is not None:
-            san.write(("mailbox", self))
         if self._getters:
             self._getters.popleft().succeed(item)
         else:
@@ -647,9 +644,6 @@ class Mailbox:
 
     def get(self) -> Event:
         """An event that fires with the next item."""
-        san = self.env._san
-        if san is not None:
-            san.write(("mailbox", self))
         event = Event(self.env)
         if self._items:
             event.succeed(self._items.popleft())
@@ -673,11 +667,8 @@ class Environment:
     :class:`ScheduledCallback` (every entry under the instrumented
     loop, and ``schedule`` entries due at the current instant).
 
-    ``sanitizer`` attaches a runtime sanitizer (``repro.sanitizer``).
-    ``tiebreak`` selects the order among same-timestamp callbacks:
-    ``"fifo"`` (the default, schedule order) or ``"reverse-batch"``
-    (the differential confirmer's perturbed order).  Either one routes
-    :meth:`run` through the instrumented loop.
+    ``sanitizer`` attaches a runtime sanitizer (``repro.sanitizer``)
+    and routes :meth:`run` through the instrumented loop.
     """
 
     __slots__ = (
@@ -689,16 +680,11 @@ class Environment:
         "_timeout_pool",
         "_handle_pool",
         "_san",
-        "_tiebreak",
         "_clean",
         "dispatch_count",
     )
 
-    def __init__(
-        self,
-        sanitizer: Optional[Any] = None,
-        tiebreak: Optional[str] = None,
-    ):
+    def __init__(self, sanitizer: Optional[Any] = None):
         self.now = 0.0
         self._heap: list[tuple[float, int, ScheduledCallback]] = []
         self._fast: deque[tuple[Any, Optional[tuple]]] = deque()
@@ -706,27 +692,12 @@ class Environment:
         self._crashes: list[tuple[Process, BaseException]] = []
         self._timeout_pool: list[Timeout] = []
         self._handle_pool: list[ScheduledCallback] = []
-        if tiebreak not in (None, "fifo", "reverse-batch"):
-            raise ValueError(
-                f"tiebreak={tiebreak!r}; expected 'fifo' or 'reverse-batch'"
-            )
-        if tiebreak == "fifo":
-            tiebreak = None
-        if sanitizer is not None and tiebreak is not None:
-            raise SimulationError(
-                "sanitizer and a non-FIFO tiebreak are mutually "
-                "exclusive: the race detector's footprint model assumes "
-                "the kernel's documented FIFO seq order"
-            )
         # None on the clean path so every sanitizer hook is one
         # attribute load and a predictable branch.
         self._san = sanitizer
-        self._tiebreak = tiebreak
         # Whether run() takes the clean loop, whose fast lane needs no
         # handles for schedule_now.
-        self._clean = sanitizer is None and tiebreak is None
-        if sanitizer is not None:
-            sanitizer.attach_env(self)
+        self._clean = sanitizer is None
         self.dispatch_count = 0
 
     @property
@@ -781,18 +752,14 @@ class Environment:
         (use ``schedule(0.0, ...)`` for that): on the clean path it
         appends a plain ``(callback, args)`` pair to the fast lane and
         builds no handle.  Under the instrumented loop it takes a seq
-        and a handle like :meth:`schedule`.
+        and a sanitizer handle like :meth:`schedule`.
         """
         if self._clean:
             self._fast.append((callback, args))
             return
         seq = self._seq
         self._seq = seq + 1
-        san = self._san
-        if san is not None:
-            handle = san.new_handle(self.now, seq, callback, args)
-        else:
-            handle = ScheduledCallback(self.now, seq, callback, args)
+        handle = self._san.new_handle(self.now, seq, callback, args)
         self._fast.append((handle, None))
 
     def process(
@@ -943,24 +910,19 @@ class Environment:
             self.dispatch_count = dispatched
 
     def _run_instrumented(self, until: Optional[float]) -> None:
-        """The dispatch loop under a sanitizer or a non-FIFO tie-break.
+        """The dispatch loop under a sanitizer.
 
         Runs one same-timestamp batch at a time: every callback queued
         for the current instant, fast lane and heap alike, sorted by
-        seq — ascending (FIFO, exactly the clean loop's order) or, under
-        ``tiebreak="reverse-batch"``, descending.  Work a batch member
-        schedules at the same instant lands in the *next* batch, so
-        children still run after their parents, every callback still
-        runs exactly once at its scheduled time, and only the order
-        among causally unrelated same-time callbacks can differ from
-        FIFO.  Sanitizer hooks are called only when one is attached.
-        Handles are not recycled: the sanitizer needs stable handle
-        identity, and the confirmer's single re-run does not need the
-        speed.  Being a separate loop is what keeps the clean loop free
-        of any per-event sanitizer cost.
+        seq.  That is exactly the clean loop's global ``(time, seq)``
+        order: work a batch member schedules at the same instant has a
+        larger seq than every member and lands in the *next* batch.
+        The sanitizer sees every reap and every dispatch.  Handles are
+        not recycled: the sanitizer needs stable handle identity.
+        Being a separate loop is what keeps the clean loop free of any
+        per-event sanitizer cost.
         """
         san = self._san
-        reverse = self._tiebreak is not None
         heap = self._heap
         fast = self._fast
         heappop = heapq.heappop
@@ -979,34 +941,24 @@ class Environment:
                         # Reaping a cancelled entry never moves the
                         # clock (the clean loop's rule).
                         heappop(heap)
-                        if san is not None:
-                            san.note_reaped(handle)
+                        san.note_reaped(handle)
                         continue
-                    # Exact: heap times are stored schedule values and
-                    # ``now`` was copied from one.
-                    if time != self.now:  # simlint: ignore[float-time-equality]
-                        self.now = time
-                        if san is not None:
-                            san.advance_time(time)
+                    self.now = time
                 now = self.now
                 batch = [handle for handle, _args in fast]
                 fast.clear()
-                # Exact: stored schedule times (see above).
+                # Exact: heap times are stored schedule values and
+                # ``now`` was copied from one.
                 while heap and heap[0][2].time == now:  # simlint: ignore[float-time-equality]
                     batch.append(heappop(heap)[2])
-                batch.sort(key=_handle_seq, reverse=reverse)
+                batch.sort(key=_handle_seq)
                 for handle in batch:
                     # Re-checked per handle: a batch member may cancel
                     # a later member of the same batch.
                     if handle.cancelled:
-                        if san is not None:
-                            san.note_reaped(handle)
+                        san.note_reaped(handle)
                         continue
                     dispatched += 1
-                    if san is None:
-                        handle.callback(*handle.args)
-                        continue
-                    san.begin_event(handle)
                     try:
                         handle.callback(*handle.args)
                     finally:

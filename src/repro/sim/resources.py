@@ -115,9 +115,6 @@ class CPU:
         it (see :meth:`cancel`).
         """
         env = self.env
-        san = env._san
-        if san is not None:
-            san.write(("cpu", self))
         seconds = instructions / self._instructions_per_second
         if seconds <= 0.0:
             event = Event(env)
@@ -141,9 +138,6 @@ class CPU:
 
     def execute_message(self, instructions: float) -> Event:
         """Submit high-priority FIFO message-processing work."""
-        san = self.env._san
-        if san is not None:
-            san.write(("cpu", self))
         event = self.env.event()
         seconds = instructions / self._instructions_per_second
         if seconds <= 0.0:
@@ -163,9 +157,6 @@ class CPU:
         and non-preemptive); queued message work is not cancellable
         either, because nothing in the model ever abandons a message.
         """
-        san = self.env._san
-        if san is not None:
-            san.write(("cpu", self))
         if (
             type(job) is not _PsJob
             or job.cpu is not self
@@ -350,9 +341,6 @@ class Disk:
 
     def access(self, kind: DiskRequestKind) -> Event:
         """Queue an access; the event fires when the transfer completes."""
-        san = self.env._san
-        if san is not None:
-            san.write(("disk", self))
         request = _DiskRequest(self.env, self, kind)
         if kind is _WRITE:
             self._write_queue.append(request)
@@ -367,9 +355,6 @@ class Disk:
 
         Returns True if ``request`` was queued here and now is not.
         """
-        san = self.env._san
-        if san is not None:
-            san.write(("disk", self))
         if (
             type(request) is not _DiskRequest
             or request.disk is not self

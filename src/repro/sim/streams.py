@@ -146,12 +146,11 @@ class RandomStreams:
         self._san = None
 
     def attach_sanitizer(self, sanitizer) -> None:
-        """Route stream lookups/draws through a runtime sanitizer.
+        """Check every later stream lookup with a runtime sanitizer.
 
-        Must be called before any stream is created: streams handed out
-        afterwards are per-draw instrumentation proxies, and call sites
-        cache stream handles, so late attachment would leave earlier
-        streams invisible to the sanitizer.
+        Must be called before any stream is created: call sites cache
+        stream handles, so a stream handed out before attachment might
+        never be looked up, and so checked, again.
         """
         if self._streams:
             raise ValueError(
@@ -182,13 +181,9 @@ class RandomStreams:
         workload's per-terminal think streams).  The sanitizer checks
         it exactly as in :meth:`get`, which builds its streams here.
         """
-        san = self._san
-        if san is not None:
-            san.check_stream(name, owner)
-        stream = random.Random(derive_seed(self.seed, name))
-        if san is not None:
-            stream = san.wrap_stream(name, stream)
-        return stream
+        if self._san is not None:
+            self._san.check_stream(name, owner)
+        return random.Random(derive_seed(self.seed, name))
 
     def exponential(self, name: str, mean: float, owner: str = None) -> float:
         """Draw from Exp(mean); returns 0.0 when ``mean`` is 0."""

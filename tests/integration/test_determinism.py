@@ -144,9 +144,8 @@ INSTRUMENTED_POINTS = {
 class TestInstrumentedLoopParity:
     """A sanitized run goes through the kernel's instrumented dispatch
     loop, a clean run through the clean loop.  The sanitizer only
-    observes, so every reported number must be identical: that is what
-    lets the differential confirmer blame any perturbed-run difference
-    on same-timestamp ordering alone."""
+    observes, so every reported number must be identical: a sanitized
+    run vouches for the clean run it stands in for."""
 
     @pytest.mark.parametrize(
         "point", list(INSTRUMENTED_POINTS), ids=list(INSTRUMENTED_POINTS)
@@ -154,9 +153,7 @@ class TestInstrumentedLoopParity:
     def test_sanitized_equals_clean(self, point):
         config = INSTRUMENTED_POINTS[point]()
         clean = run_simulation(config)
-        sanitized = Simulation(
-            config, sanitizer=Sanitizer(confirm=False)
-        ).run()
+        sanitized = Simulation(config, sanitizer=Sanitizer()).run()
         assert clean.commits > 0
         assert clean.as_dict() == sanitized.as_dict()
         # The flat dict omits the per-node breakdowns; "identical"

@@ -50,7 +50,7 @@ def test_router_sanitized_equals_clean():
     assert clean.router_enabled
     # The run exercised the bandit: more than one algorithm class.
     assert len(clean.router_class_commits) > 1
-    sanitized = Simulation(config, sanitizer=Sanitizer(confirm=False)).run()
+    sanitized = Simulation(config, sanitizer=Sanitizer()).run()
     _assert_identical(clean, sanitized)
 
 

@@ -94,13 +94,6 @@ class TestLevelsAndSuppressions:
         (result,) = doc["runs"][0]["results"]
         assert result["suppressions"][0]["kind"] == "inSource"
 
-    def test_baseline_suppression_marked_external(self):
-        # simlint has no baseline, but simsan renders its baselined
-        # races through this reporter, so the finding is built here.
-        doc = sarif_of([finding(baselined=True)])
-        (result,) = doc["runs"][0]["results"]
-        assert result["suppressions"][0]["kind"] == "external"
-
     def test_live_findings_carry_no_suppressions(self):
         doc = sarif_of([finding()])
         (result,) = doc["runs"][0]["results"]

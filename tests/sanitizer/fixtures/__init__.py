@@ -4,16 +4,35 @@ Each checker gets at least one minimal simulation that triggers
 *exactly one* finding, plus a near-miss that exercises the same code
 path but stays clean.
 
-A fixture builds its own :class:`~repro.sim.kernel.Environment` with a
-confirmer-less :class:`~repro.sanitizer.core.Sanitizer` (there is no
-``SimulationConfig`` to re-run at kernel level), drives it, runs the
+A kernel-level fixture builds its own
+:class:`~repro.sim.kernel.Environment` with a
+:class:`~repro.sanitizer.core.Sanitizer`, drives it, runs the
 end-of-env audit, and returns the sanitizer; callers inspect
-``sanitizer.finalize()``.
+``sanitizer.finalize()``.  :func:`draw_unregistered` seeds the same
+``stream-discipline`` finding into a whole simulation.
 """
 
+from repro.core.config import paper_default_config
 from repro.sanitizer.core import Sanitizer
-from repro.sim.kernel import Environment, Mailbox
+from repro.sim.kernel import Environment
 from repro.sim.streams import RandomStreams
+
+#: A stream name no ``register_stream`` call declares.
+UNREGISTERED_STREAM = "mystery-stream"
+
+
+def tiny_config(algorithm="2pl", seed=11, think_time=1.0, terminals=6):
+    """A sub-second run: by default six terminals thinking 1 s."""
+    return paper_default_config(
+        algorithm, think_time=think_time, seed=seed
+    ).with_(duration=4.0, warmup=1.0).with_workload(num_terminals=terminals)
+
+
+def draw_unregistered(simulation):
+    """Draw once from an unregistered stream through the simulation's
+    streams: under a sanitizer, one ``stream-discipline`` finding,
+    anchored here whichever run it comes from."""
+    simulation.streams.get(UNREGISTERED_STREAM).random()
 
 
 def _noop():
@@ -21,109 +40,9 @@ def _noop():
 
 
 def make_env():
-    sanitizer = Sanitizer(confirm=False)
+    sanitizer = Sanitizer()
     env = Environment(sanitizer=sanitizer)
     return env, sanitizer
-
-
-# ----------------------------------------------------------------------
-# same-time-race
-# ----------------------------------------------------------------------
-
-
-def race_independent_writes():
-    """Two independently scheduled events write the same mailbox at the
-    same timestamp: their order is pure seq tie-break — one race."""
-    env, sanitizer = make_env()
-    mailbox = Mailbox(env)
-
-    def first_writer():
-        mailbox.put("a")
-
-    def second_writer():
-        mailbox.put("b")
-
-    env.schedule(1.0, first_writer)
-    env.schedule(1.0, second_writer)
-    env.run()
-    sanitizer.finish_env(env)
-    return sanitizer
-
-
-def race_repeated_pair_still_one_finding():
-    """The same callback pair racing on many timestamps dedups to one
-    finding (per-run reports must not scale with the event count)."""
-    env, sanitizer = make_env()
-    mailbox = Mailbox(env)
-
-    def first_writer():
-        mailbox.put("a")
-
-    def second_writer():
-        mailbox.put("b")
-
-    for time in (1.0, 2.0, 3.0):
-        env.schedule(time, first_writer)
-        env.schedule(time, second_writer)
-    env.run()
-    sanitizer.finish_env(env)
-    return sanitizer
-
-
-def race_near_miss_parent_child():
-    """A same-time child is causally ordered after its scheduling
-    parent — touching the same mailbox is not a race."""
-    env, sanitizer = make_env()
-    mailbox = Mailbox(env)
-
-    def child():
-        mailbox.put("b")
-
-    def parent():
-        mailbox.put("a")
-        env.schedule_now(child)
-
-    env.schedule(1.0, parent)
-    env.run()
-    sanitizer.finish_env(env)
-    return sanitizer
-
-
-def race_near_miss_distinct_timestamps():
-    """The same conflicting pair separated by the clock is ordered by
-    time, not seq — not a race."""
-    env, sanitizer = make_env()
-    mailbox = Mailbox(env)
-
-    def first_writer():
-        mailbox.put("a")
-
-    def second_writer():
-        mailbox.put("b")
-
-    env.schedule(1.0, first_writer)
-    env.schedule(2.0, second_writer)
-    env.run()
-    sanitizer.finish_env(env)
-    return sanitizer
-
-
-def race_near_miss_read_read():
-    """Two same-time reads of the same state commute by definition."""
-    env, sanitizer = make_env()
-    table = object()  # stands in for a node's lock table
-
-    def first_reader():
-        sanitizer.read(("lock", table))
-
-    def second_reader():
-        sanitizer.read(("lock", table))
-
-    env.schedule(1.0, first_reader)
-    env.schedule(1.0, second_reader)
-    env.run()
-    sanitizer.finish_env(env)
-    return sanitizer
 
 
 # ----------------------------------------------------------------------
@@ -139,8 +58,8 @@ def stream_unregistered_draw():
     streams.attach_sanitizer(sanitizer)
 
     def draw():
-        streams.uniform("mystery-stream", 0.0, 1.0)
-        streams.uniform("mystery-stream", 0.0, 1.0)  # still one finding
+        streams.uniform(UNREGISTERED_STREAM, 0.0, 1.0)
+        streams.uniform(UNREGISTERED_STREAM, 0.0, 1.0)  # still one finding
 
     env.schedule(1.0, draw)
     env.run()

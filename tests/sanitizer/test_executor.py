@@ -17,20 +17,13 @@ import json
 
 import pytest
 
-from repro.core.config import paper_default_config
 from repro.core.simulation import Simulation
 from repro.experiments import registry, runner, worker_pool
 from repro.experiments.registry import Experiment
 from repro.sanitizer.cli import main
-from repro.sanitizer.core import diff_results
 from repro.sanitizer.executor import SanitizingExecutor
 
-
-def tiny_config(seed=11):
-    """Small and contended: a sub-second run with same-time races."""
-    return paper_default_config(
-        "2pl", think_time=1.0, seed=seed
-    ).with_(duration=4.0, warmup=1.0).with_workload(num_terminals=6)
+from tests.sanitizer.fixtures import draw_unregistered, tiny_config
 
 
 def finding_key(violation):
@@ -67,8 +60,8 @@ def default_executor():
 
 
 def sanitize(ids, capsys):
-    """Run the CLI without baseline or confirmer; return its summary."""
-    main(list(ids) + ["--no-baseline", "--no-confirm", "--format", "json"])
+    """Run the CLI; return its JSON summary."""
+    main(list(ids) + ["--format", "json"])
     return json.loads(capsys.readouterr().out)["summary"]
 
 
@@ -107,7 +100,7 @@ class TestCacheIsolation:
         assert summary["files"] == 1  # simulated under the hooks
         assert cache.stats.as_dict() == before
         # The hooks only observe: the result is the clean one.
-        assert diff_results(clean, sanitized[0]) == ""
+        assert sanitized[0].as_dict() == clean.as_dict()
 
     def test_cli_run_writes_no_entry(
         self, register, default_executor, tmp_path, capsys
@@ -141,7 +134,7 @@ class TestExecution:
         register(
             "pair",
             lambda fidelity: runner.run_many(
-                [tiny_config(11), tiny_config(12)], jobs=2
+                [tiny_config(seed=11), tiny_config(seed=12)], jobs=2
             ),
         )
         # With no live pool, any use of one would spawn a generation.
@@ -159,6 +152,7 @@ class TestExecution:
         def timed(fidelity):
             simulation = runner.get_executor().simulation(tiny_config())
             built.append(simulation)
+            draw_unregistered(simulation)
             simulation.run()
             return []
 
@@ -167,13 +161,7 @@ class TestExecution:
         [simulation] = built
         assert simulation.sanitizer is not None
         assert summary["files"] == 1
-        assert summary["violations"] > 0
-
-    def test_confirm_flag_reaches_every_sanitizer(self):
-        for confirm in (True, False):
-            executor = SanitizingExecutor(confirm=confirm)
-            simulation = executor.simulation(tiny_config())
-            assert simulation.sanitizer.confirm is confirm
+        assert summary["violations"] == 1
 
     def test_each_command_starts_empty(self, register, capsys):
         register("tiny", lambda fidelity: [runner.run_config(tiny_config())])
@@ -191,7 +179,7 @@ class TestSwap:
     def test_only_executor_builds_are_sanitized(self):
         """No process-wide switch: with a sanitizing executor swapped
         in, a directly built Simulation runs clean."""
-        executor = SanitizingExecutor(confirm=False)
+        executor = SanitizingExecutor()
         with runner.using_executor(executor):
             direct = Simulation(tiny_config())
             assert direct.sanitizer is None
@@ -223,15 +211,16 @@ class TestSwap:
 
         register("boom", boom)
         with pytest.raises(RuntimeError, match="experiment failed"):
-            main(["boom", "--no-baseline"])
+            main(["boom"])
         assert runner.get_executor() is before
 
 
 class TestFindings:
     def test_runs_counted_and_findings_collected(self):
-        executor = SanitizingExecutor(confirm=False)
+        executor = SanitizingExecutor()
         simulation = executor.simulation(tiny_config())
         assert executor.runs == 1
+        draw_unregistered(simulation)
         simulation.run()
         own = [finding_key(v) for v in simulation.sanitizer.finalize()]
         assert own
@@ -240,11 +229,13 @@ class TestFindings:
     def test_findings_deduplicated_across_runs(self):
         """Each run's findings, merged in run order; a finding every
         run reports is one row, as in the report."""
-        executor = SanitizingExecutor(confirm=False)
+        executor = SanitizingExecutor()
         simulations = [
-            executor.simulation(tiny_config(seed)) for seed in (11, 12, 13)
+            executor.simulation(tiny_config(seed=seed))
+            for seed in (11, 12, 13)
         ]
         for simulation in simulations:
+            draw_unregistered(simulation)
             simulation.run()
         assert executor.runs == 3
         per_run = [

@@ -19,38 +19,6 @@ def by_check(sanitizer, check_id):
     ]
 
 
-class TestSameTimeRace:
-    def test_independent_writes_flag_exactly_once(self):
-        sanitizer = fixtures.race_independent_writes()
-        races = by_check(sanitizer, checks.SAME_TIME_RACE)
-        assert len(races) == 1
-        assert len(sanitizer.finalize()) == 1
-        finding = races[0]
-        assert "write/write" in finding.message
-        assert "mailbox" in finding.message
-        # No confirmer at kernel level: unclassified, check default.
-        assert "[unconfirmed]" in finding.message
-        assert finding.severity == "warning"
-        # Anchored at the model-level call site, not inside kernel.py.
-        assert finding.path.endswith("tests/sanitizer/fixtures/__init__.py")
-
-    def test_repeated_pair_dedups_to_one_finding(self):
-        sanitizer = fixtures.race_repeated_pair_still_one_finding()
-        assert len(by_check(sanitizer, checks.SAME_TIME_RACE)) == 1
-
-    def test_parent_child_same_time_is_causally_ordered(self):
-        sanitizer = fixtures.race_near_miss_parent_child()
-        assert sanitizer.finalize() == []
-
-    def test_distinct_timestamps_do_not_race(self):
-        sanitizer = fixtures.race_near_miss_distinct_timestamps()
-        assert sanitizer.finalize() == []
-
-    def test_read_read_does_not_race(self):
-        sanitizer = fixtures.race_near_miss_read_read()
-        assert sanitizer.finalize() == []
-
-
 class TestStreamDiscipline:
     def test_unregistered_draw_flags_exactly_once(self):
         sanitizer = fixtures.stream_unregistered_draw()

@@ -1,12 +1,8 @@
-"""Findings flow through the shared lint reporting machinery:
-``# simsan: waive[...]`` inline comments, the committed baseline, and
-the text/JSON/SARIF renderers."""
+"""Findings flow through the shared lint reporting machinery: the
+report gate and the text/JSON/SARIF renderers."""
 
 import json
 
-import pytest
-
-from repro.lint.baseline import Baseline, BaselineEntry
 from repro.lint.violations import Violation
 from repro.sanitizer import report as report_mod
 from repro.sanitizer.checks import CHECKS
@@ -24,83 +20,21 @@ def finding(rule="leak-audit", path="x.py", line=1, message="m",
     )
 
 
-class TestWaivers:
-    def test_matching_inline_waiver_suppresses(self, tmp_path, monkeypatch):
-        source = tmp_path / "model.py"
-        source.write_text(
-            "x = 1\n"
-            "drain()  # simsan: waive[leak-audit] benign shutdown\n"
-        )
-        monkeypatch.chdir(tmp_path)
-        waived, kept = report_mod.apply_waivers(
-            [
-                finding(path="model.py", line=2),
-                finding(path="model.py", line=1, message="other"),
-            ]
-        )[0:2]
-        assert waived.suppressed
-        assert not kept.suppressed
-
-    def test_waiver_is_check_specific(self, tmp_path, monkeypatch):
-        source = tmp_path / "model.py"
-        source.write_text("y()  # simsan: waive[same-time-race]\n")
-        monkeypatch.chdir(tmp_path)
-        [kept] = report_mod.apply_waivers(
-            [finding(rule="leak-audit", path="model.py", line=1)]
-        )
-        assert not kept.suppressed
-
-    def test_synthetic_paths_never_resolve(self):
-        [kept] = report_mod.apply_waivers(
-            [finding(path="<scheduler>", line=0)]
-        )
-        assert not kept.suppressed
-
-
-class TestBaseline:
-    def test_baselined_finding_keeps_report_ok(self):
-        baseline = Baseline(
-            [BaselineEntry("x.py", "leak-audit", 1, "known shutdown leak")]
-        )
-        report = report_mod.build_report(
-            [finding()], runs=3, baseline=baseline
-        )
-        assert report.ok
+class TestGate:
+    def test_error_finding_fails_report(self):
+        report = report_mod.build_report([finding()], runs=3)
+        assert not report.ok
         assert report.files == 3  # rendered as "units examined"
 
-    def test_unbaselined_error_fails_report(self):
-        report = report_mod.build_report(
-            [finding()], baseline=Baseline.empty()
-        )
-        assert not report.ok
-
     def test_warning_findings_do_not_fail_report(self):
-        report = report_mod.build_report(
-            [finding(severity="warning")], baseline=Baseline.empty()
-        )
+        report = report_mod.build_report([finding(severity="warning")])
         assert report.ok
-
-    def test_stale_entry_fails_report(self):
-        baseline = Baseline(
-            [BaselineEntry("gone.py", "leak-audit", 1, "was fixed")]
-        )
-        report = report_mod.build_report([], baseline=baseline)
-        assert report.stale_baseline
-        assert not report.ok
-
-    def test_default_baseline_is_the_committed_file(self):
-        path = report_mod.default_baseline_path()
-        assert path.name == "baseline.json"
-        assert path.is_file()
-        Baseline.load(path)  # must always parse
 
 
 class TestRenderers:
     def report(self):
         return report_mod.build_report(
-            [finding(message="orphaned process 'x'")],
-            runs=2,
-            baseline=Baseline.empty(),
+            [finding(message="orphaned process 'x'")], runs=2
         )
 
     def test_text_names_the_check(self):

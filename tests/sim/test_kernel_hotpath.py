@@ -2,11 +2,11 @@
 
 Covers the same-time fast lane (interleaving with equal-time heap
 entries in exact sequence order), the instrumented dispatch loop
-(same order as the clean loop under FIFO, reversed batches under
-``reverse-batch``), handle/timeout pooling (recycled objects never
-replay stale callbacks), the per-subscription timeout handles, AnyOf
-loser cleanup, and the interrupt-vs-deferred-delivery races the
-transaction manager depends on.
+(same order and clock rule as the clean loop), handle/timeout pooling
+(recycled objects never replay stale callbacks), the per-subscription
+timeout handles, AnyOf loser cleanup, and the
+interrupt-vs-deferred-delivery races the transaction manager depends
+on.
 """
 
 import pytest
@@ -29,7 +29,7 @@ def env():
 
 def _sanitized_env():
     """An environment whose ``run`` takes the instrumented loop."""
-    return Environment(sanitizer=Sanitizer(confirm=False))
+    return Environment(sanitizer=Sanitizer())
 
 
 class TestFastLaneOrdering:
@@ -197,27 +197,9 @@ class TestDispatchRuleDifferential:
         )
 
 
-class TestReverseBatch:
-    def test_batches_run_in_descending_seq_after_their_parents(self):
-        env = Environment(tiebreak="reverse-batch")
-        order = []
-
-        def parent(tag):
-            order.append(tag)
-            env.schedule_now(order.append, tag + "-child")
-
-        env.schedule(1.0, parent, "a")
-        env.schedule(1.0, parent, "b")
-        env.schedule(2.0, order.append, "late")
-        env.run()
-        # Each batch is reversed; children form the next batch, so
-        # they still run after both parents.
-        assert order == ["b", "a", "a-child", "b-child", "late"]
-        assert env.now == 2.0
-        assert env.dispatch_count == 5
-
+class TestInstrumentedLoop:
     def test_cancelled_entry_never_moves_the_clock(self):
-        env = Environment(tiebreak="reverse-batch")
+        env = _sanitized_env()
         fired = []
         env.schedule(5.0, fired.append, "dead").cancel()
         env.schedule(1.0, fired.append, "live")

@@ -106,7 +106,7 @@ class TestFreshStreams:
         assert streams.get("think-0") is not streams.fresh("think-0")
 
     def test_sanitizer_checks_the_registry(self):
-        sanitizer = Sanitizer(confirm=False)
+        sanitizer = Sanitizer()
         streams = RandomStreams(5)
         streams.attach_sanitizer(sanitizer)
         streams.fresh("think-0")
