@@ -7,13 +7,20 @@ point (2PL, think=0, 8 nodes — the densest same-timestamp activity in
 the paper grid) two ways:
 
 * **clean** — the production path (hooks compiled to no-ops);
-* **sanitized** — what ``python -m repro.sanitizer`` runs: every hook,
-  the instrumented dispatch loop, and the end-of-run audit.
+* **sanitized** — what ``python -m repro.sanitizer`` runs: the same
+  dispatch loop with every hook, sanitizer-built handles, and the
+  end-of-run audit.
+
+It times ``PAIRS`` pairs of one clean and one sanitized run, each
+about half a second, alternating which of the two runs first.  Each pair gives
+a ratio, sanitized over clean, and the median ratio is the recorded
+slowdown: drift of a shared host between pairs cancels within each
+pair instead of landing in the ratio.
 
 Appends to ``BENCH_simsan.json`` at the repo root (override with
-``$REPRO_BENCH_OUT``).  With ``$REPRO_BENCH_ENFORCE`` set (the CI
-simsan job), the sanitized run's slowdown must stay under
-``MAX_SLOWDOWN``.
+``$REPRO_BENCH_OUT``), every pair's ratio included.  With
+``$REPRO_BENCH_ENFORCE`` set (the CI simsan job), the median slowdown
+must stay under ``MAX_SLOWDOWN``.
 
 Run standalone or through pytest::
 
@@ -25,6 +32,7 @@ from __future__ import annotations
 
 import json
 import os
+import statistics
 import time
 
 # Imported first: it puts src/ on the path for standalone runs.
@@ -40,6 +48,9 @@ DEFAULT_OUT = REPO_ROOT / "BENCH_simsan.json"
 #: CI gate: a sanitized run may cost at most this many clean-run
 #: equivalents on the saturated point.
 MAX_SLOWDOWN = 5.0
+
+#: Clean/sanitized pairs per benchmark run.
+PAIRS = 5
 
 
 def _bench_config(fidelity: Fidelity):
@@ -57,21 +68,15 @@ def _bench_config(fidelity: Fidelity):
     )
 
 
-def _best_wall(fidelity: Fidelity, repeats: int, sanitize: bool):
-    best = float("inf")
-    result = None
-    findings = 0
-    for _ in range(max(1, repeats)):
-        sanitizer = Sanitizer() if sanitize else None
-        simulation = Simulation(_bench_config(fidelity), sanitizer=sanitizer)
-        started = time.perf_counter()
-        result = simulation.run()
-        wall = time.perf_counter() - started
-        if wall < best:
-            best = wall
-        if sanitizer is not None:
-            findings = len(sanitizer.finalize())
-    return best, result, findings
+def _timed_run(fidelity: Fidelity, sanitize: bool):
+    """One run: (wall seconds, result, number of findings)."""
+    sanitizer = Sanitizer() if sanitize else None
+    simulation = Simulation(_bench_config(fidelity), sanitizer=sanitizer)
+    started = time.perf_counter()
+    result = simulation.run()
+    wall = time.perf_counter() - started
+    findings = len(sanitizer.finalize()) if sanitizer is not None else 0
+    return wall, result, findings
 
 
 def _identical(first, second) -> bool:
@@ -85,23 +90,36 @@ def _identical(first, second) -> bool:
     )
 
 
-def run_benchmark(fidelity: Fidelity, repeats: int = 3) -> dict:
-    clean_wall, clean_result, _ = _best_wall(fidelity, repeats, False)
-    hooks_wall, hooks_result, findings = _best_wall(
-        fidelity, repeats, True
-    )
+def run_benchmark(fidelity: Fidelity, pairs: int = PAIRS) -> dict:
+    clean_walls, sanitized_walls, ratios = [], [], []
+    findings = 0
+    identical = True
+    for pair in range(max(1, pairs)):
+        # Even pairs run clean first, odd pairs sanitized first.
+        if pair % 2:
+            hooks = _timed_run(fidelity, True)
+            clean = _timed_run(fidelity, False)
+        else:
+            clean = _timed_run(fidelity, False)
+            hooks = _timed_run(fidelity, True)
+        clean_wall, clean_result, _ = clean
+        hooks_wall, hooks_result, pair_findings = hooks
+        clean_walls.append(clean_wall)
+        sanitized_walls.append(hooks_wall)
+        ratios.append(hooks_wall / clean_wall)
+        findings = pair_findings
+        identical = identical and _identical(clean_result, hooks_result)
     return {
         "benchmark": "simsan_overhead",
         "fidelity": fidelity.name,
         "workload": "fig02 2pl think=0 nodes=8",
-        "repeats": max(1, repeats),
-        "clean_seconds": round(clean_wall, 4),
-        "sanitized_seconds": round(hooks_wall, 4),
-        "hook_slowdown": round(
-            hooks_wall / clean_wall if clean_wall > 0 else 0.0, 3
-        ),
+        "pairs": len(ratios),
+        "clean_seconds": round(statistics.median(clean_walls), 4),
+        "sanitized_seconds": round(statistics.median(sanitized_walls), 4),
+        "hook_slowdown": round(statistics.median(ratios), 3),
+        "pair_slowdowns": [round(ratio, 3) for ratio in ratios],
         "findings": findings,
-        "results_bit_identical": _identical(clean_result, hooks_result),
+        "results_bit_identical": identical,
         "max_slowdown_gate": MAX_SLOWDOWN,
         "timestamp": time.strftime(
             "%Y-%m-%dT%H:%M:%S%z", time.localtime()
@@ -114,12 +132,12 @@ def test_simsan_overhead():
     record = run_benchmark(Fidelity.smoke())
     append_record(record, out_path(DEFAULT_OUT))
     print(json.dumps(record, indent=2))
-    # Instrumented execution must observe, never perturb.
+    # Sanitized execution must observe, never perturb.
     assert record["results_bit_identical"]
     if os.environ.get("REPRO_BENCH_ENFORCE"):
         assert record["hook_slowdown"] <= MAX_SLOWDOWN, (
-            f"sanitized run is {record['hook_slowdown']}x clean "
-            f"(gate: {MAX_SLOWDOWN}x) — the CI simsan job and "
+            f"sanitized run is {record['hook_slowdown']}x clean in the "
+            f"median pair (gate: {MAX_SLOWDOWN}x) — the CI simsan job and "
             "sanitized experiment runs are becoming unusable"
         )
 

@@ -18,9 +18,8 @@ yields directly:
   ``InstPerUpdate`` CPU first).
 
 A request cancels itself when its interrupted waiter unsubscribes.
-:meth:`execute` and :meth:`disk_read` are the same requests as
-generators for ``yield from``; they call the plain methods, so each
-request kind enters the resources from one call site.
+Callers skip non-positive CPU work themselves
+(``if instructions > 0.0: yield cpu_job(instructions)``).
 """
 
 from __future__ import annotations
@@ -81,11 +80,6 @@ class ResourceManager:
         """
         return self.cpu.execute(instructions)
 
-    def execute(self, instructions: float):
-        """Generator: :meth:`cpu_job` for ``yield from``."""
-        if instructions > 0.0:
-            yield self.cpu_job(instructions)
-
     # ------------------------------------------------------------------
     # Disks
     # ------------------------------------------------------------------
@@ -99,10 +93,6 @@ class ResourceManager:
         An interrupted waiter cancels the read if it is still queued.
         """
         return self._pick_disk().access(_READ)
-
-    def disk_read(self):
-        """Generator: :meth:`read_page` for ``yield from``."""
-        yield self.read_page()
 
     def initiate_async_write(self) -> None:
         """Queue a post-commit page write-back that nobody waits on."""

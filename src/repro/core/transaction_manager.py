@@ -248,7 +248,8 @@ class TransactionManager:
         env = self.env
         transaction.abort_event = env.event()
         # Coordinator process startup at the host.
-        yield from self.host.resources.execute(self._inst_per_startup)
+        if self._inst_per_startup > 0.0:
+            yield self.host.resources.cpu_job(self._inst_per_startup)
         for cohort in cohorts:
             cohort.done_event = env.event()
             cohort.vote_event = env.event()
@@ -575,9 +576,9 @@ class TransactionManager:
         node = self.proc_nodes[cohort.node]
         resources = node.resources
         manager = self._cc_manager(cohort.node)
-        # The cohort yields its resource requests directly, behind the
-        # same guard as ResourceManager.execute; an interrupt while it
-        # waits cancels the request.
+        # The cohort yields its resource requests directly, skipping
+        # non-positive CPU work; an interrupt while it waits cancels
+        # the request.
         cpu_job = resources.cpu_job
         page_instructions = self.source.page_processing_instructions
         class_config = transaction.class_config

@@ -361,11 +361,10 @@ class _TerminalWatcher:
     Stands in for a terminal waiting on its transaction process: it
     implements just enough of the process protocol —
     ``_alive``/``_waiting_on`` for the deferred-delivery check,
-    ``_resume`` for normal completion, and the ``_generator.throw`` /
-    ``_step`` pair for the exception path of
-    :meth:`Process._notify_step` — to be notified when the transaction
-    process finishes.  An exception the transaction re-raised is
-    recorded as an unobserved crash under the terminal's
+    ``_resume`` for normal completion, and ``_throw`` for a transaction
+    process that died with an exception — to be notified when the
+    transaction process finishes.  An exception the transaction
+    re-raised is recorded as an unobserved crash under the terminal's
     ``terminal-N`` name.
     """
 
@@ -380,24 +379,15 @@ class _TerminalWatcher:
         self._waiting_on = process
         process._subscribe(self)
 
-    @property
-    def _generator(self) -> "_TerminalWatcher":
-        return self
-
-    def throw(self, exception: BaseException) -> None:
-        raise exception  # pragma: no cover - marker, never driven
-
     def _resume(self, value) -> None:
         self._alive = False
         self._waiting_on = None
         self.owner._transaction_finished(self.terminal)
 
-    def _step(self, advance, argument) -> None:
-        # Only reached when the transaction process died with an
-        # exception (Process._notify_step calls _step(throw, exc)).
+    def _throw(self, exception: BaseException) -> None:
         self._alive = False
         self._waiting_on = None
-        self.owner.env._record_crash(self, argument)
+        self.owner.env._record_crash(self, exception)
 
 
 class AggregatedTerminalSource:

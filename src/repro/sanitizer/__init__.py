@@ -4,10 +4,12 @@ simlint (:mod:`repro.lint`) guards the bit-reproducibility property
 statically; simsan guards what only a live run shows.  An opt-in
 instrumented execution mode — ``Environment(sanitizer=...)`` /
 ``Simulation(config, sanitizer=...)`` — routes hook points in the
-kernel (process creation, handle scheduling and cancellation, and its
-instrumented dispatch loop), the stream registry, the network's
-in-flight couriers, and the fault injector into a
-:class:`~repro.sanitizer.core.Sanitizer`, which runs three checkers:
+kernel (process creation, and the handles ``schedule`` returns and
+their cancellation), the stream registry, the network's in-flight
+couriers, and the fault injector into a
+:class:`~repro.sanitizer.core.Sanitizer`, which runs three checkers.
+A sanitized run takes the kernel's one dispatch loop, like a clean
+run; the loop itself calls no hook.
 
 ``stream-discipline``
     Every runtime stream lookup is checked against the
@@ -21,8 +23,8 @@ in-flight couriers, and the fault injector into a
 ``leak-audit``
     End-of-run audit generalizing ``faults.assert_no_leaks``: orphaned
     processes and undelivered couriers on drained runs, cohorts or
-    couriers stranded on crashed nodes, and cancelled handles never
-    reaped.
+    couriers stranded on crashed nodes, and cancelled handles still
+    queued in the scheduler.
 
 Findings are ordinary :class:`~repro.lint.violations.Violation`
 objects rendered by the shared text/JSON/SARIF reporters.  There are

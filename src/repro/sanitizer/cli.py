@@ -4,8 +4,8 @@ Runs the named experiments (default: the fig2/fig10 smoke anchors) on
 a :class:`~repro.sanitizer.executor.SanitizingExecutor`, swapped in as
 the runner's process-wide executor for the command, then reports every
 finding through the shared lint reporters.  That executor is serial
-and has no disk cache, so every point is actually simulated under
-instrumentation, and nothing it produces reaches the result cache.
+and has no disk cache, so every point is actually simulated with a
+sanitizer attached, and nothing it produces reaches the result cache.
 
 Exit codes mirror simlint: 0 clean, 1 findings (error-severity
 violations), 2 usage errors.

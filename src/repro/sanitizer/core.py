@@ -8,10 +8,12 @@ call tiny guarded hooks::
     if san is not None:
         san.note_process(self)
 
-so the clean path pays one attribute load and a predictable branch, and
-the instrumented path funnels everything here.  Findings carry no seq
-numbers, timestamps or ``id()`` values, so reports are bit-stable
-across runs and machines.
+so a clean run pays one attribute load and a predictable branch, and a
+sanitized run funnels everything here.  The dispatch loop is the same
+either way and calls no hook: the handles the sanitizer builds for
+``schedule`` and the queues it audits at the end tell it all it needs.
+Findings carry no seq numbers, timestamps or ``id()`` values, so
+reports are bit-stable across runs and machines.
 """
 
 from __future__ import annotations
@@ -26,11 +28,6 @@ from repro.sim.kernel import Environment, Process, ScheduledCallback
 from repro.sim.streams import is_registered, stream_owner
 
 __all__ = ["Sanitizer", "relative_path"]
-
-# _SanHandle lifecycle states.
-_PENDING = 0
-_CANCELLED = 1
-_REAPED = 2
 
 _REPO_SRC_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
@@ -51,20 +48,18 @@ def _code_of(callback: Any):
 
 
 class _SanHandle(ScheduledCallback):
-    """A scheduled-callback handle with lifecycle tracking.
+    """A scheduled-callback handle whose ``cancel()`` is checked.
 
-    Under the sanitizer, handles are never pooled, so object identity is
-    stable for the whole run and ``cancel()`` can distinguish a live
-    pending handle from one whose callback already dispatched — the
-    exact confusion that, under pooling, silently cancels an unrelated
-    recycled event.
+    Under the sanitizer, ``schedule`` never hands out a handle twice, so
+    a handle's own fields tell its state for the whole run: the
+    dispatch loop sets ``callback`` to ``None`` once it has run or
+    reaped the handle, and ``cancelled`` records an earlier cancel.
+    ``cancel()`` can therefore tell a live pending handle from one whose
+    callback already dispatched — the exact confusion that, under
+    pooling, silently cancels an unrelated recycled event.
     """
 
-    __slots__ = ("san", "state")
-
-    def __init__(self, time: float, seq: int, callback, args):
-        super().__init__(time, seq, callback, args)
-        self.state = _PENDING
+    __slots__ = ("san",)
 
     def cancel(self) -> None:
         self.san.note_cancel(self)
@@ -78,8 +73,7 @@ class Sanitizer:
         self._finding_keys: set = set()
         # Stream names whose registration has been validated.
         self._streams_checked: set = set()
-        # Lifecycle / leak bookkeeping.
-        self._cancelled_pending = 0
+        # Processes to audit for orphans at the end of the run.
         self._processes: Dict[Process, None] = {}
         # Runtime modules whose frames are skipped when anchoring a
         # finding: the interesting line is the model-level call site.
@@ -100,23 +94,14 @@ class Sanitizer:
     # Handle factory (called by the kernel)
     # ------------------------------------------------------------------
 
-    def new_handle(self, time: float, seq: int, callback, args) -> _SanHandle:
-        handle = _SanHandle(time, seq, callback, args)
+    def new_handle(self, callback, args) -> _SanHandle:
+        handle = _SanHandle(callback, args)
         handle.san = self
         return handle
 
     # ------------------------------------------------------------------
-    # Event loop hooks
+    # Process registration (called by the kernel)
     # ------------------------------------------------------------------
-
-    def end_event(self, handle: _SanHandle) -> None:
-        handle.state = _REAPED
-
-    def note_reaped(self, handle: _SanHandle) -> None:
-        """A cancelled handle was popped (and discarded) by the loop."""
-        if handle.state == _CANCELLED:
-            self._cancelled_pending -= 1
-        handle.state = _REAPED
 
     def note_process(self, process: Process) -> None:
         self._processes[process] = None
@@ -126,13 +111,20 @@ class Sanitizer:
     # ------------------------------------------------------------------
 
     def note_cancel(self, handle: _SanHandle) -> None:
-        state = handle.state
-        if state == _PENDING:
-            handle.state = _CANCELLED
-            handle.cancelled = True
-            self._cancelled_pending += 1
-            return
-        if state == _CANCELLED:
+        if handle.callback is None:
+            # The loop already ran the callback, or reaped the
+            # cancelled handle.
+            path, line = self._call_site()
+            self._add(
+                checks.HANDLE_LIFECYCLE,
+                path,
+                line,
+                "cancel() on a stale handle whose callback already "
+                "dispatched — under pooling this cancels whatever "
+                "unrelated event now owns the recycled handle",
+                severity="error",
+            )
+        elif handle.cancelled:
             path, line = self._call_site()
             self._add(
                 checks.HANDLE_LIFECYCLE,
@@ -143,19 +135,8 @@ class Sanitizer:
                 "belonging to an unrelated event",
                 severity="warning",
             )
-            return
-        # _REAPED: the callback already dispatched (or the cancelled
-        # handle was already reaped and recycled).
-        path, line = self._call_site()
-        self._add(
-            checks.HANDLE_LIFECYCLE,
-            path,
-            line,
-            "cancel() on a stale handle whose callback already "
-            "dispatched — under pooling this cancels whatever unrelated "
-            "event now owns the recycled handle",
-            severity="error",
-        )
+        else:
+            handle.cancelled = True
 
     # ------------------------------------------------------------------
     # stream-discipline checker
@@ -232,22 +213,27 @@ class Sanitizer:
                 "reach its handler",
             )
 
-    def _audit_cancelled(self) -> None:
-        if self._cancelled_pending > 0:
+    def _audit_cancelled(self, env: Environment) -> None:
+        pinned = sum(1 for _time, _seq, handle in env._heap if handle.cancelled)
+        # Lane entries holding a handle are ``(handle, None)``.
+        pinned += sum(
+            1 for entry, args in env._fast if args is None and entry.cancelled
+        )
+        if pinned:
             self._add(
                 checks.LEAK_AUDIT,
                 "<scheduler>",
                 0,
-                f"{self._cancelled_pending} cancelled handle(s) were "
-                "never reaped from the scheduler — cancelled work is "
-                "pinned in the queue past the end of the run",
+                f"{pinned} cancelled handle(s) were never reaped from "
+                "the scheduler — cancelled work is pinned in the queue "
+                "past the end of the run",
             )
 
     def finish_env(self, env: Environment) -> None:
         """Kernel-level end-of-run audit (no simulation context)."""
         if self._queues_drained(env):
             self._audit_orphans(env)
-        self._audit_cancelled()
+        self._audit_cancelled(env)
 
     def finish_run(self, sim) -> None:
         """Simulation-level end-of-run audit.

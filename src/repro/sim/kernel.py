@@ -31,7 +31,7 @@ Hot-path design (the per-event cost caps every figure replication):
   deliveries, process-termination notifications, pending interrupts —
   is about half of all dispatches, and none of it needs a priority
   queue: it always runs at the current timestamp.  It goes onto a FIFO
-  ``deque`` instead of the heap.  On the clean path
+  ``deque`` instead of the heap.
   :meth:`Environment.schedule_now` appends a plain ``(callback, args)``
   pair — no handle, no seq — and :meth:`Environment.schedule` sends an
   entry due at ``now`` (a zero or sub-ulp delay) there as
@@ -51,11 +51,10 @@ Hot-path design (the per-event cost caps every figure replication):
   collector for the duration of the loop (see :meth:`Environment.run`),
   so model objects must not form reference cycles.
 
-:meth:`Environment.run` has two dispatch loops.  The clean loop is the
-one every normal run takes.  The instrumented loop serves the runtime
-sanitizer (``repro.sanitizer``): it runs one same-timestamp batch at a
-time in seq order, which makes it the reference the clean loop's
-two-phase order is tested against.
+:meth:`Environment.run` has one dispatch loop, also under the runtime
+sanitizer (``repro.sanitizer``), which only observes: it builds the
+handles ``schedule`` returns, so that none is handed out twice and a
+misused ``cancel`` can be told from a sanctioned one.
 """
 
 from __future__ import annotations
@@ -63,8 +62,7 @@ from __future__ import annotations
 import gc
 import heapq
 from collections import deque
-from typing import Any, Callable, Generator, Iterable, List, Optional, \
-    Tuple
+from typing import Any, Callable, Generator, Iterable, Optional
 
 __all__ = [
     "AllOf",
@@ -91,11 +89,6 @@ _TIMEOUT_POOL_LIMIT = 128
 _HANDLE_POOL_LIMIT = 512
 
 
-def _handle_seq(handle: "ScheduledCallback") -> int:
-    """Sort key for same-timestamp batches in the instrumented loop."""
-    return handle.seq
-
-
 class SimulationError(Exception):
     """Raised for kernel misuse (e.g. waiting on a consumed event twice)."""
 
@@ -119,28 +112,22 @@ class ScheduledCallback:
     entry is discarded when popped.  Positional arguments are stored on
     the handle and passed to the callback when it runs, so timer and
     message callbacks need no per-event closure allocation.  A handle
-    sits on the heap, or on the fast lane when it is due at the current
-    instant.  :meth:`Environment.schedule_now` builds one only under the
-    instrumented loop; on the clean path its entries carry no handle.
+    sits on the heap, whose ``(time, seq, handle)`` entry carries its
+    due time and order, or on the fast lane when it is due at the
+    current instant.  :meth:`Environment.schedule_now` entries carry no
+    handle.
 
     Ownership: once a handle has run (or was cancelled and reaped by the
-    dispatch loop), it belongs to the kernel again and may be recycled
-    for a future ``schedule`` call.  Callers must therefore drop their
-    reference no later than the callback firing, and never call
-    :meth:`cancel` on a handle whose callback has already run.
+    dispatch loop), the loop sets its ``callback`` to ``None`` and it
+    belongs to the kernel again; it may be recycled for a future
+    ``schedule`` call.  Callers must therefore drop their reference no
+    later than the callback firing, and never call :meth:`cancel` on a
+    handle whose callback has already run.
     """
 
-    __slots__ = ("time", "seq", "callback", "args", "cancelled")
+    __slots__ = ("callback", "args", "cancelled")
 
-    def __init__(
-        self,
-        time: float,
-        seq: int,
-        callback: Callable[..., None],
-        args: tuple = (),
-    ):
-        self.time = time
-        self.seq = seq
+    def __init__(self, callback: Callable[..., None], args: tuple = ()):
         self.callback = callback
         self.args = args
         self.cancelled = False
@@ -215,9 +202,6 @@ class Event(Waitable):
                 self.env.schedule_now(self._deliver_step, waiters)
         return self
 
-    def _deliver(self, process: "Process") -> None:
-        self.env.schedule_now(self._deliver_step, process)
-
     def _deliver_step(self, process: "Process") -> None:
         # The waiter may have been interrupted (and moved on) between
         # the fire and this delivery; only resume if it still waits
@@ -249,18 +233,18 @@ class Event(Waitable):
 
 
 class Timeout(Waitable):
-    """Delay waitable; resumes the waiting process after ``delay``.
+    """Delay waitable; resumes its waiting process after ``delay``.
 
-    The scheduled-callback handle is stored per subscription — the
-    common single-waiter case uses two slots, concurrent extra waiters
-    (rare) go to an overflow list — so cancellation never depends on
-    ``id(process)`` keys, which could collide after garbage collection
-    reuses an id.  Fired timeouts created via
+    A timeout has one waiter at a time: a second subscription while
+    one is pending raises :class:`SimulationError`.  The waiter's
+    scheduled-callback handle is kept beside it, so cancellation never
+    depends on ``id(process)`` keys, which could collide after garbage
+    collection reuses an id.  Fired timeouts created via
     :meth:`Environment.timeout` are recycled through the environment's
     pool; treat a timeout as single-use once it has fired.
     """
 
-    __slots__ = ("env", "delay", "value", "_waiter", "_handle", "_extra")
+    __slots__ = ("env", "delay", "value", "_waiter", "_handle")
 
     def __init__(self, env: "Environment", delay: float, value: Any = None):
         # Written so that a NaN delay fails too.
@@ -271,32 +255,20 @@ class Timeout(Waitable):
         self.value = value
         self._waiter: Optional[Process] = None
         self._handle: Optional[ScheduledCallback] = None
-        self._extra: Optional[
-            List[Tuple["Process", ScheduledCallback]]
-        ] = None
 
     def _subscribe(self, process: "Process") -> None:
-        handle = self.env.schedule(self.delay, self._fire, process)
-        if self._waiter is None:
-            self._waiter = process
-            self._handle = handle
-        else:
-            if self._extra is None:
-                self._extra = []
-            self._extra.append((process, handle))
+        if self._waiter is not None:
+            raise SimulationError("a timeout has one waiter at a time")
+        self._waiter = process
+        self._handle = self.env.schedule(self.delay, self._fire, process)
 
     def _fire(self, process: "Process") -> None:
-        if self._waiter is process:
-            self._waiter = None
-            self._handle = None
-        elif self._extra:
-            for index, (waiter, _handle) in enumerate(self._extra):
-                if waiter is process:
-                    del self._extra[index]
-                    break
+        self._waiter = None
+        self._handle = None
         if process._alive and process._waiting_on is self:
             process._resume(self.value)
-        if self._waiter is None and not self._extra:
+        # The resumed process may have yielded this timeout again.
+        if self._waiter is None:
             self.env._recycle_timeout(self)
 
     def _unsubscribe(self, process: "Process") -> None:
@@ -305,13 +277,6 @@ class Timeout(Waitable):
             self._handle.cancel()
             self._waiter = None
             self._handle = None
-            return
-        if self._extra:
-            for index, (waiter, handle) in enumerate(self._extra):
-                if waiter is process:
-                    handle.cancel()
-                    del self._extra[index]
-                    return
 
 
 class Process(Waitable):
@@ -378,8 +343,7 @@ class Process(Waitable):
             return
         if self._waiting_on is not None:
             self._waiting_on._unsubscribe(self)
-            self._waiting_on = None
-            self._step(self._generator.throw, Interrupt(cause))
+            self._throw(Interrupt(cause))
         else:
             # Not yet started (or mid-schedule): deliver the interrupt on
             # the next step at the current time.
@@ -392,12 +356,15 @@ class Process(Waitable):
             return
         if self._waiting_on is not None:
             self._waiting_on._unsubscribe(self)
-            self._waiting_on = None
-        self._step(self._generator.throw, Interrupt(cause))
+        self._throw(Interrupt(cause))
 
     def _resume(self, value: Any) -> None:
         self._waiting_on = None
         self._step(self._generator.send, value)
+
+    def _throw(self, exception: BaseException) -> None:
+        self._waiting_on = None
+        self._step(self._generator.throw, exception)
 
     def _step(
         self, advance: Callable[[Any], Any], argument: Any
@@ -455,10 +422,7 @@ class Process(Waitable):
         if not (watcher._alive and watcher._waiting_on is self):
             return
         if self._exception is not None:
-            watcher._waiting_on = None
-            watcher._step(
-                watcher._generator.throw, self._exception
-            )
+            watcher._throw(self._exception)
         else:
             watcher._resume(self._result)
 
@@ -486,9 +450,9 @@ class _JoinWatcher:
     (a full generator) per combinator child; a sweep-heavy simulation
     allocates millions of those.  This shim implements just enough of
     the process protocol — ``_alive``/``_waiting_on`` for the deferred
-    delivery checks, ``_resume`` for values, and the
-    ``_generator.throw``/``_step`` pair for the exception path of
-    :meth:`Process._notify_step` — to subscribe to a child directly.
+    delivery checks, ``_resume`` for values, and ``_throw`` for a
+    :class:`Process` child that died with an exception — to subscribe
+    to a child directly.
     """
 
     __slots__ = ("owner", "index", "name", "_alive", "_waiting_on")
@@ -501,24 +465,15 @@ class _JoinWatcher:
         self._waiting_on: Optional[Waitable] = child
         child._subscribe(self)
 
-    @property
-    def _generator(self) -> "_JoinWatcher":
-        return self
-
-    def throw(self, exception: BaseException) -> None:
-        raise exception  # pragma: no cover - marker, never driven
-
     def _resume(self, value: Any) -> None:
         self._alive = False
         self._waiting_on = None
         self.owner._child_fired(self.index, value)
 
-    def _step(self, advance: Callable[[Any], Any], argument: Any) -> None:
-        # Only reached when a Process child died with an exception
-        # (Process._notify_step calls watcher._step(throw, exc)).
+    def _throw(self, exception: BaseException) -> None:
         self._alive = False
         self._waiting_on = None
-        self.owner._child_failed(self, argument)
+        self.owner._child_failed(self, exception)
 
     def detach(self) -> None:
         """Stop watching the child (used when another child won)."""
@@ -663,12 +618,12 @@ class Environment:
     events/second benchmarks divide it by wall-clock time.
 
     Fast-lane entries are pairs: ``(callback, args)`` from
-    :meth:`schedule_now` on the clean path, or ``(handle, None)`` for a
-    :class:`ScheduledCallback` (every entry under the instrumented
-    loop, and ``schedule`` entries due at the current instant).
+    :meth:`schedule_now`, or ``(handle, None)`` for a ``schedule``
+    entry due at the current instant.
 
-    ``sanitizer`` attaches a runtime sanitizer (``repro.sanitizer``)
-    and routes :meth:`run` through the instrumented loop.
+    ``sanitizer`` attaches a runtime sanitizer (``repro.sanitizer``):
+    it builds the handles :meth:`schedule` returns and sees every
+    process start.  :meth:`run` takes the same loop either way.
     """
 
     __slots__ = (
@@ -680,7 +635,6 @@ class Environment:
         "_timeout_pool",
         "_handle_pool",
         "_san",
-        "_clean",
         "dispatch_count",
     )
 
@@ -695,9 +649,6 @@ class Environment:
         # None on the clean path so every sanitizer hook is one
         # attribute load and a predictable branch.
         self._san = sanitizer
-        # Whether run() takes the clean loop, whose fast lane needs no
-        # handles for schedule_now.
-        self._clean = sanitizer is None
         self.dispatch_count = 0
 
     @property
@@ -724,18 +675,16 @@ class Environment:
         if san is not None:
             # Sanitized handles are never pooled: stable identity is
             # what makes lifecycle misuse detectable.
-            handle = san.new_handle(time, seq, callback, args)
+            handle = san.new_handle(callback, args)
         else:
             pool = self._handle_pool
             if pool:
                 handle = pool.pop()
-                handle.time = time
-                handle.seq = seq
                 handle.callback = callback
                 handle.args = args
                 handle.cancelled = False
             else:
-                handle = ScheduledCallback(time, seq, callback, args)
+                handle = ScheduledCallback(callback, args)
         # The delay is not negative, so the entry is due now or later.
         if time > now:
             heapq.heappush(self._heap, (time, seq, handle))
@@ -749,18 +698,11 @@ class Environment:
         """Run ``callback(*args)`` on the next step at the current time.
 
         The path of every deferred delivery.  It cannot be cancelled
-        (use ``schedule(0.0, ...)`` for that): on the clean path it
-        appends a plain ``(callback, args)`` pair to the fast lane and
-        builds no handle.  Under the instrumented loop it takes a seq
-        and a sanitizer handle like :meth:`schedule`.
+        (use ``schedule(0.0, ...)`` for that): it appends a plain
+        ``(callback, args)`` pair to the fast lane and builds no
+        handle.
         """
-        if self._clean:
-            self._fast.append((callback, args))
-            return
-        seq = self._seq
-        self._seq = seq + 1
-        handle = self._san.new_handle(self.now, seq, callback, args)
-        self._fast.append((handle, None))
+        self._fast.append((callback, args))
 
     def process(
         self, generator: ProcessGenerator, name: str = ""
@@ -783,10 +725,6 @@ class Environment:
         return Timeout(self, delay, value)
 
     def _recycle_timeout(self, timeout: Timeout) -> None:
-        if self._san is not None:
-            # No pooling under the sanitizer: recycled waitables would
-            # alias unrelated events and confuse lifecycle tracking.
-            return
         pool = self._timeout_pool
         if len(pool) < _TIMEOUT_POOL_LIMIT:
             pool.append(timeout)
@@ -811,6 +749,15 @@ class Environment:
         at the requested horizon.  ``until`` must not lie in the past;
         a past ``until`` raises :class:`SimulationError`.
 
+        Each instant runs in two phases: the heap entries due at ``now``
+        in seq order, then the fast lane until it is empty.  A heap
+        entry due at ``now`` was scheduled while the clock was earlier,
+        so its seq precedes every lane entry, and everything scheduled
+        at ``now`` joins the lane: the two phases are exact global
+        ``(time, seq)`` order.  The clock then moves to the earliest
+        live heap entry; reaping a cancelled one never moves it.
+        Dispatched and reaped handles are recycled.
+
         The cyclic collector is paused for the duration of the loop.
         The loop allocates at a steady rate, and letting the collector
         interrupt it every few hundred allocations costs ~10-15% of
@@ -831,29 +778,6 @@ class Environment:
         pause_gc = gc.isenabled()
         if pause_gc:
             gc.disable()
-        try:
-            if self._clean:
-                self._run_clean(until)
-            else:
-                self._run_instrumented(until)
-        finally:
-            if pause_gc:
-                gc.enable()
-        if until is not None and until > self.now:
-            self.now = until
-
-    def _run_clean(self, until: Optional[float]) -> None:
-        """The dispatch loop of every normal run.
-
-        Each instant runs in two phases: the heap entries due at ``now``
-        in seq order, then the fast lane until it is empty.  A heap
-        entry due at ``now`` was scheduled while the clock was earlier,
-        so its seq precedes every lane entry, and everything scheduled
-        at ``now`` joins the lane: the two phases are exact global
-        ``(time, seq)`` order.  The clock then moves to the earliest
-        live heap entry; reaping a cancelled one never moves it.
-        Dispatched and reaped handles are recycled.
-        """
         heap = self._heap
         fast = self._fast
         popleft = fast.popleft
@@ -908,63 +832,10 @@ class Environment:
                 self.now = time
         finally:
             self.dispatch_count = dispatched
-
-    def _run_instrumented(self, until: Optional[float]) -> None:
-        """The dispatch loop under a sanitizer.
-
-        Runs one same-timestamp batch at a time: every callback queued
-        for the current instant, fast lane and heap alike, sorted by
-        seq.  That is exactly the clean loop's global ``(time, seq)``
-        order: work a batch member schedules at the same instant has a
-        larger seq than every member and lands in the *next* batch.
-        The sanitizer sees every reap and every dispatch.  Handles are
-        not recycled: the sanitizer needs stable handle identity.
-        Being a separate loop is what keeps the clean loop free of any
-        per-event sanitizer cost.
-        """
-        san = self._san
-        heap = self._heap
-        fast = self._fast
-        heappop = heapq.heappop
-        dispatched = self.dispatch_count
-        try:
-            while True:
-                if not fast:
-                    if not heap:
-                        break
-                    handle = heap[0][2]
-                    time = handle.time
-                    if until is not None and time > until:
-                        self.now = until
-                        return
-                    if handle.cancelled:
-                        # Reaping a cancelled entry never moves the
-                        # clock (the clean loop's rule).
-                        heappop(heap)
-                        san.note_reaped(handle)
-                        continue
-                    self.now = time
-                now = self.now
-                batch = [handle for handle, _args in fast]
-                fast.clear()
-                # Exact: heap times are stored schedule values and
-                # ``now`` was copied from one.
-                while heap and heap[0][2].time == now:  # simlint: ignore[float-time-equality]
-                    batch.append(heappop(heap)[2])
-                batch.sort(key=_handle_seq)
-                for handle in batch:
-                    # Re-checked per handle: a batch member may cancel
-                    # a later member of the same batch.
-                    if handle.cancelled:
-                        san.note_reaped(handle)
-                        continue
-                    dispatched += 1
-                    try:
-                        handle.callback(*handle.args)
-                    finally:
-                        san.end_event(handle)
-        finally:
-            self.dispatch_count = dispatched
+            if pause_gc:
+                gc.enable()
+        if until is not None and until > self.now:
+            self.now = until
 
     def _record_crash(
         self, process: Process, exception: BaseException

@@ -33,51 +33,14 @@ class TestExecute:
         done = []
 
         def worker():
-            yield from rm.execute(1_000_000)
+            yield rm.cpu_job(1_000_000)
             done.append(env.now)
 
         env.process(worker())
         env.run()
         assert done[0] == pytest.approx(0.5)
 
-    def test_zero_work_is_instant_no_yield(self, env):
-        rm = make_rm(env)
-        done = []
-
-        def worker():
-            yield from rm.execute(0.0)
-            done.append(env.now)
-            yield env.timeout(0)
-
-        env.process(worker())
-        env.run()
-        assert done[0] == 0.0
-
     def test_interrupt_cancels_residual_work(self, env):
-        rm = make_rm(env)
-        outcome = []
-
-        def victim():
-            try:
-                yield from rm.execute(1_000_000)  # 1s
-            except Interrupt:
-                outcome.append(env.now)
-
-        def bystander():
-            yield from rm.execute(1_000_000)
-            outcome.append(("done", env.now))
-
-        victim_process = env.process(victim())
-        env.process(bystander())
-        env.schedule(0.2, lambda: victim_process.interrupt())
-        env.run()
-        # Victim interrupted at 0.2 (0.1s of service each so far);
-        # bystander then runs alone: 0.9s more => 1.1s total.
-        assert outcome[0] == pytest.approx(0.2)
-        assert outcome[1][1] == pytest.approx(1.1)
-
-    def test_interrupt_cancels_job_yielded_directly(self, env):
-        # The same case as above, waiting on cpu_job's request itself.
         rm = make_rm(env)
         outcome = []
 
@@ -95,6 +58,8 @@ class TestExecute:
         env.process(bystander())
         env.schedule(0.2, lambda: victim_process.interrupt())
         env.run()
+        # Victim interrupted at 0.2 (0.1s of service each so far);
+        # bystander then runs alone: 0.9s more => 1.1s total.
         assert outcome[0] == pytest.approx(0.2)
         assert outcome[1][1] == pytest.approx(1.1)
 
@@ -105,7 +70,7 @@ class TestDisks:
         done = []
 
         def reader():
-            yield from rm.disk_read()
+            yield rm.read_page()
             done.append(env.now)
 
         env.process(reader())
@@ -117,7 +82,7 @@ class TestDisks:
         done = []
 
         def reader():
-            yield from rm.disk_read()
+            yield rm.read_page()
             done.append(env.now)
 
         for _ in range(20):
@@ -128,27 +93,6 @@ class TestDisks:
         assert min(served) >= 4  # roughly balanced random choice
 
     def test_interrupt_cancels_queued_read(self, env):
-        rm = make_rm(env, disks=1)
-        outcome = []
-
-        def holder():
-            yield from rm.disk_read()
-
-        def victim():
-            try:
-                yield from rm.disk_read()
-            except Interrupt:
-                outcome.append("interrupted")
-
-        env.process(holder())
-        victim_process = env.process(victim())
-        env.schedule(0.005, lambda: victim_process.interrupt())
-        env.run()
-        assert outcome == ["interrupted"]
-        assert rm.disks[0].reads_served == 1  # victim's read gone
-
-    def test_interrupt_cancels_queued_read_yielded_directly(self, env):
-        # The same case as above, waiting on read_page's request itself.
         rm = make_rm(env, disks=1)
         outcome = []
 
@@ -180,7 +124,7 @@ class TestDisks:
         order = []
 
         def reader(tag):
-            yield from rm.disk_read()
+            yield rm.read_page()
             order.append(tag)
 
         env.process(reader("r0"))  # enters service
@@ -204,7 +148,7 @@ class TestStatistics:
         rm = make_rm(env, disks=1)
 
         def load():
-            yield from rm.execute(500_000)
+            yield rm.cpu_job(500_000)
 
         env.process(load())
         env.process(iter_disk(rm))
@@ -220,4 +164,4 @@ class TestStatistics:
 
 
 def iter_disk(rm):
-    yield from rm.disk_read()
+    yield rm.read_page()

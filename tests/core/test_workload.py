@@ -15,7 +15,8 @@ from repro.core.config import (
 )
 from repro.core.database import Database
 from repro.core.transaction import AccessSpec, PageAccess
-from repro.core.workload import Source
+from repro.core.workload import AggregatedTerminalSource, Source
+from repro.sim.kernel import Environment
 from repro.sim.streams import RandomStreams, derive_seed
 
 
@@ -256,6 +257,37 @@ class TestClasses:
             source.class_of(0).execution_pattern
             is ExecutionPattern.SEQUENTIAL
         )
+
+
+class _RaisingManager:
+    """The transaction-manager surface the terminal source drives, with
+    a transaction body that raises after one simulated second."""
+
+    active_transactions = 0
+    _tracing = False
+
+    def __init__(self, env):
+        self.env = env
+
+    def _run_transaction(self, transaction):
+        yield self.env.timeout(1.0)
+        raise ValueError(f"transaction {transaction.tid} failed")
+
+
+class TestTerminalSource:
+    def test_raising_transaction_is_its_terminals_crash(self):
+        env = Environment()
+        manager = _RaisingManager(env)
+        AggregatedTerminalSource(
+            env, make_source(num_terminals=2), manager
+        ).start()
+        env.run()
+        assert [
+            (watcher.name, type(exception))
+            for watcher, exception in env.crashes
+        ] == [("terminal-0", ValueError), ("terminal-1", ValueError)]
+        # A crashed transaction never finishes: its terminal stops.
+        assert manager.active_transactions == 2
 
 
 class TestTimings:

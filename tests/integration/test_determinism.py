@@ -121,7 +121,7 @@ def _scaling_point(algorithm, think_time, faults=None):
     )
 
 
-INSTRUMENTED_POINTS = {
+SANITIZED_POINTS = {
     # Figure 2's saturated end: 8-node 2PL at think 0.
     "fig02": lambda: _scaling_point("2pl", 0.0),
     # A Figure 10-style point: OPT under heavy load, where restarts
@@ -141,17 +141,18 @@ INSTRUMENTED_POINTS = {
 }
 
 
-class TestInstrumentedLoopParity:
-    """A sanitized run goes through the kernel's instrumented dispatch
-    loop, a clean run through the clean loop.  The sanitizer only
-    observes, so every reported number must be identical: a sanitized
-    run vouches for the clean run it stands in for."""
+class TestSanitizerParity:
+    """A sanitized run takes the same dispatch loop as a clean run, but
+    with sanitizer-built handles, unpooled at ``schedule``, and the
+    sanitizer's hooks.  The sanitizer only observes, so every reported
+    number must be identical: a sanitized run vouches for the clean
+    run it stands in for."""
 
     @pytest.mark.parametrize(
-        "point", list(INSTRUMENTED_POINTS), ids=list(INSTRUMENTED_POINTS)
+        "point", list(SANITIZED_POINTS), ids=list(SANITIZED_POINTS)
     )
     def test_sanitized_equals_clean(self, point):
-        config = INSTRUMENTED_POINTS[point]()
+        config = SANITIZED_POINTS[point]()
         clean = run_simulation(config)
         sanitized = Simulation(config, sanitizer=Sanitizer()).run()
         assert clean.commits > 0

@@ -1,13 +1,13 @@
-"""Router and MVCC determinism across dispatch loops, jobs and faults.
+"""Router and MVCC determinism under the sanitizer, jobs and faults.
 
 The router adds a classification + bandit layer on top of the CC
 fleet, and MVCC adds version-chain state inside the node managers —
 both are new consumers of the seeded streams and the kernel's event
 order.  These tests pin the same purity contract the fixed algorithms
 already satisfy: the mixed-blend router point is bit-identical between
-the clean and the instrumented (sanitized) dispatch loop and under
-parallel sweep execution, and a faulted MVCC run (crash_reset wiping
-the volatile version chains mid-run) replays exactly.
+a clean and a sanitized run and under parallel sweep execution, and a
+faulted MVCC run (crash_reset wiping the volatile version chains
+mid-run) replays exactly.
 """
 
 from repro.core.simulation import Simulation, run_simulation
@@ -43,7 +43,7 @@ def _assert_identical(reference, other):
 
 
 def test_router_sanitized_equals_clean():
-    """The contended mixed-blend point through both dispatch loops."""
+    """The contended mixed-blend point, clean and sanitized."""
     config = _router_point(think_time=0.0)
     clean = run_simulation(config)
     assert clean.commits > 0

@@ -32,10 +32,6 @@ def test_known_suppressions_are_inventoried():
     assert waivers == (
         # Serialization-audit loops accumulate into sets (order-free).
         [("audit.py", "unordered-iteration")] * 2
-        # The instrumented loop's exact timestamp comparison: both
-        # operands are stored schedule times (the site's ``# Exact:``
-        # comment).  The clean loop compares times with ``>`` only.
-        + [("kernel.py", "float-time-equality")]
         # Lock-table iteration in grant order is documented semantics
         # (conflict sets and wait-for edges follow grant history): the
         # holders walk of ``_blockers`` and the table walk of
@@ -84,7 +80,7 @@ def test_injected_stream_typo_breaks_the_project_gate(tmp_path):
 def test_cli_sarif_with_committed_baseline_exits_zero(capsys):
     """The acceptance command: SARIF over the full tree exits zero
     (simlint has no baseline; inline waivers are the only ones) and
-    its results are exactly the five inventoried suppressions."""
+    its results are exactly the four inventoried suppressions."""
     from repro.lint.cli import main
 
     code = main(
@@ -94,7 +90,7 @@ def test_cli_sarif_with_committed_baseline_exits_zero(capsys):
     assert code == 0
     doc = json.loads(capsys.readouterr().out)
     results = doc["runs"][0]["results"]
-    assert len(results) == 5
+    assert len(results) == 4
     assert all(
         r["suppressions"][0]["kind"] == "inSource" for r in results
     )

@@ -7,6 +7,7 @@ that fires on the near-miss would drown real findings in noise.
 """
 
 from repro.sanitizer import checks
+from repro.sim.kernel import _HANDLE_POOL_LIMIT
 
 from tests.sanitizer import fixtures
 
@@ -63,6 +64,20 @@ class TestHandleLifecycle:
         sanitizer = fixtures.handle_near_miss_single_cancel()
         assert sanitizer.finalize() == []
 
+    def test_no_handle_is_handed_out_twice(self):
+        """The loop pools every handle it runs, but a sanitized
+        ``schedule`` builds a fresh one each time, also once the pool
+        is full, so a handle's own fields tell whether it has run."""
+        env, sanitizer = fixtures.make_env()
+        handles = []
+        for _ in range(_HANDLE_POOL_LIMIT + 64):
+            handle = env.schedule(1.0, lambda: None)
+            assert not any(handle is earlier for earlier in handles)
+            handles.append(handle)
+            env.run()
+        sanitizer.finish_env(env)
+        assert sanitizer.finalize() == []
+
 
 class TestLeakAudit:
     def test_orphaned_process_flags_exactly_once(self):
@@ -82,4 +97,18 @@ class TestLeakAudit:
 
     def test_completed_process_is_clean(self):
         sanitizer = fixtures.leak_near_miss_completed_process()
+        assert sanitizer.finalize() == []
+
+    def test_cancel_inside_own_callback_is_clean(self):
+        """A handle cancelled while its callback runs is not queued
+        any more, so nothing is pinned at the end of the run."""
+        env, sanitizer = fixtures.make_env()
+        handles = []
+
+        def cancel_self():
+            handles[0].cancel()
+
+        handles.append(env.schedule(1.0, cancel_self))
+        env.run()
+        sanitizer.finish_env(env)
         assert sanitizer.finalize() == []

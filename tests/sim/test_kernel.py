@@ -414,6 +414,24 @@ class TestCombinators:
         env.run()
         assert process.result == (1, "q")
 
+    @pytest.mark.parametrize("combinator", ["all_of", "any_of"])
+    def test_raising_process_child_is_one_crash(self, env, combinator):
+        # The child's exception reaches the combinator's watcher, which
+        # records it as an unobserved crash; the join never fires.
+        def child():
+            yield env.timeout(1.0)
+            raise ValueError("child failed")
+
+        def waiter():
+            yield getattr(env, combinator)([env.process(child())])
+
+        process = env.process(waiter())
+        env.run()
+        assert process.alive
+        [(watcher, exception)] = env.crashes
+        assert watcher.name == combinator.replace("_", "") + "-watcher"
+        assert isinstance(exception, ValueError)
+
     def test_interrupt_while_waiting_on_all_of(self, env):
         pending = env.event()
 

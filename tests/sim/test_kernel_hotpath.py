@@ -1,16 +1,18 @@
 """Tests for the kernel hot-path machinery.
 
 Covers the same-time fast lane (interleaving with equal-time heap
-entries in exact sequence order), the instrumented dispatch loop
-(same order and clock rule as the clean loop), handle/timeout pooling
-(recycled objects never replay stale callbacks), the per-subscription
-timeout handles, AnyOf loser cleanup, and the
+entries in exact sequence order, checked against a reference queue
+that applies the global ``(time, seq)`` rule directly), handle/timeout
+pooling (recycled objects never replay stale callbacks), the
+single-waiter timeout, AnyOf loser cleanup, and the
 interrupt-vs-deferred-delivery races the transaction manager depends
 on.
 """
 
+import heapq
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.sanitizer.core import Sanitizer
@@ -18,6 +20,7 @@ from repro.sim.kernel import (
     Environment,
     Interrupt,
     Mailbox,
+    SimulationError,
     Timeout,
 )
 
@@ -28,8 +31,60 @@ def env():
 
 
 def _sanitized_env():
-    """An environment whose ``run`` takes the instrumented loop."""
+    """An environment with a sanitizer attached."""
     return Environment(sanitizer=Sanitizer())
+
+
+class _ReferenceEntry:
+    """A reference queue entry, cancellable like a kernel handle."""
+
+    __slots__ = ("callback", "args", "cancelled")
+
+    def __init__(self, callback, args):
+        self.callback = callback
+        self.args = args
+        self.cancelled = False
+
+    def cancel(self):
+        self.cancelled = True
+
+
+class _ReferenceEnv:
+    """The kernel's dispatch rule written out directly (DESIGN §15).
+
+    One ``heapq`` holds every entry keyed by ``(time, seq)``;
+    ``schedule_now`` is a zero delay; a cancelled entry is reaped
+    without moving the clock; ``run(until)`` runs every entry due by
+    ``until`` and then sets the clock to ``until``, as
+    ``Environment.run`` does.
+    """
+
+    def __init__(self):
+        self.now = 0.0
+        self.dispatch_count = 0
+        self._queue = []
+        self._seq = 0
+
+    def schedule(self, delay, callback, *args):
+        entry = _ReferenceEntry(callback, args)
+        heapq.heappush(self._queue, (self.now + delay, self._seq, entry))
+        self._seq += 1
+        return entry
+
+    def schedule_now(self, callback, *args):
+        self.schedule(0.0, callback, *args)
+
+    def run(self, until=None):
+        queue = self._queue
+        while queue and (until is None or not queue[0][0] > until):
+            time, _seq, entry = heapq.heappop(queue)
+            if entry.cancelled:
+                continue
+            self.now = time
+            self.dispatch_count += 1
+            entry.callback(*entry.args)
+        if until is not None and until > self.now:
+            self.now = until
 
 
 class TestFastLaneOrdering:
@@ -89,9 +144,9 @@ class TestFastLaneOrdering:
         env.run()
         assert order == [0, 1, 2, 3]
 
-    def test_matches_instrumented_loop(self):
+    def test_matches_reference(self):
         # The same scripted scenario must produce the same execution
-        # order through the clean loop and the instrumented loop.
+        # order through the kernel and the reference queue.
         def scenario(env):
             order = []
 
@@ -107,9 +162,9 @@ class TestFastLaneOrdering:
             env.run()
             return order
 
-        clean = scenario(Environment())
-        assert clean == scenario(_sanitized_env())
-        assert [tag for _, tag in clean[:3]] == [0, 100, 1]
+        kernel = scenario(Environment())
+        assert kernel == scenario(_ReferenceEnv())
+        assert [tag for _, tag in kernel[:3]] == [0, 100, 1]
 
     def test_until_with_pending_fast_work_drains_current_time(self, env):
         seen = []
@@ -185,27 +240,24 @@ def _play(env, script):
 class TestDispatchRuleDifferential:
     @given(_scripts())
     @settings(max_examples=300, deadline=None)
-    def test_generated_scripts_match_instrumented_loop(self, script):
-        """The clean loop's two phases per instant (heap entries due
-        now, then the fast lane) give the instrumented loop's global
-        seq order on scripts mixing zero and sub-ulp delays,
-        equal-time heap entries from different instants, cancels of
-        heap and lane handles, nested ``schedule_now`` and a
-        ``run(until)`` split."""
+    # One script per broken loop of DESIGN §15, which generated
+    # scripts reach only by chance: a lane entry left behind when the
+    # lane is drained before the heap entries due now, a sub-ulp entry
+    # run after a later lane entry when sent to the heap, and the
+    # clock left at a cancelled entry's time.
+    @example(([(-1, "now", 0)], None))
+    @example(([(-1, "now", 0), (0, 1e-18, 0), (0, "now", 0)], None))
+    @example(([(-1, 2.0, 0), (-1, "cancel", 0)], None))
+    def test_generated_scripts_match_reference(self, script):
+        """The loop's two phases per instant (heap entries due now,
+        then the fast lane) give the reference queue's global
+        ``(time, seq)`` order on scripts mixing zero and sub-ulp
+        delays, equal-time heap entries from different instants,
+        cancels of heap and lane handles, nested ``schedule_now`` and
+        a ``run(until)`` split."""
         assert _play(Environment(), script) == _play(
-            _sanitized_env(), script
+            _ReferenceEnv(), script
         )
-
-
-class TestInstrumentedLoop:
-    def test_cancelled_entry_never_moves_the_clock(self):
-        env = _sanitized_env()
-        fired = []
-        env.schedule(5.0, fired.append, "dead").cancel()
-        env.schedule(1.0, fired.append, "live")
-        env.run()
-        assert fired == ["live"]
-        assert env.now == 1.0
 
 
 class TestHandlePooling:
@@ -280,29 +332,26 @@ class TestTimeoutPooling:
 
         env.process(sleeper())
         env.run()
-        from repro.sim.kernel import SimulationError
 
         with pytest.raises(SimulationError):
             env.timeout(-1.0)
 
-    def test_two_waiters_one_interrupted(self, env):
-        # Both processes wait on one Timeout object; each subscription
-        # has its own scheduled handle, so interrupting one must not
-        # disturb the other's wakeup.
-        timeout = Timeout(env, 2.0, value="pop")
+    def test_second_waiter_is_refused(self, env):
+        # A timeout has one waiter: a second process yielding it while
+        # the first still waits fails out of run(), as a second
+        # Event.succeed does.
+        timeout = Timeout(env, 2.0)
         woke = []
 
         def waiter(tag):
-            try:
-                woke.append((tag, (yield timeout)))
-            except Interrupt:
-                woke.append((tag, "interrupted"))
+            yield timeout
+            woke.append(tag)
 
         env.process(waiter("a"))
-        victim = env.process(waiter("b"))
-        env.schedule(1.0, victim.interrupt)
-        env.run()
-        assert sorted(woke) == [("a", "pop"), ("b", "interrupted")]
+        env.process(waiter("b"))
+        with pytest.raises(SimulationError, match="one waiter"):
+            env.run()
+        assert woke == []
 
 
 class TestAnyOfLoserCleanup:
@@ -399,7 +448,7 @@ class TestMailboxWithFastLane:
     @pytest.mark.parametrize("sanitized", [False, True])
     def test_fifo_under_mixed_put_get(self, sanitized):
         # Items must come out in put order no matter how gets and puts
-        # interleave, with identical behaviour on both dispatch loops.
+        # interleave, with identical behaviour under a sanitizer.
         env = _sanitized_env() if sanitized else Environment()
         mailbox = Mailbox(env)
         received = []
