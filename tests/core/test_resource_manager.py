@@ -41,6 +41,35 @@ class TestExecute:
         assert done[0] == pytest.approx(0.5)
 
     def test_interrupt_cancels_residual_work(self, env):
+        # The victim waits inside a sub-generator it delegates to, as
+        # TransactionManager._cc_access yields its CPU request.
+        rm = make_rm(env)
+        outcome = []
+
+        def work():
+            yield rm.cpu_job(1_000_000)  # 1s
+
+        def victim():
+            try:
+                yield from work()
+            except Interrupt:
+                outcome.append(env.now)
+
+        def bystander():
+            yield rm.cpu_job(1_000_000)
+            outcome.append(("done", env.now))
+
+        victim_process = env.process(victim())
+        env.process(bystander())
+        env.schedule(0.2, lambda: victim_process.interrupt())
+        env.run()
+        # Victim interrupted at 0.2 (0.1s of service each so far);
+        # bystander then runs alone: 0.9s more => 1.1s total.
+        assert outcome[0] == pytest.approx(0.2)
+        assert outcome[1][1] == pytest.approx(1.1)
+
+    def test_interrupt_cancels_job_yielded_directly(self, env):
+        # The same case as above, waiting on cpu_job's request itself.
         rm = make_rm(env)
         outcome = []
 
@@ -58,8 +87,6 @@ class TestExecute:
         env.process(bystander())
         env.schedule(0.2, lambda: victim_process.interrupt())
         env.run()
-        # Victim interrupted at 0.2 (0.1s of service each so far);
-        # bystander then runs alone: 0.9s more => 1.1s total.
         assert outcome[0] == pytest.approx(0.2)
         assert outcome[1][1] == pytest.approx(1.1)
 
@@ -93,6 +120,33 @@ class TestDisks:
         assert min(served) >= 4  # roughly balanced random choice
 
     def test_interrupt_cancels_queued_read(self, env):
+        # The victim waits inside a sub-generator it delegates to, so
+        # the interrupt is thrown through the ``yield from``.
+        rm = make_rm(env, disks=1)
+        outcome = []
+
+        def holder():
+            yield rm.read_page()
+
+        def read():
+            yield rm.read_page()
+
+        def victim():
+            try:
+                yield from read()
+            except Interrupt:
+                outcome.append("interrupted")
+
+        env.process(holder())
+        victim_process = env.process(victim())
+        env.schedule(0.005, lambda: victim_process.interrupt())
+        env.run()
+        assert outcome == ["interrupted"]
+        assert rm.disks[0].reads_served == 1  # victim's read gone
+        assert env.now == pytest.approx(0.01)
+
+    def test_interrupt_cancels_queued_read_yielded_directly(self, env):
+        # The same case as above, waiting on read_page's request itself.
         rm = make_rm(env, disks=1)
         outcome = []
 
