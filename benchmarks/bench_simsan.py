@@ -15,7 +15,9 @@ It times ``PAIRS`` pairs of one clean and one sanitized run, each
 about half a second, alternating which of the two runs first.  Each pair gives
 a ratio, sanitized over clean, and the median ratio is the recorded
 slowdown: drift of a shared host between pairs cancels within each
-pair instead of landing in the ratio.
+pair instead of landing in the ratio.  The cyclic collector runs
+before each timed run, so garbage left by earlier runs is not
+collected inside a later run's timed region.
 
 Appends to ``BENCH_simsan.json`` at the repo root (override with
 ``$REPRO_BENCH_OUT``), every pair's ratio included.  With
@@ -30,6 +32,7 @@ Run standalone or through pytest::
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import statistics
@@ -72,6 +75,7 @@ def _timed_run(fidelity: Fidelity, sanitize: bool):
     """One run: (wall seconds, result, number of findings)."""
     sanitizer = Sanitizer() if sanitize else None
     simulation = Simulation(_bench_config(fidelity), sanitizer=sanitizer)
+    gc.collect()
     started = time.perf_counter()
     result = simulation.run()
     wall = time.perf_counter() - started

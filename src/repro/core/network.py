@@ -13,10 +13,11 @@ delivered in posting order, because both CPUs serve their message class
 FIFO.
 
 Each in-flight message is tracked by a :class:`_Courier` — a tiny
-two-stage state machine that subscribes to the CPU completion events
-directly.  Earlier versions spawned a kernel :class:`Process` (a full
-generator) per message; with tens of thousands of messages per simulated
-second that allocation showed up at the top of every profile.
+two-stage state machine that hands each CPU charge its own bound
+continuation, so no event is built per charge.  Earlier versions
+spawned a kernel :class:`Process` (a full generator) per message; with
+tens of thousands of messages per simulated second that allocation
+showed up at the top of every profile.
 
 Fault injection (``repro.faults``) hooks in through
 :meth:`NetworkManager.attach_faults`: with an injector attached, every
@@ -31,7 +32,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, Optional
 
-from repro.sim.kernel import Environment, Waitable
+from repro.sim.kernel import Environment
 from repro.sim.resources import CPU
 from repro.sim.stats import Counter
 
@@ -41,15 +42,16 @@ __all__ = ["HOST_NODE", "NetworkManager"]
 HOST_NODE = -1
 
 
-class _Courier(Waitable):
+class _Courier:
     """In-flight message: charge source CPU, charge destination, deliver.
 
-    Implements the slice of the process protocol that deferred event
-    delivery relies on (``_alive``/``_waiting_on``/``_resume``), in the
-    exact step order of the generator-based courier it replaced: the
-    source-CPU charge is submitted on the courier's first scheduler
-    step, not at post time, so the CPU's message FIFO sees the same
-    arrival order relative to other same-instant work.
+    Runs in the exact step order of the generator-based courier it
+    replaced: the source-CPU charge is submitted on the courier's first
+    scheduler step, not at post time, so the CPU's message FIFO sees the
+    same arrival order relative to other same-instant work.  Each charge
+    gets the bound :meth:`_charged` as its continuation, which the CPU
+    schedules in the lane slot an event's delivery to the courier took
+    (DESIGN §16); a courier killed in between is not advanced.
     """
 
     __slots__ = (
@@ -61,7 +63,6 @@ class _Courier(Waitable):
         "on_drop",
         "_stage",
         "_alive",
-        "_waiting_on",
     )
 
     def __init__(
@@ -81,7 +82,6 @@ class _Courier(Waitable):
         self.on_drop = on_drop
         self._stage = 0
         self._alive = True
-        self._waiting_on = None
         if net._inflight is not None:
             net._inflight[self] = None
         net.env.schedule_now(self._start)
@@ -96,19 +96,17 @@ class _Courier(Waitable):
         return f"msg-{self.source}->{self.destination}:{handler}"
 
     def _charge(self, node: int) -> None:
-        event = self.net._cpus[node].execute_message(
-            self.net.inst_per_msg
-        )
-        self._waiting_on = event
-        event._subscribe(self)
+        net = self.net
+        net._cpus[node].execute_message(net.inst_per_msg, self._charged)
 
     def _start(self) -> None:
         if not self._alive:  # killed before the first scheduler step
             return
         self._charge(self.source)
 
-    def _resume(self, _value: Any) -> None:
-        self._waiting_on = None
+    def _charged(self) -> None:
+        if not self._alive:  # killed while its charge was served
+            return
         if self._stage == 0:
             self._stage = 1
             self._charge(self.destination)
@@ -123,12 +121,13 @@ class _Courier(Waitable):
             self.net.env._record_crash(self, exc)
 
     def kill(self) -> None:
-        """Discard this message mid-flight; it is never delivered."""
+        """Discard this message mid-flight; it is never delivered.
+
+        A charge already queued at a CPU is still served (message work
+        cannot be cancelled); its continuation then finds the courier
+        dead and stops.
+        """
         self._alive = False
-        event = self._waiting_on
-        if event is not None:
-            event._unsubscribe(self)
-            self._waiting_on = None
 
 
 class NetworkManager:

@@ -8,9 +8,10 @@ of them take a :class:`~repro.experiments.fidelity.Fidelity` and return
 The :mod:`~repro.experiments.runner` memoizes simulation runs within the
 process, so the figures that share a sweep (2-7 share one, 8-13 share
 another) pay for it once.  Independent grid points additionally fan out
-in chunks over a session-persistent worker pool (``--jobs N`` /
-``$REPRO_JOBS``, default ``os.cpu_count()``), and an optional on-disk
-result cache (:mod:`~repro.experiments.result_cache`) persists finished
+longest first, one point per task, over a session-persistent worker
+pool (``--jobs N`` / ``$REPRO_JOBS``, default ``os.cpu_count()``), and
+an optional on-disk result cache (:mod:`~repro.experiments.result_cache`)
+persists finished
 points across sessions, keyed so only sim-relevant source changes
 invalidate them.  Importing this package loads neither simsan
 (:mod:`repro.sanitizer`) nor simlint (:mod:`repro.lint`):
@@ -33,7 +34,6 @@ from repro.experiments.runner import (
     cache_stats,
     clear_cache,
     configure,
-    resolve_chunk_size,
     resolve_jobs,
     run_config,
     run_many,
@@ -48,7 +48,6 @@ __all__ = [
     "clear_cache",
     "configure",
     "get_experiment",
-    "resolve_chunk_size",
     "resolve_jobs",
     "run_config",
     "run_many",

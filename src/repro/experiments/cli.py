@@ -10,10 +10,11 @@ Examples::
     python -m repro.experiments cache prune
     python -m repro.experiments cache clear
 
-``run`` fans independent sweep points out in chunks over ``--jobs``
-persistent worker processes (default ``$REPRO_JOBS``, else all cores)
-and persists finished simulations under ``results/.cache/``
-(``$REPRO_CACHE_DIR`` overrides the location; ``--no-cache`` or
+``run`` fans independent sweep points out longest first, one point per
+task, over ``--jobs`` persistent worker processes (default
+``$REPRO_JOBS``, else all cores) and persists finished simulations
+under ``results/.cache/`` (``$REPRO_CACHE_DIR`` overrides the
+location; ``--no-cache`` or
 ``REPRO_CACHE=off`` disables persistence), so a re-run only simulates
 missing points.  Cache keys track the sim-relevant source content, so
 only code changes that can affect results invalidate entries;

@@ -2,25 +2,25 @@
 
 Every point in a figure sweep is an independent simulation of one
 frozen :class:`~repro.core.config.SimulationConfig`, which makes sweeps
-embarrassingly parallel.  The executor partitions missing points into
-contention-free chunks up front (the same move DGCC makes on
-transaction batches), fans them out over the session-persistent worker
-pool (:mod:`~repro.experiments.worker_pool` — spawned once, reused by
-every batch, torn down atexit), and assembles results in input order,
-so a parallel sweep is bit-identical to a serial one (each simulation
-is a pure function of its config, seed included).
+embarrassingly parallel.  The executor fans the missing points out over
+the session-persistent worker pool (:mod:`~repro.experiments.worker_pool`
+— spawned once, reused by every batch, torn down atexit) and assembles
+results in input order, so a parallel sweep is bit-identical to a
+serial one (each simulation is a pure function of its config, seed
+included).
 
-Scheduling is work-stealing in completion order: at most ``jobs``
-chunks are in flight at once, and a worker that finishes its chunk is
-immediately handed the next one, so a slow grid point never idles the
-rest of the pool behind an in-order collection barrier.  Chunk size is
-``ceil(missing / (jobs * 4))`` — small enough to balance, large enough
-to amortize per-task dispatch.
+Scheduling is longest-first, one point per task: the missing points
+are sorted by a cost estimate that reads only the config (simulated
+horizon times processing nodes, then the smaller think time first;
+the sort is stable), at most ``jobs`` tasks are in flight at once, and
+a worker that finishes a point is handed the next one in completion
+order.  The costly points therefore start first and the batch ends on
+cheap ones, instead of on a slow point behind an idle worker.
 
 Results travel back as **compressed cache-codec payloads**, not
 pickled ``SimulationResult`` graphs: workers serialize each result
-through :func:`~repro.experiments.result_cache.encode_result`,
-zlib-compress the chunk's payloads into one blob (and, when a disk
+through :func:`~repro.experiments.result_cache.encode_result` and
+zlib-compress the task's payloads into one blob (and, when a disk
 cache is attached, write the entries into the shared cache directory
 themselves), so the parent unpickles nothing deeper than ``bytes``
 and the measured bytes-over-IPC shrink accordingly
@@ -51,7 +51,6 @@ from __future__ import annotations
 
 import concurrent.futures
 import json
-import math
 import os
 import time
 import zlib
@@ -74,13 +73,8 @@ __all__ = [
     "ExecutorStats",
     "SweepExecutionError",
     "SweepExecutor",
-    "resolve_chunk_size",
     "resolve_jobs",
 ]
-
-#: Chunks per worker: enough slack for work-stealing to even out
-#: unequal point costs without paying per-point dispatch.
-OVERSUBSCRIBE = 4
 
 
 class SweepExecutionError(RuntimeError):
@@ -116,32 +110,28 @@ def resolve_jobs(jobs: Optional[int] = None) -> int:
     return jobs
 
 
-def resolve_chunk_size(missing: int, jobs: int) -> int:
-    """Points per chunk: the batch split into ``jobs *``
-    :data:`OVERSUBSCRIBE` chunks (rounded up), at least one point each.
+def _longest_first(
+    configs: Sequence[SimulationConfig],
+) -> List[SimulationConfig]:
+    """``configs`` sorted by estimated cost, costliest first.
+
+    The estimate reads only the config: the simulated horizon it fixes
+    (warmup + duration) times its processing nodes, and among equal
+    products the smaller think time (the heavier load) first.  The
+    sort is stable, so input order breaks the remaining ties.
     """
-    return max(1, math.ceil(missing / (jobs * OVERSUBSCRIBE)))
+    return sorted(
+        configs,
+        key=lambda config: (
+            -(config.warmup + config.duration) * config.num_proc_nodes,
+            config.workload.think_time,
+        ),
+    )
 
 
 def _simulate(config: SimulationConfig) -> SimulationResult:
     """Run one simulation; module-level so pool workers can pickle it."""
     return Simulation(config).run()
-
-
-class _ChunkPointError(Exception):
-    """A worker-side failure, tagged with its offset inside the chunk.
-
-    Pickles across the pool boundary so the parent can recover which
-    config failed and re-raise a :class:`SweepExecutionError`.
-    """
-
-    def __init__(self, offset: int, cause: BaseException):
-        super().__init__(offset, cause)
-        self.offset = offset
-        self.cause = cause
-
-    def __reduce__(self):
-        return (type(self), (self.offset, self.cause))
 
 
 def _pack_payloads(payloads: List[str]) -> bytes:
@@ -169,11 +159,8 @@ def _run_chunk(
     cache = ResultCache(Path(cache_dir)) if cache_dir else None
     payloads: List[str] = []
     started = time.perf_counter()
-    for offset, config in enumerate(configs):
-        try:
-            result = _simulate(config)
-        except Exception as cause:
-            raise _ChunkPointError(offset, cause) from cause
+    for config in configs:
+        result = _simulate(config)
         payloads.append(encode_result(result))
         if cache is not None:
             cache.put(config, result)
@@ -299,10 +286,10 @@ class SweepExecutor:
         """Run a batch of configs; results are in input order.
 
         Cached points are served from the memo/disk layers; the missing
-        remainder is deduplicated and fanned out in chunks over the
-        persistent worker pool when more than one distinct point is
-        missing and ``jobs > 1``.  The first worker failure cancels
-        every chunk not yet running and raises
+        remainder is deduplicated and fanned out longest first, one
+        point per task, over the persistent worker pool when more than
+        one distinct point is missing and ``jobs > 1``.  The first
+        worker failure cancels every task not yet running and raises
         :class:`SweepExecutionError` rather than yielding a partial
         grid.
         """
@@ -339,11 +326,10 @@ class SweepExecutor:
     def _run_pool(
         self, missing: List[SimulationConfig], jobs: int
     ) -> None:
-        chunk_size = resolve_chunk_size(len(missing), jobs)
-        chunks = [
-            missing[start:start + chunk_size]
-            for start in range(0, len(missing), chunk_size)
-        ]
+        # One point per task, costliest first; each task is a
+        # one-point chunk for the worker's _run_chunk, so a failed
+        # task names its config.
+        tasks = _longest_first(missing)
         cache_dir = (
             str(self.cache.directory) if self.cache is not None else None
         )
@@ -351,56 +337,46 @@ class SweepExecutor:
         self.stats.pool_batches += 1
         started = time.perf_counter()
         pending: Dict[concurrent.futures.Future, int] = {}
-        next_chunk = 0
+        next_task = 0
         failure: Optional[
             Tuple[SimulationConfig, BaseException]
         ] = None
         broken_pool = False
-        while failure is None and (
-            next_chunk < len(chunks) or pending
-        ):
-            # Keep exactly ``jobs`` chunks in flight: a finishing
-            # worker steals the next chunk, and a pool larger than
-            # ``jobs`` (grown by an earlier batch) is not over-driven.
-            while next_chunk < len(chunks) and len(pending) < jobs:
+        while failure is None and (next_task < len(tasks) or pending):
+            # Keep exactly ``jobs`` tasks in flight: a finishing worker
+            # takes the next point, and a pool larger than ``jobs``
+            # (grown by an earlier batch) is not over-driven.
+            while next_task < len(tasks) and len(pending) < jobs:
                 future = pool.submit(
-                    _run_chunk,
-                    next_chunk,
-                    chunks[next_chunk],
-                    cache_dir,
+                    _run_chunk, next_task, [tasks[next_task]], cache_dir
                 )
-                pending[future] = next_chunk
-                next_chunk += 1
+                pending[future] = next_task
+                next_task += 1
                 self.stats.chunks_dispatched += 1
             done, _ = concurrent.futures.wait(
                 pending,
                 return_when=concurrent.futures.FIRST_COMPLETED,
             )
             for future in sorted(done, key=pending.__getitem__):
-                index = pending.pop(future)
+                config = tasks[pending.pop(future)]
                 try:
                     _, blob, chunk_stats = future.result()
-                except _ChunkPointError as error:
-                    failure = (
-                        chunks[index][error.offset], error.cause
-                    )
-                    break
                 except BrokenProcessPool as cause:
-                    failure = (chunks[index][0], cause)
+                    failure = (config, cause)
                     broken_pool = True
                     break
                 except Exception as cause:
-                    failure = (chunks[index][0], cause)
+                    failure = (config, cause)
                     break
-                self._absorb_chunk(chunks[index], blob, chunk_stats)
+                self._absorb_chunk([config], blob, chunk_stats)
         if failure is not None:
-            # Cancel what never started; running chunks are left to
+            # Cancel what never started; running tasks are left to
             # finish (their results are simply discarded) because a
             # ProcessPoolExecutor cannot interrupt a live worker.
             for future in pending:
                 if future.cancel():
                     self.stats.chunks_cancelled += 1
-            self.stats.chunks_cancelled += len(chunks) - next_chunk
+            self.stats.chunks_cancelled += len(tasks) - next_task
             self.stats.pool_wall_seconds += (
                 time.perf_counter() - started
             )

@@ -9,9 +9,9 @@ therefore hashable, so the memo key is the configuration itself.
 On top of the per-process memo, two opt-in layers:
 
 * **Parallelism** — ``sweep``/``run_many`` fan missing grid points out
-  in chunks of ``ceil(missing / (jobs * 4))`` over the
-  session-persistent worker pool (:mod:`~repro.experiments.worker_pool`:
-  spawned once, reused by every batch).  The worker count comes from
+  longest first, one point per task, over the session-persistent
+  worker pool (:mod:`~repro.experiments.worker_pool`: spawned once,
+  reused by every batch).  The worker count comes from
   an explicit ``jobs`` argument, else ``$REPRO_JOBS``, else
   ``os.cpu_count()``.  ``jobs=1`` is the fully serial path.  Parallel
   results are assembled deterministically and are bit-identical to
@@ -49,7 +49,6 @@ from repro.core.metrics import SimulationResult
 from repro.experiments.executor import (
     SweepExecutionError,
     SweepExecutor,
-    resolve_chunk_size,
     resolve_jobs,
 )
 from repro.experiments.result_cache import ResultCache
@@ -60,7 +59,6 @@ __all__ = [
     "clear_cache",
     "configure",
     "get_executor",
-    "resolve_chunk_size",
     "resolve_jobs",
     "run_config",
     "run_many",

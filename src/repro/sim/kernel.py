@@ -31,16 +31,19 @@ Hot-path design (the per-event cost caps every figure replication):
   deliveries, process-termination notifications, pending interrupts —
   is about half of all dispatches, and none of it needs a priority
   queue: it always runs at the current timestamp.  It goes onto a FIFO
-  ``deque`` instead of the heap.
-  :meth:`Environment.schedule_now` appends a plain ``(callback, args)``
-  pair — no handle, no seq — and :meth:`Environment.schedule` sends an
-  entry due at ``now`` (a zero or sub-ulp delay) there as
-  ``(handle, None)``, so it stays cancellable.  The dispatch loop runs,
-  at each instant, the heap entries due then and after them the lane.
-  That is exact global ``(time, seq)`` order: a heap entry due at
-  ``now`` was scheduled while the clock was earlier, so its seq
-  precedes every lane entry, and nothing scheduled at ``now`` enters
-  the heap (DESIGN §15).
+  ``deque`` instead of the heap, as pairs of three shapes told apart
+  by their second element: :meth:`Environment.schedule_now` appends
+  ``(callback, args)`` — no handle, no seq; :meth:`Environment.schedule`
+  sends an entry due at ``now`` (a zero or sub-ulp delay) there as
+  ``(handle, None)``, so it stays cancellable; and a fired
+  :class:`Event` appends ``(waiter, event)``, a *delivery* that the
+  loop itself hands to the waiter if it still waits on the event, so
+  no bound method, argument tuple or frame is built per hop
+  (DESIGN §16).  The dispatch loop runs, at each instant, the heap
+  entries due then and after them the lane.  That is exact global
+  ``(time, seq)`` order: a heap entry due at ``now`` was scheduled
+  while the clock was earlier, so its seq precedes every lane entry,
+  and nothing scheduled at ``now`` enters the heap (DESIGN §15).
 * **Pooled handles and timeouts.**  Dispatched heap and lane
   :class:`ScheduledCallback` handles are recycled for later
   ``schedule`` calls, and :meth:`Environment.timeout` recycles fired
@@ -184,7 +187,11 @@ class Event(Waitable):
         Delivery is *deferred* to the next scheduler step at the current
         time: firing an event never reenters the caller, so resource and
         concurrency control managers can fire grant events while
-        iterating over their own state.
+        iterating over their own state.  Each waiter, in subscription
+        order, gets a ``(waiter, event)`` delivery on the fast lane;
+        the dispatch loop resumes it with ``value`` only if it is still
+        alive and still waits on this event (it may have been
+        interrupted in between).
         """
         if self._fired:
             raise SimulationError("event already fired")
@@ -194,24 +201,16 @@ class Event(Waitable):
         if waiters is not None:
             self._waiters = None
             if type(waiters) is list:
-                schedule_now = self.env.schedule_now
-                deliver = self._deliver_step
+                append = self.env._fast.append
                 for process in waiters:
-                    schedule_now(deliver, process)
+                    append((process, self))
             else:
-                self.env.schedule_now(self._deliver_step, waiters)
+                self.env._fast.append((waiters, self))
         return self
-
-    def _deliver_step(self, process: "Process") -> None:
-        # The waiter may have been interrupted (and moved on) between
-        # the fire and this delivery; only resume if it still waits
-        # on this event.
-        if process._alive and process._waiting_on is self:
-            process._resume(self._value)
 
     def _subscribe(self, process: "Process") -> None:
         if self._fired:
-            self.env.schedule_now(self._deliver_step, process)
+            self.env._fast.append((process, self))
             return
         waiters = self._waiters
         if waiters is None:
@@ -383,7 +382,9 @@ class Process(Waitable):
         except BaseException as exc:  # noqa: BLE001 - surfaced to waiters
             self._finish(exception=exc)
             return
-        if not isinstance(target, Waitable):
+        try:
+            subscribe = target._subscribe
+        except AttributeError:
             self._finish(
                 exception=SimulationError(
                     f"process {self.name!r} yielded a non-waitable: "
@@ -392,7 +393,7 @@ class Process(Waitable):
             )
             return
         self._waiting_on = target
-        target._subscribe(self)
+        subscribe(self)
 
     def _finish(
         self,
@@ -617,13 +618,18 @@ class Environment:
     model code.  ``dispatch_count`` counts callbacks actually run — the
     events/second benchmarks divide it by wall-clock time.
 
-    Fast-lane entries are pairs: ``(callback, args)`` from
-    :meth:`schedule_now`, or ``(handle, None)`` for a ``schedule``
-    entry due at the current instant.
+    Fast-lane entries are pairs, told apart by their second element:
+    ``(callback, args)`` from :meth:`schedule_now` (a tuple),
+    ``(handle, None)`` for a ``schedule`` entry due at the current
+    instant, and ``(waiter, event)`` for a fired :class:`Event`'s
+    delivery to one waiter.  Each counts as one dispatch, a dropped
+    delivery included.
 
     ``sanitizer`` attaches a runtime sanitizer (``repro.sanitizer``):
     it builds the handles :meth:`schedule` returns and sees every
-    process start.  :meth:`run` takes the same loop either way.
+    process start.  :meth:`run` takes the same loop either way; it
+    recycles handles only on a clean run, since a sanitized
+    ``schedule`` never draws from the pool.
     """
 
     __slots__ = (
@@ -756,7 +762,10 @@ class Environment:
         at ``now`` joins the lane: the two phases are exact global
         ``(time, seq)`` order.  The clock then moves to the earliest
         live heap entry; reaping a cancelled one never moves it.
-        Dispatched and reaped handles are recycled.
+        A lane delivery ``(waiter, event)`` resumes the waiter with the
+        event's value if ``waiter._alive and waiter._waiting_on is
+        event``, and is dropped otherwise.  Dispatched and reaped
+        handles are recycled, unless a sanitizer is attached.
 
         The cyclic collector is paused for the duration of the loop.
         The loop allocates at a steady rate, and letting the collector
@@ -784,6 +793,9 @@ class Environment:
         heappop = heapq.heappop
         pool = self._handle_pool
         pool_append = pool.append
+        # A sanitized ``schedule`` builds a fresh handle every time, so
+        # pooling would only pin handles nobody reuses.
+        pool_limit = _HANDLE_POOL_LIMIT if self._san is None else 0
         now = self.now
         dispatched = self.dispatch_count
         try:
@@ -798,22 +810,28 @@ class Environment:
                     # ScheduledCallback); recycle it.
                     handle.callback = None
                     handle.args = ()
-                    if len(pool) < _HANDLE_POOL_LIMIT:
+                    if len(pool) < pool_limit:
                         pool_append(handle)
                 while fast:
-                    callback, args = popleft()
-                    if args is not None:
+                    first, second = popleft()
+                    if type(second) is tuple:
                         dispatched += 1
-                        callback(*args)
-                        continue
-                    handle = callback
-                    if not handle.cancelled:
+                        first(*second)
+                    elif second is None:
+                        handle = first
+                        if not handle.cancelled:
+                            dispatched += 1
+                            handle.callback(*handle.args)
+                        handle.callback = None
+                        handle.args = ()
+                        if len(pool) < pool_limit:
+                            pool_append(handle)
+                    else:
+                        # A delivery: the waiter may have been
+                        # interrupted (and moved on) since the fire.
                         dispatched += 1
-                        handle.callback(*handle.args)
-                    handle.callback = None
-                    handle.args = ()
-                    if len(pool) < _HANDLE_POOL_LIMIT:
-                        pool_append(handle)
+                        if first._alive and first._waiting_on is second:
+                            first._resume(second._value)
                 while heap:
                     time, _seq, handle = heap[0]
                     if until is not None and time > until:
@@ -824,7 +842,7 @@ class Environment:
                     heappop(heap)
                     handle.callback = None
                     handle.args = ()
-                    if len(pool) < _HANDLE_POOL_LIMIT:
+                    if len(pool) < pool_limit:
                         pool_append(handle)
                 else:
                     break

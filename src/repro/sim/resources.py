@@ -33,7 +33,7 @@ import random
 from collections import deque
 from enum import Enum
 from itertools import count
-from typing import Optional
+from typing import Callable, Optional
 
 from repro.sim.kernel import Environment, Event, ScheduledCallback
 from repro.sim.stats import TimeWeighted
@@ -74,7 +74,8 @@ class CPU:
     its MIPS rating.  :meth:`execute` enters the processor-sharing class
     (transaction page processing, I/O initiation, process startup);
     :meth:`execute_message` enters the high-priority FIFO class (message
-    protocol processing).
+    protocol processing), whose work nothing waits on as an event: the
+    caller passes the continuation to run once it has been served.
     """
 
     def __init__(self, env: Environment, mips: float, name: str = "cpu"):
@@ -90,8 +91,11 @@ class CPU:
         self._ps_heap: list[tuple[float, int, _PsJob]] = []
         self._ps_active = 0
         self._ps_timer: Optional[ScheduledCallback] = None
-        # Message (FIFO, high-priority) state.
-        self._msg_queue: deque[tuple[float, Event]] = deque()
+        # Bound once: the completion timer is re-armed on almost every
+        # state change.
+        self._on_ps_timer = self._complete_ps
+        # Message (FIFO, high-priority) state: (seconds, continuation).
+        self._msg_queue: deque[tuple[float, Callable[[], None]]] = deque()
         self._msg_busy = False
         self._seq = count()
         # Statistics: time-weighted busy indicator (any class in
@@ -136,17 +140,25 @@ class CPU:
         self._reschedule_ps()
         return job
 
-    def execute_message(self, instructions: float) -> Event:
-        """Submit high-priority FIFO message-processing work."""
-        event = self.env.event()
+    def execute_message(
+        self, instructions: float, done: Callable[[], None]
+    ) -> None:
+        """Submit high-priority FIFO message-processing work.
+
+        ``done()`` runs on the fast lane once the work has been served,
+        in the slot an event's delivery to its waiter would take; no
+        event is built.  Work that costs nothing still takes two
+        same-instant hops before ``done`` runs, as a fired event's
+        delivery did.  Message work cannot be cancelled.
+        """
         seconds = instructions / self._instructions_per_second
         if seconds <= 0.0:
-            self.env.schedule_now(event.succeed)
-            return event
-        self._msg_queue.append((seconds, event))
+            env = self.env
+            env.schedule_now(env.schedule_now, done)
+            return
+        self._msg_queue.append((seconds, done))
         if not self._msg_busy:
             self._start_next_message()
-        return event
 
     def cancel(self, job: Event) -> bool:
         """Cancel a pending PS job; returns True if it was still pending.
@@ -202,7 +214,7 @@ class CPU:
         if not remaining_v > 0.0:
             remaining_v = 0.0
         delay = remaining_v * self._ps_active
-        self._ps_timer = self.env.schedule(delay, self._complete_ps)
+        self._ps_timer = self.env.schedule(delay, self._on_ps_timer)
 
     def _complete_ps(self) -> None:
         # The timer is disarmed while a message is in service, so the
@@ -249,11 +261,11 @@ class CPU:
         if self._ps_timer is not None:
             self._ps_timer.cancel()
             self._ps_timer = None
-        seconds, event = self._msg_queue.popleft()
-        self.env.schedule(seconds, self._finish_message, event)
+        seconds, done = self._msg_queue.popleft()
+        self.env.schedule(seconds, self._finish_message, done)
 
-    def _finish_message(self, event: Event) -> None:
-        event.succeed()
+    def _finish_message(self, done: Callable[[], None]) -> None:
+        self.env.schedule_now(done)
         if self._msg_queue:
             # Still busy: the PS clock stays frozen.
             self._start_next_message()
@@ -373,12 +385,19 @@ class Disk:
         return pending
 
     def _pop_next(self) -> Optional[_DiskRequest]:
-        for queue in (self._write_queue, self._read_queue):
-            while queue:
-                request = queue.popleft()
-                if request.queued:
-                    request.queued = False
-                    return request
+        # Writes first; the two queues are unrolled, not looped over.
+        queue = self._write_queue
+        while queue:
+            request = queue.popleft()
+            if request.queued:
+                request.queued = False
+                return request
+        queue = self._read_queue
+        while queue:
+            request = queue.popleft()
+            if request.queued:
+                request.queued = False
+                return request
         return None
 
     def _start_next(self) -> None:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.network import HOST_NODE, NetworkManager
+from repro.sanitizer.core import Sanitizer
 from repro.sim.kernel import Environment
 from repro.sim.resources import CPU
 
@@ -102,3 +103,53 @@ class TestAccounting:
         assert cpus[0].busy_time.mean(1.0) == pytest.approx(
             0.01, rel=0.01
         )
+
+
+class TestKilledCourier:
+    @pytest.mark.parametrize("stage", ["source", "destination"])
+    def test_killed_between_charge_and_continuation(self, stage):
+        """A courier killed after a CPU has served its charge, but
+        before the continuation the CPU scheduled runs, never runs its
+        handler and never submits another charge."""
+        # A sanitized environment tracks in-flight couriers, which
+        # kill_inflight needs.
+        env = Environment(sanitizer=Sanitizer())
+        network, cpus = make_network(env, inst_per_msg=1_000.0)
+        received, dropped = [], []
+        network.post(
+            HOST_NODE, 0, received.append, "lost", on_drop=dropped.append
+        )
+        host_seconds = 1_000 / (10.0 * 1e6)
+        node_seconds = 1_000 / (1.0 * 1e6)
+        killed_at = []
+
+        def kill():
+            killed_at.append(env.now)
+            network.kill_inflight(0)
+
+        def arm(seconds):
+            # Due with the charge's completion and scheduled after it,
+            # so it runs between that completion and the continuation.
+            env.schedule(seconds, kill)
+
+        if stage == "source":
+            env.schedule_now(arm, host_seconds)
+        else:
+            # Runs after the continuation that submits the destination
+            # charge, at the source charge's completion.
+            env.schedule_now(
+                env.schedule, host_seconds, env.schedule_now, arm,
+                node_seconds,
+            )
+        env.run()
+        assert received == []
+        assert dropped == ["lost"]
+        end = env.now
+        if stage == "source":
+            assert killed_at == [host_seconds]
+            # The destination charge was never submitted.
+            assert cpus[0].busy_time.mean(end) == 0.0
+        else:
+            assert killed_at == [host_seconds + node_seconds]
+            assert cpus[0].busy_time.mean(end) > 0.0
+

@@ -1,15 +1,15 @@
-"""Executor tests for the persistent pool, chunking, and transport.
+"""Executor tests for the persistent pool, dispatch, and transport.
 
 The contracts under test:
 
 * the worker pool is spawned once per session and reused by every
   subsequent batch (no new pool, no new worker processes);
-* chunked work-stealing dispatch still assembles results bit-identical
-  to the serial path, in input order, for any ``jobs``;
-* the memo/disk/simulated counters and the new chunk/IPC counters
-  account for every grid point exactly once;
+* longest-first dispatch, one point per task, still assembles results
+  bit-identical to the serial path, in input order, for any ``jobs``;
+* the memo/disk/simulated counters and the task/IPC counters account
+  for every grid point exactly once;
 * a poisoned grid point aborts the sweep promptly, cancelling the
-  chunks that have not started instead of letting the batch drain.
+  tasks that have not started instead of letting the batch drain.
 """
 
 import pytest
@@ -17,12 +17,12 @@ import pytest
 from repro.core.config import paper_default_config
 from repro.experiments import worker_pool
 from repro.experiments.executor import (
-    OVERSUBSCRIBE,
     SweepExecutionError,
     SweepExecutor,
-    resolve_chunk_size,
 )
+from repro.experiments.fidelity import Fidelity
 from repro.experiments.result_cache import ResultCache
+from repro.experiments.scaling import ALGORITHMS, scaling_config
 
 
 def tiny_config(algorithm="no_dc", think_time=30.0, seed=7):
@@ -48,16 +48,6 @@ def fresh_pool():
     worker_pool.shutdown_pool()
     yield
     worker_pool.shutdown_pool()
-
-
-class TestChunkSizing:
-    def test_computed_default(self):
-        # 30 missing over 2 jobs * OVERSUBSCRIBE chunks.
-        assert OVERSUBSCRIBE == 4
-        assert resolve_chunk_size(30, 2) == 4
-        assert resolve_chunk_size(8, 2) == 1
-        assert resolve_chunk_size(1, 8) == 1
-        assert resolve_chunk_size(1000, 4) == 63
 
 
 class TestPoolReuse:
@@ -149,8 +139,8 @@ class TestStatsUnderPool:
         configs = small_grid() + small_grid(seed=8)  # 12 distinct points
         executor = SweepExecutor(jobs=2)
         executor.run_many(configs)
-        # Chunks of resolve_chunk_size(12, 2) == 2 points.
-        assert executor.stats.chunks_dispatched == 6
+        # One point per task.
+        assert executor.stats.chunks_dispatched == 12
         assert executor.stats.chunks_cancelled == 0
 
     def test_duplicate_configs_deduplicated(self):
@@ -162,15 +152,60 @@ class TestStatsUnderPool:
         assert all(r == results[0] for r in results)
 
 
+class TestLongestFirst:
+    def test_fig_sweep_grid_dispatches_eight_node_points_first(
+        self, monkeypatch
+    ):
+        """Figure 4's think-0 column (five algorithms on 1 and 8
+        nodes, as perfbench's ``fig-sweep`` runs it, over a shorter
+        horizon): the 8-node points go out first, one per task, in
+        input order among themselves, and the results come back in
+        input order, bit-identical to a serial run."""
+        fidelity = Fidelity(
+            name="longest-first",
+            duration=2.0,
+            warmup=1.0,
+            target_commits=0,
+            max_duration=2.0,
+            think_times=(0.0,),
+        )
+        configs = [
+            scaling_config(fidelity, algorithm, 0.0, nodes)
+            for nodes in (1, 8)
+            for algorithm in ALGORITHMS
+        ]
+        serial = SweepExecutor(jobs=1).run_many(configs)
+
+        pool = worker_pool.get_pool(2)
+        submitted = []
+        submit = pool.submit
+
+        def recording_submit(function, index, chunk, cache_dir):
+            submitted.append(list(chunk))
+            return submit(function, index, chunk, cache_dir)
+
+        monkeypatch.setattr(pool, "submit", recording_submit)
+        executor = SweepExecutor(jobs=2)
+        results = executor.run_many(configs)
+        assert [len(chunk) for chunk in submitted] == [1] * len(configs)
+        assert [chunk[0] for chunk in submitted] == (
+            configs[5:] + configs[:5]
+        )
+        assert executor.stats.chunks_dispatched == len(configs)
+        assert [r.as_dict() for r in results] == [
+            r.as_dict() for r in serial
+        ]
+
+
 class TestFailureSemantics:
     def test_poisoned_point_aborts_promptly(self):
-        """The first failure cancels the chunks that never started —
+        """The first failure cancels the tasks that never started —
         the sweep must not drain the whole grid behind a dead point.
 
         The poison passes ``validate()`` but fails at simulation
         setup, so it dies in a worker almost instantly while the other
-        chunks are real simulations; seven points at jobs=2 make
-        one-point chunks, at most two in flight, leaving the rest
+        tasks are real simulations; seven points at jobs=2, one point
+        per task and at most two in flight, leave the rest
         cancellable.
         """
         poison = tiny_config().with_(cc_algorithm="bogus")

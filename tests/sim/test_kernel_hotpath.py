@@ -2,19 +2,22 @@
 
 Covers the same-time fast lane (interleaving with equal-time heap
 entries in exact sequence order, checked against a reference queue
-that applies the global ``(time, seq)`` rule directly), handle/timeout
-pooling (recycled objects never replay stale callbacks), the
-single-waiter timeout, AnyOf loser cleanup, and the
-interrupt-vs-deferred-delivery races the transaction manager depends
-on.
+that applies the global ``(time, seq)`` rule directly), the loop's
+event deliveries (subscription order, the still-waiting check, one
+dispatch each), handle/timeout pooling (recycled objects never replay
+stale callbacks), the single-waiter timeout, AnyOf loser cleanup, and
+the interrupt-vs-deferred-delivery races the transaction manager
+depends on.
 """
 
 import heapq
+from functools import partial
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.core.simulation import Simulation
 from repro.sanitizer.core import Sanitizer
 from repro.sim.kernel import (
     Environment,
@@ -23,6 +26,7 @@ from repro.sim.kernel import (
     SimulationError,
     Timeout,
 )
+from tests.sanitizer.fixtures import tiny_config
 
 
 @pytest.fixture
@@ -49,6 +53,38 @@ class _ReferenceEntry:
         self.cancelled = True
 
 
+class _ReferenceEvent:
+    """An event whose delivery is a ``schedule_now`` of the
+    check-and-resume, one per waiter in subscription order."""
+
+    def __init__(self, env):
+        self.env = env
+        self.fired = False
+        self.value = None
+        self._waiters = []
+
+    def succeed(self, value=None):
+        self.fired = True
+        self.value = value
+        waiters, self._waiters = self._waiters, []
+        for waiter in waiters:
+            self.env.schedule_now(self._deliver, waiter)
+
+    def _deliver(self, waiter):
+        if waiter._alive and waiter._waiting_on is self:
+            waiter._resume(self.value)
+
+    def _subscribe(self, waiter):
+        if self.fired:
+            self.env.schedule_now(self._deliver, waiter)
+        else:
+            self._waiters.append(waiter)
+
+    def _unsubscribe(self, waiter):
+        if waiter in self._waiters:
+            self._waiters.remove(waiter)
+
+
 class _ReferenceEnv:
     """The kernel's dispatch rule written out directly (DESIGN §15).
 
@@ -56,7 +92,8 @@ class _ReferenceEnv:
     ``schedule_now`` is a zero delay; a cancelled entry is reaped
     without moving the clock; ``run(until)`` runs every entry due by
     ``until`` and then sets the clock to ``until``, as
-    ``Environment.run`` does.
+    ``Environment.run`` does.  An event's delivery to a waiter is a
+    ``schedule_now`` of the check-and-resume (DESIGN §16).
     """
 
     def __init__(self):
@@ -73,6 +110,9 @@ class _ReferenceEnv:
 
     def schedule_now(self, callback, *args):
         self.schedule(0.0, callback, *args)
+
+    def event(self):
+        return _ReferenceEvent(self)
 
     def run(self, until=None):
         queue = self._queue
@@ -175,18 +215,38 @@ class TestFastLaneOrdering:
 
 
 #: Step kinds of a generated script: a nested ``schedule_now``, a
-#: cancel, or a ``schedule`` delay.  The delays are dyadic, so entries
-#: scheduled from different instants collide exactly, and ``1e-18`` is
-#: below one ulp of every clock value the scripts reach (they start at
-#: 1.0), so it is due at the current instant.
-_STEP_KINDS = ("now", "cancel", 0.0, 1e-18, 0.5, 1.0, 2.0)
+#: cancel, a ``schedule`` delay, or an action on the script's one
+#: event: a waiter subscribing ("wait"), the fire, and a waiter that
+#: stops waiting, as an interrupt makes it ("leave").  The delays are
+#: dyadic, so entries scheduled from different instants collide
+#: exactly, and ``1e-18`` is below one ulp of every clock value the
+#: scripts reach (they start at 1.0), so it is due at the current
+#: instant.
+_STEP_KINDS = (
+    "now", "cancel", 0.0, 1e-18, 0.5, 1.0, 2.0, "wait", "fire", "leave"
+)
+
+
+class _Waiter:
+    """The slice of the process protocol a delivery uses."""
+
+    def __init__(self, on_resume):
+        self._alive = True
+        self._waiting_on = None
+        self._on_resume = on_resume
+
+    def _resume(self, value):
+        self._waiting_on = None
+        self._on_resume(value)
 
 
 @st.composite
 def _scripts(draw):
     """Steps ``(parent, kind, target)``: each runs when its parent
-    fires (parent -1 is the root, at t=1.0); a cancel step cancels
-    ``target``'s handle if it is still pending."""
+    fires or is resumed (parent -1 is the root, at t=1.0); a cancel
+    step cancels ``target``'s handle if it is still pending, and a
+    leave step takes ``target``'s waiter off the event if it still
+    waits."""
     count = draw(st.integers(min_value=1, max_value=16))
     steps = [
         (
@@ -208,11 +268,17 @@ def _play(env, script):
         children.setdefault(parent, []).append(index)
     pending = {}
     order = []
+    event = env.event()
+    waiters = {}
 
     def fire(index):
         # The kernel owns a handle again once its callback runs.
         pending.pop(index, None)
         order.append((env.now, index))
+        spawn(index)
+
+    def resume(index, value):
+        order.append((env.now, index, value))
         spawn(index)
 
     def spawn(parent):
@@ -225,6 +291,21 @@ def _play(env, script):
                 if handle is not None:
                     handle.cancel()
                     order.append((env.now, f"cancel-{target}"))
+            elif kind == "wait":
+                waiter = waiters[index] = _Waiter(partial(resume, index))
+                waiter._waiting_on = event
+                event._subscribe(waiter)
+            elif kind == "fire":
+                if not event.fired:
+                    event.succeed(f"fired-{index}")
+                    order.append((env.now, f"fire-{index}"))
+                spawn(index)
+            elif kind == "leave":
+                waiter = waiters.get(target)
+                if waiter is not None and waiter._waiting_on is event:
+                    event._unsubscribe(waiter)
+                    waiter._waiting_on = None
+                    order.append((env.now, f"leave-{target}"))
             else:
                 pending[index] = env.schedule(kind, fire, index)
 
@@ -248,16 +329,102 @@ class TestDispatchRuleDifferential:
     @example(([(-1, "now", 0)], None))
     @example(([(-1, "now", 0), (0, 1e-18, 0), (0, "now", 0)], None))
     @example(([(-1, 2.0, 0), (-1, "cancel", 0)], None))
+    # And per broken delivery rule of DESIGN §16: a delivery made at
+    # the fire instead of from the lane, a waiter resumed although it
+    # left between the fire and the delivery, a dropped delivery not
+    # counted, and a late subscriber to a fired event resumed at once.
+    @example((
+        [(-1, "wait", 0), (-1, "now", 0), (-1, "wait", 0),
+         (-1, "fire", 0), (3, "now", 0), (0, "now", 0)],
+        None,
+    ))
+    @example(([(-1, "wait", 0), (-1, "fire", 0), (-1, "leave", 0)], None))
+    @example(([(-1, "fire", 0), (-1, "now", 0), (-1, "wait", 0)], None))
     def test_generated_scripts_match_reference(self, script):
         """The loop's two phases per instant (heap entries due now,
         then the fast lane) give the reference queue's global
         ``(time, seq)`` order on scripts mixing zero and sub-ulp
         delays, equal-time heap entries from different instants,
-        cancels of heap and lane handles, nested ``schedule_now`` and
-        a ``run(until)`` split."""
+        cancels of heap and lane handles, nested ``schedule_now``, a
+        ``run(until)`` split, and an event fired with waiters
+        subscribed before and after it, some of which stop waiting."""
         assert _play(Environment(), script) == _play(
             _ReferenceEnv(), script
         )
+
+
+class TestDeliveryOrder:
+    def test_waiters_resume_in_subscription_order(self, env):
+        """A fire appends one delivery per waiter, in subscription
+        order, behind the lane entries appended before it and ahead
+        of those appended after it, including the ones the resumed
+        waiters append."""
+        event = env.event()
+        order = []
+
+        def subscribe(tag):
+            def resumed(value):
+                order.append((tag, value))
+                env.schedule_now(order.append, f"{tag}-next")
+
+            waiter = _Waiter(resumed)
+            waiter._waiting_on = event
+            event._subscribe(waiter)
+
+        def script():
+            env.schedule_now(order.append, "x0")
+            subscribe("a")
+            env.schedule_now(order.append, "x1")
+            subscribe("b")
+            env.schedule_now(order.append, "x2")
+            subscribe("c")
+            event.succeed("v")
+            env.schedule_now(order.append, "after")
+
+        env.schedule(1.0, script)
+        env.run()
+        assert order == [
+            "x0", "x1", "x2", ("a", "v"), ("b", "v"), ("c", "v"),
+            "after", "a-next", "b-next", "c-next",
+        ]
+        # The script, three schedule_now entries before the fire,
+        # three deliveries, "after" and three "-next" entries.
+        assert env.dispatch_count == 11
+
+    def test_late_subscribers_interleave_with_lane_entries(self, env):
+        """Subscribing to a fired event appends its delivery at once,
+        so deliveries and schedule_now entries run in append order."""
+        event = env.event()
+        event.succeed("v")
+        order = []
+
+        def subscribe(tag):
+            waiter = _Waiter(lambda value: order.append((tag, value)))
+            waiter._waiting_on = event
+            event._subscribe(waiter)
+
+        def script():
+            env.schedule_now(order.append, "x0")
+            subscribe("a")
+            env.schedule_now(order.append, "x1")
+            subscribe("b")
+            env.schedule_now(order.append, "x2")
+
+        env.schedule(1.0, script)
+        env.run()
+        assert order == ["x0", ("a", "v"), "x1", ("b", "v"), "x2"]
+        assert env.dispatch_count == 6
+
+    def test_hop_structure_of_a_small_run_is_pinned(self):
+        """The dispatch count of a committed 2PL run with lock waits
+        and 2,002 messages is pinned: a change that adds or drops a
+        hop anywhere (an event's delivery, a message charge's
+        continuation, a concurrency control request) moves it, and
+        with it the ``(time, seq)`` order the goldens depend on."""
+        simulation = Simulation(tiny_config(think_time=0.0, terminals=16))
+        result = simulation.run()
+        assert (result.messages_sent, result.blocking_count) == (2002, 8)
+        assert simulation.env.dispatch_count == 28603
 
 
 class TestHandlePooling:
@@ -311,6 +478,24 @@ class TestHandlePooling:
         env.schedule(2.0, lambda: None)
         env.run()
         assert env.dispatch_count == 1
+
+    def test_sanitized_run_pools_no_handles(self):
+        """A sanitized ``schedule`` builds a fresh handle every time,
+        so the loop pools none; a clean run of the same config still
+        recycles its handles."""
+        sanitized = Simulation(
+            tiny_config(think_time=0.0, terminals=16),
+            sanitizer=Sanitizer(),
+        )
+        sanitized.run()
+        assert sanitized.env._handle_pool == []
+
+        clean = Simulation(tiny_config(think_time=0.0, terminals=16))
+        clean.run()
+        pool = clean.env._handle_pool
+        assert pool
+        recycled = pool[-1]
+        assert clean.env.schedule(1.0, lambda: None) is recycled
 
 
 class TestTimeoutPooling:
@@ -399,6 +584,36 @@ class TestAnyOfLoserCleanup:
 
 
 class TestInterruptDeliveryRaces:
+    def test_dropped_delivery_counts_one_dispatch(self, env):
+        # The waiter is interrupted between the fire and the delivery
+        # and then waits on a timeout: the delivery must be dropped
+        # (not resume it with the stale value) and still count as one
+        # dispatch.
+        event = env.event()
+        log = []
+
+        def waiter():
+            try:
+                yield event
+                log.append(("value", env.now))
+            except Interrupt:
+                log.append(("interrupt", env.now))
+            log.append(("woke", (yield env.timeout(5.0, "timer")), env.now))
+
+        process = env.process(waiter())
+
+        def fire_then_interrupt():
+            event.succeed("payload")
+            process.interrupt("abort")
+
+        env.schedule(1.0, fire_then_interrupt)
+        env.run()
+        env.check_crashes()
+        assert log == [("interrupt", 1.0), ("woke", "timer", 6.0)]
+        # The start, the scripted callback, the dropped delivery and
+        # the timeout.
+        assert env.dispatch_count == 4
+
     def test_interrupt_between_fire_and_delivery(self, env):
         # The event fires (delivery deferred to the next step) and the
         # waiter is interrupted at the same timestamp before delivery

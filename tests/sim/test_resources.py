@@ -92,13 +92,20 @@ class TestCpuProcessorSharing:
             CPU(env, mips=0.0)
 
 
+def message_done(env, cpu, instructions):
+    """Message work, as an event that its continuation succeeds."""
+    served = env.event()
+    cpu.execute_message(instructions, served.succeed)
+    return served
+
+
 class TestCpuMessagePriority:
     def test_message_served_fifo_at_full_rate(self, env):
         cpu = CPU(env, mips=1.0)
         times = {}
 
         def messenger(tag, instructions):
-            yield cpu.execute_message(instructions)
+            yield message_done(env, cpu, instructions)
             times[tag] = env.now
 
         env.process(messenger("a", 1_000))
@@ -117,7 +124,7 @@ class TestCpuMessagePriority:
 
         def messenger():
             yield env.timeout(0.005)
-            yield cpu.execute_message(5_000)  # 5ms, priority
+            yield message_done(env, cpu, 5_000)  # 5ms, priority
             times["msg"] = env.now
 
         env.process(ps_worker())
@@ -136,7 +143,7 @@ class TestCpuMessagePriority:
             done.append(env.now)
 
         def messenger():
-            yield cpu.execute_message(4_000)
+            yield message_done(env, cpu, 4_000)
 
         env.process(ps_worker())
         env.process(messenger())
