@@ -46,7 +46,7 @@ from repro.core.transaction import (
 )
 from repro.core.workload import AggregatedTerminalSource, RetryBackoff, \
     Source
-from repro.sim.kernel import Environment, Event, Interrupt, Mailbox
+from repro.sim.kernel import Environment, Interrupt, Mailbox
 from repro.sim.stats import Tally
 from repro.sim.streams import RandomStreams
 
@@ -582,50 +582,32 @@ class TransactionManager:
         cpu_job = resources.cpu_job
         page_instructions = self.source.page_processing_instructions
         class_config = transaction.class_config
-        # Each concurrency control request is issued inline, after its
-        # CPU cost: a grant or a rejection settles here, and only a
-        # blocked request enters the _await_grant generator.
-        cc_instructions = self._inst_per_cc_request
-        auditor = self.auditor
         try:
             # Cohort process startup at the processing node.
             if self._inst_per_startup > 0.0:
                 yield cpu_job(self._inst_per_startup)
             manager.register_cohort(cohort)
             for access in cohort.spec.accesses:
-                page = access.page
                 if access.install_only:
                     # Write-all leg of a replicated update: write
                     # permission plus processing, no read, no disk
                     # read (the content comes from the reading copy).
-                    if cc_instructions > 0.0:
-                        yield cpu_job(cc_instructions)
-                    response = manager.write_request(cohort, page)
-                    result = response.result
-                    if result is not _GRANTED and (
-                        result is _REJECTED
-                        or not (yield from self._await_grant(
-                            cohort, page, response.event, False
-                        ))
-                    ):
+                    granted = yield from self._cc_access(
+                        cohort, manager, resources, access.page,
+                        write=True,
+                    )
+                    if not granted:
                         self._report_local_reject(cohort)
                         return
                     instructions = page_instructions(class_config)
                     if instructions > 0.0:
                         yield cpu_job(instructions)
                     continue
-                if cc_instructions > 0.0:
-                    yield cpu_job(cc_instructions)
-                response = manager.read_request(cohort, page)
-                result = response.result
-                if result is _GRANTED:
-                    if auditor is not None:
-                        auditor.on_read_granted(cohort, page)
-                elif result is _REJECTED or not (
-                    yield from self._await_grant(
-                        cohort, page, response.event, True
-                    )
-                ):
+                granted = yield from self._cc_access(
+                    cohort, manager, resources, access.page,
+                    write=False,
+                )
+                if not granted:
                     self._report_local_reject(cohort)
                     return
                 yield resources.read_page()
@@ -633,16 +615,11 @@ class TransactionManager:
                 if instructions > 0.0:
                     yield cpu_job(instructions)
                 if access.is_update:
-                    if cc_instructions > 0.0:
-                        yield cpu_job(cc_instructions)
-                    response = manager.write_request(cohort, page)
-                    result = response.result
-                    if result is not _GRANTED and (
-                        result is _REJECTED
-                        or not (yield from self._await_grant(
-                            cohort, page, response.event, False
-                        ))
-                    ):
+                    granted = yield from self._cc_access(
+                        cohort, manager, resources, access.page,
+                        write=True,
+                    )
+                    if not granted:
                         self._report_local_reject(cohort)
                         return
                     instructions = page_instructions(class_config)
@@ -731,18 +708,28 @@ class TransactionManager:
                 yield resources.cpu_job(instructions)
             resources.initiate_async_write()
 
-    def _await_grant(
+    def _cc_access(
         self,
         cohort: Cohort,
+        manager: NodeCCManager,
+        resources,
         page: PageId,
-        event: Optional[Event],
-        read: bool,
+        write: bool,
     ):
-        """Wait out a blocked CC request; returns True when granted.
-
-        Records the blocking span, and the read grant for the auditor.
-        """
-        assert event is not None
+        """One concurrency control request; returns True when granted."""
+        if self._inst_per_cc_request > 0.0:
+            yield resources.cpu_job(self._inst_per_cc_request)
+        if write:
+            response = manager.write_request(cohort, page)
+        else:
+            response = manager.read_request(cohort, page)
+        if response.result is _GRANTED:
+            if not write and self.auditor is not None:
+                self.auditor.on_read_granted(cohort, page)
+            return True
+        if response.result is _REJECTED:
+            return False
+        assert response.event is not None
         blocked_at = self.env.now
         if self._tracing:
             self._trace(
@@ -751,7 +738,7 @@ class TransactionManager:
                 cohort.node,
                 page,
             )
-        outcome = yield event
+        outcome = yield response.event
         self.metrics.record_blocking(self.env.now - blocked_at)
         if cohort.transaction.routed_class is not None:
             self.metrics.record_class_blocking(
@@ -765,7 +752,7 @@ class TransactionManager:
                 outcome,
             )
         granted = outcome is _GRANTED
-        if granted and read and self.auditor is not None:
+        if granted and not write and self.auditor is not None:
             self.auditor.on_read_granted(cohort, page)
         return granted
 

@@ -10,12 +10,12 @@ serial one (each simulation is a pure function of its config, seed
 included).
 
 Scheduling is longest-first, one point per task: the missing points
-are sorted by a cost estimate that reads only the config (simulated
-horizon times processing nodes, then the smaller think time first;
-the sort is stable), at most ``jobs`` tasks are in flight at once, and
-a worker that finishes a point is handed the next one in completion
-order.  The costly points therefore start first and the batch ends on
-cheap ones, instead of on a slow point behind an idle worker.
+are sorted by processing nodes, most first (the sort is stable, so
+input order breaks ties), at most ``jobs`` tasks are in flight at
+once, and a worker that finishes a point is handed the next one in
+completion order.  The costly points therefore start first and the
+batch ends on cheap ones, instead of on a slow point behind an idle
+worker.
 
 Results travel back as **compressed cache-codec payloads**, not
 pickled ``SimulationResult`` graphs: workers serialize each result
@@ -113,20 +113,14 @@ def resolve_jobs(jobs: Optional[int] = None) -> int:
 def _longest_first(
     configs: Sequence[SimulationConfig],
 ) -> List[SimulationConfig]:
-    """``configs`` sorted by estimated cost, costliest first.
+    """``configs`` with the most processing nodes first.
 
-    The estimate reads only the config: the simulated horizon it fixes
-    (warmup + duration) times its processing nodes, and among equal
-    products the smaller think time (the heavier load) first.  The
-    sort is stable, so input order breaks the remaining ties.
+    A grid stamps one fidelity on all its points, so what sets a
+    point's cost apart is mostly the machine it simulates: on Figure
+    4's think-0 column an 8-node point costs about ten times a 1-node
+    one.  The sort is stable: input order breaks ties.
     """
-    return sorted(
-        configs,
-        key=lambda config: (
-            -(config.warmup + config.duration) * config.num_proc_nodes,
-            config.workload.think_time,
-        ),
-    )
+    return sorted(configs, key=lambda config: -config.num_proc_nodes)
 
 
 def _simulate(config: SimulationConfig) -> SimulationResult:

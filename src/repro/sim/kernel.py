@@ -647,7 +647,9 @@ class Environment:
     def __init__(self, sanitizer: Optional[Any] = None):
         self.now = 0.0
         self._heap: list[tuple[float, int, ScheduledCallback]] = []
-        self._fast: deque[tuple[Any, Optional[tuple]]] = deque()
+        # Three entry shapes, told apart by the second slot (see the
+        # class docstring): args tuple, None, or the fired Event.
+        self._fast: deque[tuple[Any, Any]] = deque()
         self._seq = 0
         self._crashes: list[tuple[Process, BaseException]] = []
         self._timeout_pool: list[Timeout] = []

@@ -91,9 +91,6 @@ class CPU:
         self._ps_heap: list[tuple[float, int, _PsJob]] = []
         self._ps_active = 0
         self._ps_timer: Optional[ScheduledCallback] = None
-        # Bound once: the completion timer is re-armed on almost every
-        # state change.
-        self._on_ps_timer = self._complete_ps
         # Message (FIFO, high-priority) state: (seconds, continuation).
         self._msg_queue: deque[tuple[float, Callable[[], None]]] = deque()
         self._msg_busy = False
@@ -214,7 +211,7 @@ class CPU:
         if not remaining_v > 0.0:
             remaining_v = 0.0
         delay = remaining_v * self._ps_active
-        self._ps_timer = self.env.schedule(delay, self._on_ps_timer)
+        self._ps_timer = self.env.schedule(delay, self._complete_ps)
 
     def _complete_ps(self) -> None:
         # The timer is disarmed while a message is in service, so the
@@ -385,19 +382,12 @@ class Disk:
         return pending
 
     def _pop_next(self) -> Optional[_DiskRequest]:
-        # Writes first; the two queues are unrolled, not looped over.
-        queue = self._write_queue
-        while queue:
-            request = queue.popleft()
-            if request.queued:
-                request.queued = False
-                return request
-        queue = self._read_queue
-        while queue:
-            request = queue.popleft()
-            if request.queued:
-                request.queued = False
-                return request
+        for queue in (self._write_queue, self._read_queue):
+            while queue:
+                request = queue.popleft()
+                if request.queued:
+                    request.queued = False
+                    return request
         return None
 
     def _start_next(self) -> None:

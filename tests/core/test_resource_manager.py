@@ -42,7 +42,7 @@ class TestExecute:
 
     def test_interrupt_cancels_residual_work(self, env):
         # The victim waits inside a sub-generator it delegates to, as
-        # TransactionManager._write_back yields its CPU request.
+        # TransactionManager._cc_access yields its CPU request.
         rm = make_rm(env)
         outcome = []
 
