@@ -588,43 +588,34 @@ class TransactionManager:
                 yield cpu_job(self._inst_per_startup)
             manager.register_cohort(cohort)
             for access in cohort.spec.accesses:
-                if access.install_only:
-                    # Write-all leg of a replicated update: write
-                    # permission plus processing, no read, no disk
-                    # read (the content comes from the reading copy).
+                if not access.install_only:
                     granted = yield from self._cc_access(
                         cohort, manager, resources, access.page,
-                        write=True,
+                        write=False,
                     )
                     if not granted:
                         self._report_local_reject(cohort)
                         return
+                    yield resources.read_page()
                     instructions = page_instructions(class_config)
                     if instructions > 0.0:
                         yield cpu_job(instructions)
-                    continue
+                    if not access.is_update:
+                        continue
+                # Write permission plus processing: an update after its
+                # read, or the write-all leg of a replicated update,
+                # which reads nothing (the content comes from the
+                # reading copy).
                 granted = yield from self._cc_access(
                     cohort, manager, resources, access.page,
-                    write=False,
+                    write=True,
                 )
                 if not granted:
                     self._report_local_reject(cohort)
                     return
-                yield resources.read_page()
                 instructions = page_instructions(class_config)
                 if instructions > 0.0:
                     yield cpu_job(instructions)
-                if access.is_update:
-                    granted = yield from self._cc_access(
-                        cohort, manager, resources, access.page,
-                        write=True,
-                    )
-                    if not granted:
-                        self._report_local_reject(cohort)
-                        return
-                    instructions = page_instructions(class_config)
-                    if instructions > 0.0:
-                        yield cpu_job(instructions)
             if self._tracing:
                 self._trace(
                     EventKind.COHORT_DONE, transaction, cohort.node

@@ -395,7 +395,7 @@ class AggregatedTerminalSource:
 
     Each terminal cycles think → generate → run → think.  Rather than
     keeping one generator Process alive per terminal (a suspended
-    frame, a Process object and a pooled Timeout for every idle
+    frame, a Process object and a Timeout for every idle
     terminal, which dominates memory and startup at 10⁵ terminals),
     this source keeps only a scheduled arrival handle per idle
     terminal and drives the whole population with plain callbacks:

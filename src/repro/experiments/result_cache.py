@@ -14,11 +14,13 @@ Key properties:
   across interpreter invocations and machines.
 * **Incremental invalidation.**  The digest composes
   :data:`SCHEMA_VERSION` with :func:`source_fingerprint`, a content
-  hash of the simulation-relevant source packages (``sim/``, ``cc/``,
-  ``core/``).  Editing any of those files dirties every entry
-  automatically — no manual version bump needed — while an
-  experiment-layer-only edit (``experiments/``, ``analysis/``,
-  ``lint/``) leaves the whole cache warm.  ``SCHEMA_VERSION`` remains
+  hash of the simulation-relevant source packages
+  (:data:`SIM_SOURCE_PACKAGES`: ``sim/``, ``cc/``, ``core/``,
+  ``router/`` and ``faults/``).  Editing any of those files dirties
+  every entry automatically — no manual version bump needed — while
+  an edit to a package that only consumes results (``experiments/``,
+  ``analysis/``, ``lint/``, ``sanitizer/``) leaves the whole cache
+  warm.  ``SCHEMA_VERSION`` remains
   for changes the fingerprint cannot see (entry codec shape).
   ``python -m repro.experiments cache prune`` drops entries whose
   fingerprint component went stale; ``cache clear`` removes
@@ -69,9 +71,10 @@ SCHEMA_VERSION = 5
 
 #: Packages (under ``src/repro/``) whose source content determines
 #: simulation output, and therefore participates in every cache key.
-#: Experiment/analysis/lint code only *consumes* results, so edits
-#: there never invalidate entries.
-SIM_SOURCE_PACKAGES = ("sim", "cc", "core", "router")
+#: ``faults`` builds the injector and schedule of every faulted run.
+#: Experiment/analysis/lint/sanitizer code only *consumes* results, so
+#: edits there never invalidate entries.
+SIM_SOURCE_PACKAGES = ("sim", "cc", "core", "router", "faults")
 
 #: Memoized per process; every config_digest call reuses it.
 _FINGERPRINT: Optional[str] = None

@@ -38,7 +38,6 @@ __all__ = [
     "figure6",
     "figure7",
     "scaling_config",
-    "scaling_sweep",
     "scaling_sweeps",
     "scaling_speedups_4node",
     "scaling_speedups_16node",
@@ -73,19 +72,6 @@ def scaling_config(
         seed=fidelity.seed,
     )
     return fidelity.apply(config)
-
-
-def scaling_sweep(
-    fidelity: Fidelity, num_nodes: int
-) -> SweepResults:
-    """All algorithms over the think-time grid at one machine size."""
-    return sweep(
-        ALGORITHMS,
-        fidelity.think_times,
-        lambda algorithm, think_time: scaling_config(
-            fidelity, algorithm, think_time, num_nodes
-        ),
-    )
 
 
 def scaling_sweeps(

@@ -7,11 +7,11 @@ property is easy to break with ordinary-looking Python — an ``id()``
 ``set`` to pick a deadlock victim — and such breaks are invisible to
 the type checker and usually to the test suite (they only show up as
 rare cross-run flakes).  simlint rejects those bug classes at review
-time by walking the AST of every source file, then runs a
-whole-program pass (:mod:`repro.lint.project`) over a symbol table of
-the full tree to check cross-module contracts: the random-stream
-discipline, message-handler arity, CC-interface completeness, and what
-a sim process may yield.
+time.  It parses every source file once, runs the file rules on each
+tree, and then runs a whole-program pass (:mod:`repro.lint.project`)
+over a symbol table built from the same trees to check cross-module
+contracts: the random-stream discipline, message-handler arity,
+CC-interface completeness, and what a sim process may yield.
 
 Usage::
 
@@ -30,5 +30,5 @@ This package module imports nothing: the runtime sanitizer loads
 :mod:`repro.lint.violations` into every simulation process, which must
 not pay for the linter.  See :mod:`repro.lint.rules` for the file
 rules, :mod:`repro.lint.project` for the project rules, and
-:mod:`repro.lint.engine` for file discovery and the per-file cache.
+:mod:`repro.lint.engine` for file discovery and the one-pass run.
 """

@@ -14,7 +14,6 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-from repro.lint.cache import LintCache, default_cache_path
 from repro.lint.engine import lint_paths
 from repro.lint.registry import all_project_rules, all_rules
 from repro.lint.reporters import render_json, render_sarif, render_text
@@ -62,19 +61,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--list-rules",
         action="store_true",
         help="print the rule table and exit",
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="lint every file even if cached",
-    )
-    parser.add_argument(
-        "--cache-file",
-        metavar="PATH",
-        help=(
-            "cache location (default: $REPRO_LINT_CACHE or "
-            "results/.cache/simlint.json)"
-        ),
     )
     parser.add_argument(
         "--show-suppressed",
@@ -178,20 +164,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(str(error), file=sys.stderr)
         return 2
 
-    cache = None
-    if not options.no_cache:
-        cache_path = (
-            Path(options.cache_file)
-            if options.cache_file
-            else default_cache_path()
-        )
-        cache = LintCache(cache_path)
-
     try:
         report = lint_paths(
             [Path(p) for p in options.paths],
             rules,
-            cache,
             project_rules=project_rules,
         )
     except (FileNotFoundError, ValueError) as error:

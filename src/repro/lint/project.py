@@ -4,11 +4,12 @@ The per-file rules in :mod:`repro.lint.rules` catch hazards visible in
 one AST.  The bugs PRs 2-4 actually shipped — a stream name that only
 exists at one call site, a message handler whose signature drifted, a
 CC manager that silently inherits a no-op ``crash_reset`` — span
-files, so this module parses the whole linted tree once into a
-:class:`ProjectModel`: a **module-qualified symbol table** (every
-module, class, method and function under its dotted name, with
-per-module import aliasing and conservative base-class resolution)
-plus **conservative call resolution** (:meth:`ProjectModel.
+files, so this module builds a :class:`ProjectModel` of the whole
+linted tree from the modules the file pass already parsed: a
+**module-qualified symbol table** (every module, class, method and
+function under its dotted name, with per-module import aliasing and
+conservative base-class resolution) plus **conservative call
+resolution** (:meth:`ProjectModel.
 resolve_call` names a callee only when it is unambiguous: bare names
 through imports, ``self.method`` through the class chain,
 ``ClassName.method``, and ``self.attr.method`` where ``self.attr`` was
@@ -25,8 +26,9 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from repro.lint.registry import ProjectRule, register_project
 from repro.lint.rules import body_walk
@@ -67,13 +69,6 @@ def _decorator_names(node: ast.AST) -> FrozenSet[str]:
     return frozenset(names)
 
 
-def _is_generator(function: ast.AST) -> bool:
-    for node in body_walk(function):
-        if isinstance(node, (ast.Yield, ast.YieldFrom)):
-            return True
-    return False
-
-
 @dataclass(frozen=True)
 class FunctionInfo:
     """One module-level function or class method."""
@@ -85,7 +80,15 @@ class FunctionInfo:
     class_name: Optional[str]
     node: ast.AST  # FunctionDef | AsyncFunctionDef
     decorators: FrozenSet[str]
-    is_generator: bool
+
+    @property
+    def is_generator(self) -> bool:
+        """Whether the body yields; walked on demand, since only the
+        callees ``process-protocol`` resolves are ever asked."""
+        return any(
+            isinstance(node, (ast.Yield, ast.YieldFrom))
+            for node in body_walk(self.node)
+        )
 
     @property
     def is_method(self) -> bool:
@@ -126,10 +129,57 @@ class ClassInfo:
     bases: Tuple[str, ...]  # dotted names as written; "" if unresolvable
     methods: Dict[str, FunctionInfo]
     abstract_methods: FrozenSet[str]
-    instance_attrs: FrozenSet[str]
-    #: attr -> constructor spelling for ``self.attr = Spelling(...)``
-    #: assignments; "" when two methods disagree on the spelling.
-    attr_types: Dict[str, str] = field(default_factory=dict)
+
+    @property
+    def instance_attrs(self) -> FrozenSet[str]:
+        """Names assigned on ``self`` in any method, plus class-level
+        assignments."""
+        return self._attribute_scan[0]
+
+    @property
+    def attr_types(self) -> Dict[str, str]:
+        """attr -> constructor spelling for ``self.attr = Spelling(...)``
+        assignments; "" when two assignments disagree on the spelling."""
+        return self._attribute_scan[1]
+
+    @cached_property
+    def _attribute_scan(self) -> Tuple[FrozenSet[str], Dict[str, str]]:
+        # One walk of every method body, on the first question about
+        # the class's attributes; most classes are never asked.
+        instance_attrs = set()
+        attr_types: Dict[str, str] = {}
+        for item in self.node.body:
+            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for sub in body_walk(item):
+                    if isinstance(sub, ast.Assign):
+                        for target in sub.targets:
+                            if _is_self_attribute(target):
+                                instance_attrs.add(target.attr)
+                                spelled = (
+                                    _dotted_name(sub.value.func)
+                                    if isinstance(sub.value, ast.Call)
+                                    else None
+                                ) or ""
+                                previous = attr_types.get(target.attr)
+                                if previous is None:
+                                    attr_types[target.attr] = spelled
+                                elif previous != spelled:
+                                    # Re-assigned with a different
+                                    # spelling: type unknown.
+                                    attr_types[target.attr] = ""
+                    elif isinstance(
+                        sub, ast.AnnAssign
+                    ) and _is_self_attribute(sub.target):
+                        instance_attrs.add(sub.target.attr)
+            elif isinstance(item, ast.AnnAssign) and isinstance(
+                item.target, ast.Name
+            ):
+                instance_attrs.add(item.target.id)
+            elif isinstance(item, ast.Assign):
+                for target in item.targets:
+                    if isinstance(target, ast.Name):
+                        instance_attrs.add(target.id)
+        return frozenset(instance_attrs), attr_types
 
 
 @dataclass
@@ -140,10 +190,47 @@ class ModuleInfo:
     path: str
     tree: ast.Module
     source: str
-    #: Local alias -> fully qualified dotted target.
-    imports: Dict[str, str] = field(default_factory=dict)
     classes: Dict[str, ClassInfo] = field(default_factory=dict)
     functions: Dict[str, FunctionInfo] = field(default_factory=dict)
+
+    @cached_property
+    def imports(self) -> Dict[str, str]:
+        """Local alias -> fully qualified dotted target, from every
+        import statement in the module; walked on first use."""
+        imports: Dict[str, str] = {}
+        for node in ast.walk(self.tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    target = (
+                        alias.name if alias.asname else
+                        alias.name.split(".")[0]
+                    )
+                    imports[bound] = target
+            elif isinstance(node, ast.ImportFrom):
+                base = node.module or ""
+                if node.level:
+                    # Relative import: resolve against this package.
+                    anchor_parts = self.name.split(".")
+                    anchor = anchor_parts[: len(anchor_parts) - node.level]
+                    base = ".".join(anchor + ([node.module] if node.module else []))
+                for alias in node.names:
+                    if alias.name == "*":
+                        continue
+                    bound = alias.asname or alias.name
+                    imports[bound] = (
+                        f"{base}.{alias.name}" if base else alias.name
+                    )
+        return imports
+
+
+def _is_self_attribute(node: ast.AST) -> bool:
+    """``self.<attr>`` as an assignment target."""
+    return (
+        isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "self"
+    )
 
 
 def _dotted_name(node: ast.AST) -> Optional[str]:
@@ -206,20 +293,18 @@ class ProjectModel:
     # ------------------------------------------------------------------
 
     @classmethod
-    def build(cls, files: Sequence[Path]) -> "ProjectModel":
-        """Parse ``files`` into a model; unparsable files are skipped
-        (the per-file pass already reported them as ``parse-error``)."""
+    def build(
+        cls, parsed: Iterable[Tuple[Path, ast.Module, str]]
+    ) -> "ProjectModel":
+        """A model over already-parsed ``(path, tree, source)`` modules.
+
+        The engine hands over the trees its file pass parsed, so the
+        project pass reads and parses nothing; files that did not parse
+        are not among them (the file pass reported each one as a
+        ``parse-error``).
+        """
         modules: Dict[str, ModuleInfo] = {}
-        for path in files:
-            path = Path(path)
-            posix = path.as_posix()
-            try:
-                source = path.read_bytes().decode(
-                    "utf-8", errors="replace"
-                )
-                tree = ast.parse(source, filename=posix)
-            except (OSError, SyntaxError, ValueError):
-                continue
+        for path, tree, source in parsed:
             name = module_name_for(path)
             if name in modules:
                 # Two files mapping to one module (e.g. the same tree
@@ -227,17 +312,9 @@ class ProjectModel:
                 # because files arrive sorted.
                 continue
             modules[name] = cls._build_module(
-                name, posix, tree, source
+                name, path.as_posix(), tree, source
             )
         return cls(modules)
-
-    @classmethod
-    def from_module(
-        cls, path: str, tree: ast.Module, source: str
-    ) -> "ProjectModel":
-        """A one-module model over already-parsed source."""
-        name = module_name_for(Path(path))
-        return cls({name: cls._build_module(name, path, tree, source)})
 
     @staticmethod
     def _build_module(
@@ -246,29 +323,6 @@ class ProjectModel:
         info = ModuleInfo(
             name=name, path=path, tree=tree, source=source
         )
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    bound = alias.asname or alias.name.split(".")[0]
-                    target = (
-                        alias.name if alias.asname else
-                        alias.name.split(".")[0]
-                    )
-                    info.imports[bound] = target
-            elif isinstance(node, ast.ImportFrom):
-                base = node.module or ""
-                if node.level:
-                    # Relative import: resolve against this package.
-                    anchor_parts = name.split(".")
-                    anchor = anchor_parts[: len(anchor_parts) - node.level]
-                    base = ".".join(anchor + ([node.module] if node.module else []))
-                for alias in node.names:
-                    if alias.name == "*":
-                        continue
-                    bound = alias.asname or alias.name
-                    info.imports[bound] = (
-                        f"{base}.{alias.name}" if base else alias.name
-                    )
         for node in tree.body:
             if isinstance(
                 node, (ast.FunctionDef, ast.AsyncFunctionDef)
@@ -281,7 +335,6 @@ class ProjectModel:
                     class_name=None,
                     node=node,
                     decorators=_decorator_names(node),
-                    is_generator=_is_generator(node),
                 )
             elif isinstance(node, ast.ClassDef):
                 info.classes[node.name] = ProjectModel._build_class(
@@ -295,8 +348,6 @@ class ProjectModel:
     ) -> ClassInfo:
         methods: Dict[str, FunctionInfo] = {}
         abstract = set()
-        instance_attrs = set()
-        attr_types: Dict[str, str] = {}
         for item in node.body:
             if isinstance(
                 item, (ast.FunctionDef, ast.AsyncFunctionDef)
@@ -309,56 +360,10 @@ class ProjectModel:
                     class_name=node.name,
                     node=item,
                     decorators=_decorator_names(item),
-                    is_generator=_is_generator(item),
                 )
                 methods[item.name] = fn
                 if fn.is_abstract:
                     abstract.add(item.name)
-                for sub in body_walk(item):
-                    target = None
-                    if isinstance(sub, ast.Assign):
-                        for t in sub.targets:
-                            target = t
-                            if (
-                                isinstance(target, ast.Attribute)
-                                and isinstance(
-                                    target.value, ast.Name
-                                )
-                                and target.value.id == "self"
-                            ):
-                                instance_attrs.add(target.attr)
-                                spelled = (
-                                    _dotted_name(sub.value.func)
-                                    if isinstance(
-                                        sub.value, ast.Call
-                                    )
-                                    else None
-                                ) or ""
-                                previous = attr_types.get(
-                                    target.attr
-                                )
-                                if previous is None:
-                                    attr_types[target.attr] = spelled
-                                elif previous != spelled:
-                                    # Re-assigned with a different
-                                    # spelling: type unknown.
-                                    attr_types[target.attr] = ""
-                    elif isinstance(sub, ast.AnnAssign):
-                        target = sub.target
-                        if (
-                            isinstance(target, ast.Attribute)
-                            and isinstance(target.value, ast.Name)
-                            and target.value.id == "self"
-                        ):
-                            instance_attrs.add(target.attr)
-            elif isinstance(item, ast.AnnAssign) and isinstance(
-                item.target, ast.Name
-            ):
-                instance_attrs.add(item.target.id)
-            elif isinstance(item, ast.Assign):
-                for t in item.targets:
-                    if isinstance(t, ast.Name):
-                        instance_attrs.add(t.id)
         bases = tuple(
             _dotted_name(base) or "" for base in node.bases
         )
@@ -371,8 +376,6 @@ class ProjectModel:
             bases=bases,
             methods=methods,
             abstract_methods=frozenset(abstract),
-            instance_attrs=frozenset(instance_attrs),
-            attr_types=attr_types,
         )
 
     # ------------------------------------------------------------------
@@ -557,40 +560,39 @@ class ProjectModel:
         extensions may register their own); only constant first
         arguments count.
         """
+        return self._stream_registrations[0]
+
+    def stream_registry_paths(self) -> FrozenSet[str]:
+        """Paths of modules that call ``register_stream`` by bare name."""
+        return self._stream_registrations[1]
+
+    @cached_property
+    def _stream_registrations(self) -> Tuple[List[str], FrozenSet[str]]:
+        """The registry and its modules' paths, from one walk of the
+        modules whose source mentions ``register_stream`` at all."""
         patterns = set()
+        paths = set()
         for module in self.modules.values():
+            if "register_stream" not in module.source:
+                continue
             for node in ast.walk(module.tree):
                 if not isinstance(node, ast.Call):
                     continue
                 func = node.func
-                name = (
-                    func.id
-                    if isinstance(func, ast.Name)
-                    else func.attr
-                    if isinstance(func, ast.Attribute)
-                    else None
-                )
-                if name != "register_stream":
+                if isinstance(func, ast.Name):
+                    if func.id != "register_stream":
+                        continue
+                    paths.add(module.path)
+                elif not (
+                    isinstance(func, ast.Attribute)
+                    and func.attr == "register_stream"
+                ):
                     continue
                 if node.args and isinstance(
                     node.args[0], ast.Constant
                 ) and isinstance(node.args[0].value, str):
                     patterns.add(node.args[0].value)
-        return sorted(patterns)
-
-    def stream_registry_paths(self) -> FrozenSet[str]:
-        """Paths of modules that register stream names."""
-        paths = set()
-        for module in self.modules.values():
-            for node in ast.walk(module.tree):
-                if (
-                    isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Name)
-                    and node.func.id == "register_stream"
-                ):
-                    paths.add(module.path)
-                    break
-        return frozenset(paths)
+        return sorted(patterns), frozenset(paths)
 
 
 # ======================================================================
@@ -619,7 +621,6 @@ class MessageHandlerRule(ProjectRule):
         "accepting exactly one positional argument"
     )
     severity = "error"
-    version = 1
     include = ("repro/",)
 
     def check_project(self, model: ProjectModel) -> List[Violation]:
@@ -711,7 +712,6 @@ class MessageHandlerRule(ProjectRule):
                         class_name=None,
                         node=local,
                         decorators=_decorator_names(local),
-                        is_generator=_is_generator(local),
                     )
                 )
             target = module.functions.get(expr.id)
@@ -779,9 +779,8 @@ class CCInterfaceRule(ProjectRule):
         "algorithm cannot silently no-op under fault injection"
     )
     severity = "error"
-    #: v2: the router package hosts CC classes too (RoutedNodeManager
-    #: and any future composite manager) — same surface requirements.
-    version = 2
+    #: The router package hosts CC classes too (RoutedNodeManager and
+    #: any future composite manager) — same surface requirements.
     include = ("repro/cc/", "repro/router/")
 
     #: Root -> methods that must be defined *below* the root even
@@ -918,7 +917,6 @@ class ProcessProtocolRule(ProjectRule):
         "(Event/Timeout/Process/AllOf/AnyOf) and never reenter "
         "env.run()"
     )
-    version = 2
 
     def check_project(self, model: ProjectModel) -> List[Violation]:
         violations: List[Violation] = []
@@ -1045,8 +1043,6 @@ class StreamRegistryRule(ProjectRule):
         "(a shared stream perturbs every failure-free sequence); "
         "common-random-numbers comparisons rely on both"
     )
-    #: v3: draw-escape check removed.
-    version = 3
     include = ("repro/",)
 
     def check_project(self, model: ProjectModel) -> List[Violation]:

@@ -2,52 +2,33 @@
 
 Two kinds of rule live here:
 
-* **File rules** (:class:`Rule`) see one parsed file at a time and are
-  cache-friendly: linting a file is a pure function of its bytes and
-  the active rule set.
+* **File rules** (:class:`Rule`) see one parsed file at a time.
 * **Project rules** (:class:`ProjectRule`) see the whole-program model
-  (:mod:`repro.lint.project`) and run after every file rule; their
-  findings are never cached per file.
+  (:mod:`repro.lint.project`), built from the same parsed files, and
+  run after every file rule.
 
 Rules register themselves with the :func:`register` /
 :func:`register_project` decorators at import time (importing
 :mod:`repro.lint.rules` and :mod:`repro.lint.project` populates the
-registries).  Each rule carries a ``version`` stamp and a *source
-hash* — a whitespace/comment-insensitive digest of the module that
-defines it — and the combined signature of every registered file rule
-feeds the per-file cache key, so editing a rule's logic invalidates
-exactly the cached results it could change while a formatting-only
-edit of the rule module invalidates nothing.
+registries).
 """
 
 from __future__ import annotations
 
 import ast
-import hashlib
-import inspect
-from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Type
 
 from repro.lint.violations import SEVERITIES, Violation
 
 __all__ = [
-    "RULESET_VERSION",
     "ProjectRule",
     "Rule",
     "all_project_rules",
     "all_rules",
     "get_rule",
-    "module_source_hash",
     "register",
     "register_project",
-    "rules_signature",
 ]
-
-#: Bumped when the engine's rule semantics change globally (severity
-#: model, suppression format, ...); part of every cache key.
-#: v3: flow-sensitive rule layer (CFG/dataflow/taint) added.
-#: v4: flow layer removed; every rule is syntactic again.
-RULESET_VERSION = 4
 
 
 class _BaseRule:
@@ -59,8 +40,6 @@ class _BaseRule:
     summary: str = ""
     #: ``error`` findings fail the run; ``warning``/``info`` only report.
     severity: str = "error"
-    #: Bumped whenever the rule's behaviour changes (cache invalidation).
-    version: int = 1
     #: Path fragments the rule is limited to (empty = everywhere).
     include: Tuple[str, ...] = ()
     #: Path fragments the rule never runs on.
@@ -73,15 +52,6 @@ class _BaseRule:
         if self.include:
             return any(fragment in path for fragment in self.include)
         return True
-
-    @property
-    def source_hash(self) -> str:
-        """Digest of the defining module, insensitive to formatting."""
-        try:
-            module_file = inspect.getfile(type(self))
-        except (TypeError, OSError):  # pragma: no cover - builtins only
-            return "unknown"
-        return module_source_hash(module_file)
 
     def violation(
         self,
@@ -195,52 +165,3 @@ def get_rule(rule_id: str):
     if rule_id in _REGISTRY:
         return _REGISTRY[rule_id]
     return _PROJECT_REGISTRY[rule_id]
-
-
-#: Per-module AST-digest memo (hashing rules.py once per process).
-_SOURCE_HASH_CACHE: Dict[str, str] = {}
-
-
-def module_source_hash(module_file: str) -> str:
-    """Formatting-insensitive digest of one Python source file.
-
-    Hashes the ``ast.dump`` of the parsed module, so whitespace and
-    comment edits produce the same digest while any change to the
-    code's structure (including docstrings) produces a new one.  Files
-    that cannot be read or parsed hash their raw identity instead —
-    conservative: an unreadable rule module never silently reuses
-    stale cached verdicts.
-    """
-    cached = _SOURCE_HASH_CACHE.get(module_file)
-    if cached is not None:
-        return cached
-    try:
-        source = Path(module_file).read_text("utf-8")
-        normalized = ast.dump(ast.parse(source))
-    except (OSError, SyntaxError, ValueError):
-        normalized = f"unparsed:{module_file}"
-    digest = hashlib.sha256(normalized.encode("utf-8")).hexdigest()[:16]
-    _SOURCE_HASH_CACHE[module_file] = digest
-    return digest
-
-
-def rules_signature(rules: List[Rule] = None) -> str:
-    """Digest of the active file-rule set, part of every cache key.
-
-    Covers the engine-wide :data:`RULESET_VERSION` plus each rule's
-    id, version stamp, scoping, and defining-module source hash, so
-    changing any of them invalidates cached per-file results — while a
-    whitespace-only edit of a rule module changes nothing.  Project
-    rules are deliberately absent: per-file cache entries hold only
-    file-rule findings, which project-rule edits cannot affect.
-    """
-    if rules is None:
-        rules = all_rules()
-    parts = [f"ruleset:{RULESET_VERSION}"]
-    parts.extend(
-        f"{r.rule_id}:{r.version}:{r.severity}:{r.source_hash}"
-        f":{','.join(r.include)}:{','.join(r.exclude)}"
-        for r in sorted(rules, key=lambda r: r.rule_id)
-    )
-    digest = hashlib.sha256("|".join(parts).encode("utf-8"))
-    return digest.hexdigest()[:16]

@@ -43,8 +43,6 @@ def render_text(
             f"clean: 0 violations ({suppressed} suppressed) in "
             f"{report.files} files"
         )
-    if report.cache_hits:
-        summary += f" [{report.cache_hits} cached]"
     lines.append(summary)
     return "\n".join(lines)
 
@@ -52,13 +50,12 @@ def render_text(
 def render_json(report: LintReport) -> str:
     """Machine-readable report; always includes suppressed findings."""
     payload = {
-        "version": 3,
+        "version": 4,
         "summary": {
             "files": report.files,
             "violations": len(report.active),
             "failures": len(report.failures),
             "suppressed": len(report.suppressed),
-            "cache_hits": report.cache_hits,
             "ok": report.ok,
         },
         "violations": [v.as_dict() for v in report.violations],

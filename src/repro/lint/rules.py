@@ -91,7 +91,6 @@ class IdKeyedContainerRule(Rule):
         "stale entry can be claimed by an unrelated object; key by the "
         "object itself (identity hash) or attach the state to it"
     )
-    version = 1
 
     _KEYED_METHODS = frozenset(
         {"get", "pop", "setdefault", "add", "discard", "remove"}
@@ -136,7 +135,6 @@ class UnseededGlobalRandomRule(Rule):
         "from an injected random.Random stream instead (see "
         "repro.sim.streams)"
     )
-    version = 1
     include = ("repro/sim/", "repro/core/", "repro/cc/")
 
     _RNG_FUNCS = frozenset(
@@ -216,7 +214,6 @@ class WallClockRule(Rule):
         "wall-clock read inside simulation code: the only clock is "
         "env.now; host time makes runs irreproducible"
     )
-    version = 1
     # CLI progress timing and benchmark harnesses legitimately measure
     # wall time; everything else simulates it.
     exclude = ("experiments/", "benchmarks/")
@@ -381,7 +378,6 @@ class UnorderedIterationRule(Rule):
         "history) decides a grant, victim, or wakeup order; iterate "
         "sorted(...) with an explicit key"
     )
-    version = 1
     include = ("repro/cc/", "repro/sim/", "repro/core/")
 
     _SET_MESSAGE = (
@@ -462,7 +458,6 @@ class FloatTimeEqualityRule(Rule):
         "restructure, or suppress with the reason both operands are "
         "stored schedule times"
     )
-    version = 4
     # Simulator sources only: tests legitimately assert exact clock
     # values the kernel guarantees.
     include = (

@@ -37,7 +37,7 @@ class Violation:
         return (self.path, self.line, self.col, self.rule_id)
 
     def as_dict(self) -> Dict[str, Any]:
-        """JSON-ready rendering (used by the reporter and the cache)."""
+        """JSON-ready rendering (used by the JSON reporter)."""
         return {
             "rule_id": self.rule_id,
             "path": self.path,
@@ -47,30 +47,6 @@ class Violation:
             "severity": self.severity,
             "suppressed": self.suppressed,
         }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "Violation":
-        """Inverse of :meth:`as_dict` (used by the result cache)."""
-        return cls(
-            rule_id=data["rule_id"],
-            path=data["path"],
-            line=int(data["line"]),
-            col=int(data["col"]),
-            message=data["message"],
-            severity=str(data.get("severity", "error")),
-            suppressed=bool(data["suppressed"]),
-        )
-
-    def with_path(self, path: str) -> "Violation":
-        """The same finding relocated to ``path``.
-
-        Cache entries are keyed on file *content*, so a hit may have
-        been recorded under a different path (e.g. a moved file); the
-        engine rebinds the location before reporting.
-        """
-        if path == self.path:
-            return self
-        return replace(self, path=path)
 
     def as_suppressed(self) -> "Violation":
         """A copy marked as waived by an inline comment."""

@@ -44,12 +44,12 @@ Hot-path design (the per-event cost caps every figure replication):
   ``(time, seq)`` order: a heap entry due at ``now`` was scheduled
   while the clock was earlier, so its seq precedes every lane entry,
   and nothing scheduled at ``now`` enters the heap (DESIGN §15).
-* **Pooled handles and timeouts.**  Dispatched heap and lane
+* **Pooled handles.**  Dispatched heap and lane
   :class:`ScheduledCallback` handles are recycled for later
-  ``schedule`` calls, and :meth:`Environment.timeout` recycles fired
-  :class:`Timeout` objects from a free list.  A timeout is single-use:
-  once it has fired and resumed its waiter it may be handed out again,
-  so holding on to a fired timeout object is not supported.
+  ``schedule`` calls.  Timeouts are not pooled: the model makes few of
+  them (136 against 133,983 ``schedule`` calls at the saturated
+  fig. 2 point), so :meth:`Environment.timeout` builds a fresh
+  :class:`Timeout`, and a fired one may be yielded again.
 * **GC paused during dispatch.**  ``run()`` disables the cyclic
   collector for the duration of the loop (see :meth:`Environment.run`),
   so model objects must not form reference cycles.
@@ -84,9 +84,6 @@ __all__ = [
 #: The generator type driven by the kernel.  The values sent back into the
 #: generator are whatever the waitable resolved to.
 ProcessGenerator = Generator["Waitable", Any, Any]
-
-#: Fired timeouts kept for reuse per environment (bounds pool memory).
-_TIMEOUT_POOL_LIMIT = 128
 
 #: Dispatched/reaped callback handles kept for reuse per environment.
 _HANDLE_POOL_LIMIT = 512
@@ -238,9 +235,8 @@ class Timeout(Waitable):
     one is pending raises :class:`SimulationError`.  The waiter's
     scheduled-callback handle is kept beside it, so cancellation never
     depends on ``id(process)`` keys, which could collide after garbage
-    collection reuses an id.  Fired timeouts created via
-    :meth:`Environment.timeout` are recycled through the environment's
-    pool; treat a timeout as single-use once it has fired.
+    collection reuses an id.  Once fired, a timeout can be yielded
+    again and waits its own ``delay`` anew.
     """
 
     __slots__ = ("env", "delay", "value", "_waiter", "_handle")
@@ -266,9 +262,6 @@ class Timeout(Waitable):
         self._handle = None
         if process._alive and process._waiting_on is self:
             process._resume(self.value)
-        # The resumed process may have yielded this timeout again.
-        if self._waiter is None:
-            self.env._recycle_timeout(self)
 
     def _unsubscribe(self, process: "Process") -> None:
         if self._waiter is process:
@@ -638,7 +631,6 @@ class Environment:
         "_fast",
         "_seq",
         "_crashes",
-        "_timeout_pool",
         "_handle_pool",
         "_san",
         "dispatch_count",
@@ -652,7 +644,6 @@ class Environment:
         self._fast: deque[tuple[Any, Any]] = deque()
         self._seq = 0
         self._crashes: list[tuple[Process, BaseException]] = []
-        self._timeout_pool: list[Timeout] = []
         self._handle_pool: list[ScheduledCallback] = []
         # None on the clean path so every sanitizer hook is one
         # attribute load and a predictable branch.
@@ -719,23 +710,8 @@ class Environment:
         return Process(self, generator, name=name)
 
     def timeout(self, delay: float, value: Any = None) -> Timeout:
-        """Create a delay waitable (recycling fired ones from the pool)."""
-        pool = self._timeout_pool
-        if pool:
-            if not delay >= 0:
-                raise SimulationError(
-                    f"negative timeout delay: {delay!r}"
-                )
-            timeout = pool.pop()
-            timeout.delay = delay
-            timeout.value = value
-            return timeout
+        """Create a delay waitable that resolves to ``value``."""
         return Timeout(self, delay, value)
-
-    def _recycle_timeout(self, timeout: Timeout) -> None:
-        pool = self._timeout_pool
-        if len(pool) < _TIMEOUT_POOL_LIMIT:
-            pool.append(timeout)
 
     def event(self) -> Event:
         """Create a fresh one-shot event."""

@@ -30,14 +30,13 @@ from __future__ import annotations
 import hashlib
 import random
 import re
-from typing import Dict, Tuple
+from typing import Dict
 
 __all__ = [
     "RandomStreams",
     "derive_seed",
     "is_registered",
     "register_stream",
-    "registered_streams",
     "stream_owner",
 ]
 
@@ -80,11 +79,6 @@ def register_stream(name: str, description: str = "", owner: str = "") -> str:
     STREAM_REGISTRY[name] = description
     STREAM_OWNERS[name] = owner
     return name
-
-
-def registered_streams() -> Tuple[str, ...]:
-    """Every registered name/pattern, sorted for stable iteration."""
-    return tuple(sorted(STREAM_REGISTRY))
 
 
 def _compile(pattern: str) -> "re.Pattern[str]":

@@ -1,8 +1,8 @@
 """Incremental invalidation: source-fingerprinted cache keys.
 
 The contract under test: the cache key composes the schema version
-with a content hash of the sim-relevant source packages (``sim/``,
-``cc/``, ``core/``), so
+with a content hash of the sim-relevant source packages
+(``SIM_SOURCE_PACKAGES``), so
 
 * an experiment-layer-only edit recomputes **zero** cached points,
 * a ``sim/kernel.py`` edit dirties **all** of them,
@@ -20,10 +20,15 @@ from repro.experiments import result_cache
 from repro.experiments.cli import main as cli_main
 from repro.experiments.executor import SweepExecutor
 from repro.experiments.result_cache import (
+    SIM_SOURCE_PACKAGES,
     ResultCache,
     config_digest,
     source_fingerprint,
 )
+
+#: Packages under ``src/repro/`` that only build configs from, or read,
+#: simulation results; edits there must leave the cache warm.
+RESULT_CONSUMERS = ("experiments", "analysis", "lint", "sanitizer")
 
 
 def tiny_config(algorithm="no_dc", think_time=30.0, seed=7):
@@ -40,6 +45,7 @@ def fake_tree(root: Path) -> None:
         "sim/stats.py": "BINS = 10\n",
         "cc/locks.py": "MODES = ('S', 'X')\n",
         "core/config.py": "SEED = 42\n",
+        "faults/injectors.py": "MTBF = 3600.0\n",
         "experiments/runner.py": "JOBS = 4\n",
         "analysis/series.py": "AXES = 2\n",
     }.items():
@@ -68,7 +74,13 @@ class TestSourceFingerprint:
         assert source_fingerprint(tmp_path) == before
 
     @pytest.mark.parametrize(
-        "edited", ["sim/kernel.py", "cc/locks.py", "core/config.py"]
+        "edited",
+        [
+            "sim/kernel.py",
+            "cc/locks.py",
+            "core/config.py",
+            "faults/injectors.py",
+        ],
     )
     def test_sim_relevant_edit_changes_fingerprint(
         self, tmp_path, edited
@@ -87,6 +99,21 @@ class TestSourceFingerprint:
             "SLOTS = 256\n", encoding="utf-8"
         )
         assert source_fingerprint(tmp_path) != before
+
+    def test_every_package_is_fingerprinted_or_a_consumer(self):
+        """A new package under ``src/repro/`` must be classified: its
+        edits either dirty the cache or, for a package that only
+        consumes results, leave every entry valid."""
+        import repro
+
+        root = Path(repro.__file__).resolve().parent
+        packages = sorted(
+            path.name
+            for path in root.iterdir()
+            if (path / "__init__.py").is_file()
+        )
+        assert not set(SIM_SOURCE_PACKAGES) & set(RESULT_CONSUMERS)
+        assert packages == sorted(SIM_SOURCE_PACKAGES + RESULT_CONSUMERS)
 
     def test_default_is_memoized(self):
         assert source_fingerprint() == source_fingerprint()

@@ -1,4 +1,4 @@
-"""CLI tests: exit codes, formats, rule selection, cache flags."""
+"""CLI tests: exit codes, formats, rule selection, text output."""
 
 import json
 
@@ -42,30 +42,30 @@ def run_cli(args):
 class TestExitCodes:
     def test_clean_tree_exits_zero(self, tree, capsys):
         root = tree({"a.py": CLEAN})
-        assert run_cli([root, "--no-cache"]) == 0
+        assert run_cli([root]) == 0
         assert "clean" in capsys.readouterr().out
 
     def test_violation_exits_one(self, tree, capsys):
         root = tree({"bad.py": DIRTY})
-        assert run_cli([root, "--no-cache"]) == 1
+        assert run_cli([root]) == 1
         out = capsys.readouterr().out
         assert "id-keyed-container" in out
         assert "bad.py:1:" in out
 
     def test_suppressed_tree_exits_zero(self, tree, capsys):
         root = tree({"a.py": SUPPRESSED})
-        assert run_cli([root, "--no-cache"]) == 0
+        assert run_cli([root]) == 0
         out = capsys.readouterr().out
         assert "1 suppressed" in out
 
     def test_missing_path_exits_two(self, tmp_path, capsys):
-        assert run_cli([tmp_path / "nope", "--no-cache"]) == 2
+        assert run_cli([tmp_path / "nope"]) == 2
         assert "no such file" in capsys.readouterr().err
 
     def test_unknown_rule_exits_two(self, tree, capsys):
         root = tree({"a.py": CLEAN})
         code = run_cli(
-            [root, "--no-cache", "--select", "no-such-rule"]
+            [root, "--select", "no-such-rule"]
         )
         assert code == 2
         assert "unknown rule" in capsys.readouterr().err
@@ -74,13 +74,17 @@ class TestExitCodes:
 class TestJsonFormat:
     def test_json_payload(self, tree, capsys):
         root = tree({"bad.py": DIRTY, "ok.py": SUPPRESSED})
-        code = run_cli([root, "--no-cache", "--format", "json"])
+        code = run_cli([root, "--format", "json"])
         assert code == 1
         payload = json.loads(capsys.readouterr().out)
-        assert payload["summary"]["files"] == 2
-        assert payload["summary"]["violations"] == 1
-        assert payload["summary"]["suppressed"] == 1
-        assert payload["summary"]["ok"] is False
+        assert payload["version"] == 4
+        assert payload["summary"] == {
+            "files": 2,
+            "violations": 1,
+            "failures": 1,
+            "suppressed": 1,
+            "ok": False,
+        }
         by_suppressed = {
             v["suppressed"]: v for v in payload["violations"]
         }
@@ -89,7 +93,7 @@ class TestJsonFormat:
 
     def test_json_clean(self, tree, capsys):
         root = tree({"a.py": CLEAN})
-        assert run_cli([root, "--no-cache", "--format", "json"]) == 0
+        assert run_cli([root, "--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["summary"]["ok"] is True
         assert payload["violations"] == []
@@ -99,7 +103,7 @@ class TestSelection:
     def test_select_limits_rules(self, tree, capsys):
         root = tree({"bad.py": DIRTY})
         code = run_cli(
-            [root, "--no-cache", "--select", "wall-clock"]
+            [root, "--select", "wall-clock"]
         )
         assert code == 0  # id-keyed rule not selected
         capsys.readouterr()
@@ -117,25 +121,25 @@ class TestGlobSelection:
     ):
         root = tree({"bad.py": DIRTY})
         # id-keyed-container matches "id-*"; the finding survives.
-        assert run_cli([root, "--no-cache", "--select", "id-*"]) == 1
+        assert run_cli([root, "--select", "id-*"]) == 1
         capsys.readouterr()
 
     def test_ignore_glob_drops_matching_rules(self, tree, capsys):
         root = tree({"bad.py": DIRTY})
-        code = run_cli([root, "--no-cache", "--ignore", "id-*"])
+        code = run_cli([root, "--ignore", "id-*"])
         assert code == 0
         capsys.readouterr()
 
     def test_unmatched_ignore_pattern_exits_two(self, tree, capsys):
         root = tree({"a.py": CLEAN})
-        code = run_cli([root, "--no-cache", "--ignore", "zzz-*"])
+        code = run_cli([root, "--ignore", "zzz-*"])
         assert code == 2
         assert "unknown rule" in capsys.readouterr().err
 
     def test_select_can_name_project_rules(self, tree, capsys):
         root = tree({"a.py": CLEAN})
         code = run_cli(
-            [root, "--no-cache", "--select", "stream-registry"]
+            [root, "--select", "stream-registry"]
         )
         assert code == 0
         capsys.readouterr()
@@ -161,7 +165,7 @@ class TestSarifFormat:
         self, tree, capsys
     ):
         root = tree({"bad.py": DIRTY})
-        code = run_cli([root, "--no-cache", "--format", "sarif"])
+        code = run_cli([root, "--format", "sarif"])
         assert code == 1
         doc = json.loads(capsys.readouterr().out)
         assert doc["version"] == "2.1.0"
@@ -171,20 +175,8 @@ class TestSarifFormat:
         ]
 
 
-class TestCacheFlags:
-    def test_cache_file_roundtrip(self, tree, tmp_path, capsys):
-        root = tree({"a.py": CLEAN, "bad.py": DIRTY})
-        cache_file = tmp_path / "lint-cache.json"
-        first = run_cli([root, "--cache-file", cache_file])
-        assert first == 1
-        assert cache_file.exists()
-        capsys.readouterr()
-
-        second = run_cli([root, "--cache-file", cache_file])
-        assert second == 1
-        assert "[2 cached]" in capsys.readouterr().out
-
+class TestTextOutput:
     def test_show_suppressed(self, tree, capsys):
         root = tree({"a.py": SUPPRESSED})
-        run_cli([root, "--no-cache", "--show-suppressed"])
+        run_cli([root, "--show-suppressed"])
         assert "(suppressed)" in capsys.readouterr().out

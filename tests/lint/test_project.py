@@ -42,7 +42,11 @@ def build_package(tmp_path, files):
 
 def model_of(tmp_path, files):
     root = build_package(tmp_path, files)
-    return ProjectModel.build(discover_files([root]))
+    parsed = []
+    for path in discover_files([root]):
+        source = path.read_text("utf-8")
+        parsed.append((path, ast.parse(source), source))
+    return ProjectModel.build(parsed)
 
 
 def run_rule(tmp_path, rule, files):

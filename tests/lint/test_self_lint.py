@@ -85,7 +85,7 @@ def test_cli_sarif_with_committed_baseline_exits_zero(capsys):
 
     code = main(
         [str(REPO_ROOT / tree) for tree in LINTED_TREES]
-        + ["--no-cache", "--format", "sarif"]
+        + ["--format", "sarif"]
     )
     assert code == 0
     doc = json.loads(capsys.readouterr().out)

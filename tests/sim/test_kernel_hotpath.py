@@ -4,8 +4,8 @@ Covers the same-time fast lane (interleaving with equal-time heap
 entries in exact sequence order, checked against a reference queue
 that applies the global ``(time, seq)`` rule directly), the loop's
 event deliveries (subscription order, the still-waiting check, one
-dispatch each), handle/timeout pooling (recycled objects never replay
-stale callbacks), the single-waiter timeout, AnyOf loser cleanup, and
+dispatch each), handle pooling (recycled handles never replay stale
+callbacks), unpooled and single-waiter timeouts, AnyOf loser cleanup, and
 the interrupt-vs-deferred-delivery races the transaction manager
 depends on.
 """
@@ -499,27 +499,27 @@ class TestHandlePooling:
 
 
 class TestTimeoutPooling:
-    def test_fired_timeout_is_recycled(self, env):
+    """Timeouts are not pooled: each ``env.timeout()`` is a new object,
+    and a fired one can be waited on again."""
+
+    def test_fired_timeout_is_not_handed_out_again(self, env):
+        made = []
+
         def sleeper():
+            first = env.timeout(1.0)
+            yield first
+            # A later wait, so the kernel is done with ``first`` before
+            # the next timeout is created.
             yield env.timeout(1.0)
+            made.extend([first, env.timeout(5.0)])
+            yield first
 
         env.process(sleeper())
         env.run()
-        assert len(env._timeout_pool) == 1
-        pooled = env._timeout_pool[-1]
-        fresh = env.timeout(2.0)
-        assert fresh is pooled
-        assert fresh.delay == 2.0
-
-    def test_recycled_timeout_rejects_negative_delay(self, env):
-        def sleeper():
-            yield env.timeout(1.0)
-
-        env.process(sleeper())
-        env.run()
-
-        with pytest.raises(SimulationError):
-            env.timeout(-1.0)
+        first, second = made
+        assert second is not first
+        # The second wait on ``first`` lasts its own delay again.
+        assert env.now == 3.0
 
     def test_second_waiter_is_refused(self, env):
         # A timeout has one waiter: a second process yielding it while
