@@ -7,9 +7,9 @@ every new rule adds latency to every push.  This benchmark lints
 ``$REPRO_BENCH_OUT``):
 
 * **full** — one complete run: read and parse each file once, the file
-  rules, then the project model and the project rules over the same
+  rules, then the project model and ``stream-registry`` over the same
   trees (what CI pays);
-* **project pass** — the model build and every project rule, over
+* **project pass** — the model build and ``stream-registry``, over
   trees parsed beforehand (the pass parses nothing itself).
 
 It asserts that the full run linted every discovered file.  That each

@@ -151,13 +151,16 @@ class NodeCCManager(ABC):
     def register_cohort(self, cohort: Cohort) -> None:
         """Called when a cohort starts executing at this node."""
 
+    @abstractmethod
     def crash_reset(self) -> None:
         """Discard all volatile CC state after a node crash.
 
         Fail-stop semantics: lock tables, timestamp tables, and
         pending certification workspaces do not survive a crash; the
         fault injector calls this after interrupting every resident
-        cohort.  Stateless managers inherit this no-op.
+        cohort.  Every manager defines it, so a new algorithm cannot
+        be built without deciding what a crash erases; a stateless
+        manager says so with an explicit no-op.
         """
 
     def waits_for_edges(

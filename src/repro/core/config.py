@@ -1,13 +1,15 @@
 """Configuration dataclasses mirroring the paper's Tables 1–4.
 
-Defaults reproduce Table 4 exactly:
+Defaults reproduce Table 4, with one reading of it (the write
+probability, below):
 
 * 1 host node (10 MIPS) and 8 processing nodes (1 MIPS each),
 * 64 files = 8 relations x 8 partitions, 300 pages per partition,
 * 128 terminals attached to the host, in 8 groups of 16 with each group
   bound to one relation,
 * transactions read an average of 8 pages per partition (uniform 4..12),
-  updating each read page with probability 1/4,
+  updating each read page with probability 1/8 (Table 4 prints 1/4;
+  :class:`TransactionClassConfig` explains why the default is 1/8),
 * 8K instructions per page processed, 2K per initiated disk write,
 * 2K instructions per process startup, 1K per message end,
   negligible CC request cost,

@@ -179,10 +179,11 @@ class NetworkManager:
         Protocol contract: both hooks are invoked with exactly one
         positional argument (the payload), never more, never fewer —
         a bound method, local function, or lambda must accept that
-        shape.  The ``message-handler-protocol`` lint rule checks
-        every statically resolvable ``post(...)`` call site against
-        this contract, so arity drift is caught at review time rather
-        than as a mid-simulation ``TypeError``.
+        shape.  A hook of another shape raises ``TypeError`` when it
+        runs: a courier's delivery records it as a crash, which
+        :meth:`~repro.sim.kernel.Environment.check_crashes` raises
+        after the run, and a hand-off or drop hook run from the fast
+        lane raises it straight out of ``Environment.run``.
         """
         if source == destination:
             self.env.schedule_now(handler, payload)

@@ -274,27 +274,11 @@ def _sixteen_node_config(
     reads on average), and the database grows to 128 files so that
     every node again hosts 8 partitions.
     """
-    if num_nodes == 1:
-        placement = PlacementKind.COLOCATED
-        degree = 1
-    else:
-        placement = PlacementKind.DECLUSTERED
-        degree = num_nodes
-    config = paper_default_config(
-        algorithm,
-        think_time=think_time,
-        num_proc_nodes=num_nodes,
-        pages_per_partition=300,
-        placement=placement,
-        placement_degree=degree,
-        seed=fidelity.seed,
-    )
-    config = config.with_database(
-        partitions_per_relation=16
-    ).with_workload(
+    return scaling_config(
+        fidelity, algorithm, think_time, num_nodes
+    ).with_database(partitions_per_relation=16).with_workload(
         classes=(TransactionClassConfig(file_count=16),)
     )
-    return fidelity.apply(config)
 
 
 def scaling_speedups_16node(fidelity: Fidelity) -> List[FigureSeries]:

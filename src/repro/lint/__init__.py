@@ -1,4 +1,4 @@
-"""simlint — determinism & kernel-protocol static analysis.
+"""simlint — determinism static analysis.
 
 The simulator must be a pure function of its configuration: identical
 configs (seed included) give bit-identical schedules and metrics.  That
@@ -8,10 +8,12 @@ property is easy to break with ordinary-looking Python — an ``id()``
 the type checker and usually to the test suite (they only show up as
 rare cross-run flakes).  simlint rejects those bug classes at review
 time.  It parses every source file once, runs the file rules on each
-tree, and then runs a whole-program pass (:mod:`repro.lint.project`)
-over a symbol table built from the same trees to check cross-module
-contracts: the random-stream discipline, message-handler arity,
-CC-interface completeness, and what a sim process may yield.
+tree, and then runs one project pass (:mod:`repro.lint.project`) over
+the same trees: the random-stream discipline, which checks every draw
+site against the ``register_stream`` calls of every module.  What a
+sim process may yield, whether it re-enters ``env.run()``, a
+``post`` handler's arity and a CC manager's ``crash_reset`` are
+refused by the running simulator instead.
 
 Usage::
 
@@ -29,6 +31,6 @@ Only live ``error``-severity findings fail a run.
 This package module imports nothing: the runtime sanitizer loads
 :mod:`repro.lint.violations` into every simulation process, which must
 not pay for the linter.  See :mod:`repro.lint.rules` for the file
-rules, :mod:`repro.lint.project` for the project rules, and
+rules, :mod:`repro.lint.project` for the project rule, and
 :mod:`repro.lint.engine` for file discovery and the one-pass run.
 """

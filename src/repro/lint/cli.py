@@ -25,8 +25,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.lint",
         description=(
-            "simlint: determinism & kernel-protocol static analysis "
-            "for the simulator sources"
+            "simlint: determinism static analysis for the simulator "
+            "sources"
         ),
     )
     parser.add_argument(
@@ -49,7 +49,7 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="PATTERNS",
         help=(
             "comma-separated rule ids or globs to run "
-            "(e.g. 'stream-*,cc-interface'; default: all)"
+            "(e.g. 'stream-*,wall-clock'; default: all)"
         ),
     )
     parser.add_argument(

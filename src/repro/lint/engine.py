@@ -2,9 +2,9 @@
 
 ``lint_paths`` walks the given files/directories and lints every
 ``*.py`` in one pass: each file is read and parsed once, the file
-rules run on that tree, and the same parsed modules build the
-whole-program :class:`~repro.lint.project.ProjectModel` for the
-project rules.  Inline suppressions apply to both, and the returned
+rules run on that tree, and the same parsed modules make up the
+:class:`~repro.lint.project.ProjectModel` the project rule reads.
+Inline suppressions apply to both, and the returned
 :class:`LintReport` has stable ordering — the same tree always
 produces byte-identical output, which is itself a determinism property
 the reporters rely on.
@@ -109,7 +109,7 @@ def discover_files(paths: Sequence[Path]) -> List[Path]:
 def _project_findings(
     project_rules: Sequence[ProjectRule], model
 ) -> List[Violation]:
-    """Whole-program rules over ``model``, suppressions applied.
+    """Project rules over ``model``, suppressions applied.
 
     Every finding is anchored in a parsed module of the model, whose
     inline comments may waive it.
@@ -120,7 +120,7 @@ def _project_findings(
             findings.setdefault(violation.path, []).append(violation)
     violations: List[Violation] = []
     for path, found in findings.items():
-        source = model.modules_by_path[path].source
+        source = model.modules[path].source
         violations.extend(apply_suppressions(found, source))
     return violations
 

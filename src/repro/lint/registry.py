@@ -3,9 +3,9 @@
 Two kinds of rule live here:
 
 * **File rules** (:class:`Rule`) see one parsed file at a time.
-* **Project rules** (:class:`ProjectRule`) see the whole-program model
-  (:mod:`repro.lint.project`), built from the same parsed files, and
-  run after every file rule.
+* **Project rules** (:class:`ProjectRule`) see every parsed file of
+  the run at once (:mod:`repro.lint.project`), and run after every
+  file rule.
 
 Rules register themselves with the :func:`register` /
 :func:`register_project` decorators at import time (importing
@@ -93,7 +93,7 @@ class Rule(_BaseRule):
 
 
 class ProjectRule(_BaseRule):
-    """One whole-program check.
+    """One check over every linted file at once.
 
     ``check_project`` receives the :class:`~repro.lint.project.
     ProjectModel` built over every linted file and returns findings
@@ -104,7 +104,7 @@ class ProjectRule(_BaseRule):
     """
 
     def check_project(self, model) -> List[Violation]:
-        """Findings over the whole-program model."""
+        """Findings over the project model."""
         raise NotImplementedError
 
 
@@ -139,9 +139,10 @@ def register_project(
 
 
 def _ensure_loaded() -> None:
-    # The project rules import the file-rule module, so this one
-    # import registers every rule; re-imports are cached no-ops.
+    # Importing the rule modules registers every rule; re-imports are
+    # cached no-ops.
     import repro.lint.project  # noqa: F401 - registers on import
+    import repro.lint.rules  # noqa: F401 - registers on import
 
 
 def all_rules() -> List[Rule]:

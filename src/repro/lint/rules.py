@@ -29,7 +29,8 @@ hit) while keeping figure replications seed-stable:
     comparison; it is sound only between copies of one scheduled value,
     so each such site carries a waiver saying why.
 
-The whole-program rules live in :mod:`repro.lint.project`.
+The one project rule, ``stream-registry``, lives in
+:mod:`repro.lint.project`.
 """
 
 from __future__ import annotations

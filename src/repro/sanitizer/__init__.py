@@ -22,9 +22,9 @@ run; the loop itself calls no hook.
     before reap.
 ``leak-audit``
     End-of-run audit generalizing ``faults.assert_no_leaks``: orphaned
-    processes and undelivered couriers on drained runs, cohorts or
-    couriers stranded on crashed nodes, and cancelled handles still
-    queued in the scheduler.
+    processes and undelivered couriers when both event queues drained
+    (on a closed-loop run, only when every process is stuck), and
+    cohorts or couriers stranded on crashed nodes (every faulted run).
 
 Findings are ordinary :class:`~repro.lint.violations.Violation`
 objects rendered by the shared text/JSON/SARIF reporters.  There are

@@ -49,8 +49,7 @@ CHECKS: Tuple[Check, ...] = (
         rule_id=LEAK_AUDIT,
         summary=(
             "end-of-run audit: an orphaned process, undelivered courier, "
-            "stranded cohort, or unreaped cancelled handle survived the "
-            "simulation"
+            "or stranded cohort survived the simulation"
         ),
         severity="error",
     ),

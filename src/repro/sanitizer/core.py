@@ -213,34 +213,23 @@ class Sanitizer:
                 "reach its handler",
             )
 
-    def _audit_cancelled(self, env: Environment) -> None:
-        pinned = sum(1 for _time, _seq, handle in env._heap if handle.cancelled)
-        # Lane entries holding a handle are ``(handle, None)``.
-        pinned += sum(
-            1 for entry, args in env._fast if args is None and entry.cancelled
-        )
-        if pinned:
-            self._add(
-                checks.LEAK_AUDIT,
-                "<scheduler>",
-                0,
-                f"{pinned} cancelled handle(s) were never reaped from "
-                "the scheduler — cancelled work is pinned in the queue "
-                "past the end of the run",
-            )
-
     def finish_env(self, env: Environment) -> None:
-        """Kernel-level end-of-run audit (no simulation context)."""
+        """Kernel-level end-of-run audit (no simulation context):
+        orphaned processes, when both queues drained."""
         if self._queues_drained(env):
             self._audit_orphans(env)
-        self._audit_cancelled(env)
 
     def finish_run(self, sim) -> None:
         """Simulation-level end-of-run audit.
 
-        Afterwards the sanitizer keeps only its findings: it drops the
-        processes, so a sweep that sanitizes many runs never holds
-        every finished simulation at once.
+        Orphaned processes and undelivered couriers are audited only
+        when both queues drained.  A closed-loop simulation stopped at
+        its horizon still has work queued (terminals thinking, disks
+        serving), so those two audits fire only when every process is
+        stuck; the stranded-work audit of a fault injector runs on
+        every faulted run.  Afterwards the sanitizer keeps only its
+        findings: it drops the processes, so a sweep that sanitizes
+        many runs never holds every finished simulation at once.
         """
         env = sim.env
         drained = self._queues_drained(env)

@@ -633,6 +633,7 @@ class Environment:
         "_crashes",
         "_handle_pool",
         "_san",
+        "_running",
         "dispatch_count",
     )
 
@@ -648,6 +649,7 @@ class Environment:
         # None on the clean path so every sanitizer hook is one
         # attribute load and a predictable branch.
         self._san = sanitizer
+        self._running = False
         self.dispatch_count = 0
 
     @property
@@ -733,6 +735,13 @@ class Environment:
         at the requested horizon.  ``until`` must not lie in the past;
         a past ``until`` raises :class:`SimulationError`.
 
+        The loop is not reentrant: calling ``run`` while it runs, from
+        a callback or a process, raises :class:`SimulationError`.  The
+        error propagates out of a callback and out of the outer
+        ``run``; a process that calls it dies with it, like any other
+        process error (a crash for :meth:`check_crashes` when nobody
+        watches the process).
+
         Each instant runs in two phases: the heap entries due at ``now``
         in seq order, then the fast lane until it is empty.  A heap
         entry due at ``now`` was scheduled while the clock was earlier,
@@ -758,6 +767,10 @@ class Environment:
         fire (the abort path), with its watchers and events; it is
         reclaimed after the run.
         """
+        if self._running:
+            raise SimulationError(
+                "run() called while the dispatch loop is running"
+            )
         if until is not None and until < self.now:
             raise SimulationError(
                 f"run(until={until!r}) lies before now={self.now!r}"
@@ -776,6 +789,7 @@ class Environment:
         pool_limit = _HANDLE_POOL_LIMIT if self._san is None else 0
         now = self.now
         dispatched = self.dispatch_count
+        self._running = True
         try:
             while True:
                 # A heap top never precedes ``now``.
@@ -828,6 +842,7 @@ class Environment:
                 self.now = time
         finally:
             self.dispatch_count = dispatched
+            self._running = False
             if pause_gc:
                 gc.enable()
         if until is not None and until > self.now:

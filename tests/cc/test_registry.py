@@ -2,11 +2,13 @@
 
 import pytest
 
+from repro.cc.base import NodeCCManager
 from repro.cc.mvcc import MultiVersionCC
 from repro.cc.no_dc import NoDataContention
 from repro.cc.optimistic import DistributedCertification
 from repro.cc.registry import (
     ALGORITHM_NAMES,
+    EXTENSION_NAMES,
     MODERN_NAMES,
     make_algorithm,
     register_algorithm,
@@ -61,17 +63,39 @@ def test_all_names_resolvable():
 
 
 def test_every_algorithm_defines_crash_reset(context):
-    """Regression for the cc-interface lint finding: NO_DC silently
-    inherited the base-class no-op ``crash_reset``.  Every registered
-    algorithm's node manager must define the method itself (a
-    deliberate no-op is fine — it has to be a stated decision)."""
-    from repro.cc.base import NodeCCManager
-
-    for name in ALGORITHM_NAMES + MODERN_NAMES:
+    """Every algorithm's node manager defines ``crash_reset`` itself (a
+    deliberate no-op is fine — it has to be a stated decision).  NO_DC
+    once inherited a base-class no-op; the method is abstract now, so
+    building each manager is the check."""
+    for name in ALGORITHM_NAMES + EXTENSION_NAMES + MODERN_NAMES:
         manager = _bound(name).make_node_manager(0, context)
         assert (
             type(manager).crash_reset is not NodeCCManager.crash_reset
         ), f"{name}: crash_reset inherited from NodeCCManager"
+
+
+def test_manager_without_crash_reset_cannot_be_built(context):
+    """A manager that implements the rest of the interface but never
+    says what a crash erases is refused when it is built."""
+
+    class ForgetfulManager(NodeCCManager):
+        def read_request(self, cohort, page):
+            raise NotImplementedError
+
+        def write_request(self, cohort, page):
+            raise NotImplementedError
+
+        def prepare(self, cohort):
+            return True
+
+        def commit(self, cohort):
+            return []
+
+        def abort(self, cohort):
+            pass
+
+    with pytest.raises(TypeError, match="crash_reset"):
+        ForgetfulManager(0, context)
 
 
 def test_register_custom_algorithm():

@@ -4,7 +4,7 @@ Each rule gets three kinds of fixture: snippets that must flag,
 snippets that must not, and a suppression-comment check.  Fixtures are
 linted from strings with scoped fake paths (rule scoping is by path
 fragment), so nothing here touches the filesystem; ``lint_source``
-runs the project rules over a one-module model of the snippet.  The
+runs the project rule over a one-module model of the snippet.  The
 fixture classes keep the names of the rules that were merged into
 ``unordered-iteration`` and ``stream-registry``.
 """
@@ -61,15 +61,6 @@ def test_rule_set_is_one_rule_per_property():
             "wall-clock", "file", "error", (),
             ("experiments/", "benchmarks/"),
         ),
-        (
-            "cc-interface", "project", "error",
-            ("repro/cc/", "repro/router/"), (),
-        ),
-        (
-            "message-handler-protocol", "project", "error",
-            ("repro/",), (),
-        ),
-        ("process-protocol", "project", "error", (), ()),
         ("stream-registry", "project", "error", ("repro/",), ()),
     ]
 
@@ -406,91 +397,6 @@ class TestFloatTimeEquality:
             "    pass\n"
         )
         violations = lint_source(snippet, SIM_PATH)
-        assert [v for v in violations if v.suppressed]
-        assert not [v for v in violations if not v.suppressed]
-
-
-class TestProcessProtocol:
-    RULE = "process-protocol"
-
-    @pytest.mark.parametrize(
-        "snippet",
-        [
-            # Bare yield in a process body.
-            """
-            def process(env):
-                yield env.timeout(1.0)
-                yield
-            """,
-            # Literal yields in a process body.
-            """
-            def process(env):
-                yield env.timeout(1.0)
-                yield 17
-            """,
-            """
-            def process(env):
-                yield self.env.event()
-                yield (a, b)
-            """,
-            # Reentrant dispatch from inside a generator.
-            """
-            def process(env):
-                env.run()
-                yield env.timeout(1.0)
-            """,
-            """
-            def process(self):
-                self.env.run(until=5.0)
-                yield self.env.timeout(1.0)
-            """,
-        ],
-    )
-    def test_flags(self, snippet):
-        assert rule_hits(snippet, NEUTRAL_PATH, self.RULE)
-
-    @pytest.mark.parametrize(
-        "snippet",
-        [
-            # A clean process body.
-            """
-            def process(env, cpu):
-                yield env.timeout(1.0)
-                result = yield env.all_of([a, b])
-                yield cpu.execute(100)
-            """,
-            # Ordinary generators (no waitable yields) are not
-            # processes: pytest fixtures may bare-yield freely.
-            """
-            def fixture():
-                setup()
-                yield
-                teardown()
-            """,
-            """
-            def naturals():
-                n = 0
-                while True:
-                    yield n
-                    n += 1
-            """,
-            # env.run() outside any generator is the normal driver.
-            """
-            def drive(env):
-                env.run(until=10.0)
-            """,
-        ],
-    )
-    def test_does_not_flag(self, snippet):
-        assert not rule_hits(snippet, NEUTRAL_PATH, self.RULE)
-
-    def test_suppression(self):
-        snippet = (
-            "def process(env):\n"
-            "    yield env.timeout(1.0)\n"
-            "    yield 17  # simlint: ignore[process-protocol]\n"
-        )
-        violations = lint_source(snippet, NEUTRAL_PATH)
         assert [v for v in violations if v.suppressed]
         assert not [v for v in violations if not v.suppressed]
 

@@ -124,7 +124,7 @@ def handle_double_cancel():
     handle = env.schedule(1.0, _noop)
     handle.cancel()
     handle.cancel()
-    env.run(until=2.0)  # reaps the cancelled handle: no leak on top
+    env.run(until=2.0)  # reaps the cancelled handle
     sanitizer.finish_env(env)
     return sanitizer
 
@@ -156,17 +156,6 @@ def leak_orphaned_process():
 
     env.process(waiter(), name="stuck-waiter")
     env.run()
-    sanitizer.finish_env(env)
-    return sanitizer
-
-
-def leak_unreaped_cancelled_handle():
-    """A cancelled future callback still pinned in the scheduler when
-    the run stops short of its timestamp."""
-    env, sanitizer = make_env()
-    handle = env.schedule(5.0, _noop)
-    handle.cancel()
-    env.run(until=1.0)
     sanitizer.finish_env(env)
     return sanitizer
 

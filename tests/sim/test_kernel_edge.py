@@ -227,3 +227,36 @@ class TestErrorHandling:
         assert seen == [1]
         env.run(until=10.0)
         assert seen == [1, 5]
+
+    def test_process_reentering_run_crashes(self, env):
+        """The dispatch loop is not reentrant: a process that calls
+        ``run`` dies with SimulationError, which ``check_crashes``
+        raises."""
+
+        def body():
+            yield env.timeout(1.0)
+            env.run(until=5.0)
+            yield env.timeout(1.0)
+
+        process = env.process(body(), name="reenters")
+        env.run()
+        assert not process.alive
+        assert env.now == 1.0
+        with pytest.raises(SimulationError, match="reenters") as info:
+            env.check_crashes()
+        assert isinstance(info.value.__cause__, SimulationError)
+        assert "dispatch loop is running" in str(info.value.__cause__)
+
+    def test_callback_reentering_run_raises_out_of_run(self, env):
+        seen = []
+        env.schedule(1.0, lambda: env.run(until=3.0))
+        env.schedule(2.0, lambda: seen.append(2))
+        with pytest.raises(
+            SimulationError, match="dispatch loop is running"
+        ):
+            env.run()
+        assert env.now == 1.0
+        assert seen == []
+        # The refusal leaves the loop runnable.
+        env.run()
+        assert seen == [2]
