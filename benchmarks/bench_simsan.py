@@ -8,8 +8,7 @@ the paper grid) two ways:
 
 * **clean** — the production path (hooks compiled to no-ops);
 * **sanitized** — what ``python -m repro.sanitizer`` runs: the same
-  dispatch loop with every hook, sanitizer-built handles, and the
-  end-of-run audit.
+  dispatch loop with every hook and the end-of-run audit.
 
 It times ``PAIRS`` pairs of one clean and one sanitized run, each
 about half a second, alternating which of the two runs first.  Each pair gives

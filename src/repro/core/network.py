@@ -84,7 +84,8 @@ class _Courier:
         self._alive = True
         if net._inflight is not None:
             net._inflight[self] = None
-        net.env.schedule_now(self._start)
+        # The pair ``schedule_now(self._start)`` appends, appended here.
+        net.env._fast.append((self._start, ()))
 
     @property
     def name(self) -> str:

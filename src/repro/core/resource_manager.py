@@ -2,10 +2,10 @@
 
 Wraps one CPU and ``NumDisks`` disks, offering the services the
 transaction and concurrency control managers consume.  Each request
-kind has one plain method that returns the request, an event a process
-yields directly:
+is an event a process yields directly:
 
-* :meth:`cpu_job` — processor-sharing CPU work, interruptible: when the
+* ``cpu.execute(instructions)`` — processor-sharing CPU work on the
+  node's :class:`~repro.sim.resources.CPU`, interruptible: when the
   waiting process is aborted mid-service the residual work is cancelled
   so the CPU is not burned on a dead cohort.
 * :meth:`read_page` — a synchronous page read on a randomly chosen disk
@@ -19,7 +19,7 @@ yields directly:
 
 A request cancels itself when its interrupted waiter unsubscribes.
 Callers skip non-positive CPU work themselves
-(``if instructions > 0.0: yield cpu_job(instructions)``).
+(``if instructions > 0.0: yield cpu.execute(instructions)``).
 """
 
 from __future__ import annotations
@@ -69,34 +69,21 @@ class ResourceManager:
         self.inst_per_update = inst_per_update
 
     # ------------------------------------------------------------------
-    # CPU
-    # ------------------------------------------------------------------
-
-    def cpu_job(self, instructions: float) -> Event:
-        """Submit PS CPU work; the job fires on completion.
-
-        Callers skip non-positive work (``instructions > 0.0``).  An
-        interrupted waiter cancels the residual work.
-        """
-        return self.cpu.execute(instructions)
-
-    # ------------------------------------------------------------------
     # Disks
     # ------------------------------------------------------------------
-
-    def _pick_disk(self) -> Disk:
-        return self.disks[self._disk_choice.randrange(len(self.disks))]
 
     def read_page(self) -> Event:
         """Read one page from a random disk; fires when it is read.
 
         An interrupted waiter cancels the read if it is still queued.
         """
-        return self._pick_disk().access(_READ)
+        disks = self.disks
+        return disks[self._disk_choice.randrange(len(disks))].access(_READ)
 
     def initiate_async_write(self) -> None:
         """Queue a post-commit page write-back that nobody waits on."""
-        self._pick_disk().access(_WRITE)
+        disks = self.disks
+        disks[self._disk_choice.randrange(len(disks))].access(_WRITE)
 
     # ------------------------------------------------------------------
     # Statistics

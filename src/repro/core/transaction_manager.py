@@ -249,7 +249,7 @@ class TransactionManager:
         transaction.abort_event = env.event()
         # Coordinator process startup at the host.
         if self._inst_per_startup > 0.0:
-            yield self.host.resources.cpu_job(self._inst_per_startup)
+            yield self.host.resources.cpu.execute(self._inst_per_startup)
         for cohort in cohorts:
             cohort.done_event = env.event()
             cohort.vote_event = env.event()
@@ -579,13 +579,13 @@ class TransactionManager:
         # The cohort yields its resource requests directly, skipping
         # non-positive CPU work; an interrupt while it waits cancels
         # the request.
-        cpu_job = resources.cpu_job
+        execute = resources.cpu.execute
         page_instructions = self.source.page_processing_instructions
         class_config = transaction.class_config
         try:
             # Cohort process startup at the processing node.
             if self._inst_per_startup > 0.0:
-                yield cpu_job(self._inst_per_startup)
+                yield execute(self._inst_per_startup)
             manager.register_cohort(cohort)
             for access in cohort.spec.accesses:
                 if not access.install_only:
@@ -599,7 +599,7 @@ class TransactionManager:
                     yield resources.read_page()
                     instructions = page_instructions(class_config)
                     if instructions > 0.0:
-                        yield cpu_job(instructions)
+                        yield execute(instructions)
                     if not access.is_update:
                         continue
                 # Write permission plus processing: an update after its
@@ -615,7 +615,7 @@ class TransactionManager:
                     return
                 instructions = page_instructions(class_config)
                 if instructions > 0.0:
-                    yield cpu_job(instructions)
+                    yield execute(instructions)
             if self._tracing:
                 self._trace(
                     EventKind.COHORT_DONE, transaction, cohort.node
@@ -696,7 +696,7 @@ class TransactionManager:
         instructions = self._inst_per_update
         for _page in pages:
             if instructions > 0.0:
-                yield resources.cpu_job(instructions)
+                yield resources.cpu.execute(instructions)
             resources.initiate_async_write()
 
     def _cc_access(
@@ -709,7 +709,7 @@ class TransactionManager:
     ):
         """One concurrency control request; returns True when granted."""
         if self._inst_per_cc_request > 0.0:
-            yield resources.cpu_job(self._inst_per_cc_request)
+            yield resources.cpu.execute(self._inst_per_cc_request)
         if write:
             response = manager.write_request(cohort, page)
         else:

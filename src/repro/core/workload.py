@@ -368,16 +368,20 @@ class _TerminalWatcher:
     ``terminal-N`` name.
     """
 
-    __slots__ = ("owner", "terminal", "name", "_alive", "_waiting_on")
+    __slots__ = ("owner", "terminal", "_alive", "_waiting_on")
 
     def __init__(self, owner: "AggregatedTerminalSource",
                  terminal: int, process) -> None:
         self.owner = owner
         self.terminal = terminal
-        self.name = f"terminal-{terminal}"
         self._alive = True
         self._waiting_on = process
         process._subscribe(self)
+
+    @property
+    def name(self) -> str:
+        """Crash-report identity, built only when a crash is reported."""
+        return f"terminal-{self.terminal}"
 
     def _resume(self, value) -> None:
         self._alive = False
@@ -397,7 +401,7 @@ class AggregatedTerminalSource:
     keeping one generator Process alive per terminal (a suspended
     frame, a Process object and a Timeout for every idle
     terminal, which dominates memory and startup at 10⁵ terminals),
-    this source keeps only a scheduled arrival handle per idle
+    this source keeps only a scheduled arrival entry per idle
     terminal and drives the whole population with plain callbacks:
 
     * Per-terminal think times come from the ``think-{terminal}``

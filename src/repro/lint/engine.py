@@ -13,6 +13,7 @@ the reporters rely on.
 from __future__ import annotations
 
 import ast
+import gc
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -136,35 +137,47 @@ def _lint(
     project model is built from the same trees.  A source that does
     not parse yields one ``parse-error`` finding and stays out of the
     model.
-    """
-    violations: List[Violation] = []
-    parsed = []
-    for path, source in sources:
-        posix_path = path.as_posix()
-        try:
-            tree = ast.parse(source, filename=posix_path)
-        except SyntaxError as error:
-            violations.append(
-                Violation(
-                    rule_id="parse-error",
-                    path=posix_path,
-                    line=error.lineno or 1,
-                    col=(error.offset or 1),
-                    message=f"file does not parse: {error.msg}",
-                )
-            )
-            continue
-        found: List[Violation] = []
-        for rule in rules:
-            if rule.applies_to(posix_path):
-                found.extend(rule.check(tree, source, posix_path))
-        violations.extend(apply_suppressions(found, source))
-        parsed.append((path, tree, source))
-    if project_rules:
-        from repro.lint.project import ProjectModel
 
-        model = ProjectModel.build(parsed)
-        violations.extend(_project_findings(project_rules, model))
+    The cyclic collector is paused while the trees are alive, as
+    ``Environment.run`` pauses it: every node parsing allocates stays
+    reachable until the run ends, so a collection would only traverse
+    the trees again (DESIGN §17 has the timings).
+    """
+    pause_gc = gc.isenabled()
+    if pause_gc:
+        gc.disable()
+    try:
+        violations: List[Violation] = []
+        parsed = []
+        for path, source in sources:
+            posix_path = path.as_posix()
+            try:
+                tree = ast.parse(source, filename=posix_path)
+            except SyntaxError as error:
+                violations.append(
+                    Violation(
+                        rule_id="parse-error",
+                        path=posix_path,
+                        line=error.lineno or 1,
+                        col=(error.offset or 1),
+                        message=f"file does not parse: {error.msg}",
+                    )
+                )
+                continue
+            found: List[Violation] = []
+            for rule in rules:
+                if rule.applies_to(posix_path):
+                    found.extend(rule.check(tree, source, posix_path))
+            violations.extend(apply_suppressions(found, source))
+            parsed.append((path, tree, source))
+        if project_rules:
+            from repro.lint.project import ProjectModel
+
+            model = ProjectModel.build(parsed)
+            violations.extend(_project_findings(project_rules, model))
+    finally:
+        if pause_gc:
+            gc.enable()
     violations.sort(key=lambda v: v.sort_key)
     return violations
 

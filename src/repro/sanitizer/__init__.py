@@ -4,10 +4,9 @@ simlint (:mod:`repro.lint`) guards the bit-reproducibility property
 statically; simsan guards what only a live run shows.  An opt-in
 instrumented execution mode — ``Environment(sanitizer=...)`` /
 ``Simulation(config, sanitizer=...)`` — routes hook points in the
-kernel (process creation, and the handles ``schedule`` returns and
-their cancellation), the stream registry, the network's in-flight
-couriers, and the fault injector into a
-:class:`~repro.sanitizer.core.Sanitizer`, which runs three checkers.
+kernel (process creation), the stream registry, the network's
+in-flight couriers, and the fault injector into a
+:class:`~repro.sanitizer.core.Sanitizer`, which runs two checkers.
 A sanitized run takes the kernel's one dispatch loop, like a clean
 run; the loop itself calls no hook.
 
@@ -16,10 +15,6 @@ run; the loop itself calls no hook.
     :func:`~repro.sim.streams.register_stream` registry and the drawing
     component's declared ownership — closing the dynamic-name hole the
     static ``stream-registry`` rule must exempt.
-``handle-lifecycle``
-    ``cancel()`` on a handle whose callback already ran (which under
-    pooling would kill an unrelated recycled event), and double-cancel
-    before reap.
 ``leak-audit``
     End-of-run audit generalizing ``faults.assert_no_leaks``: orphaned
     processes and undelivered couriers when both event queues drained

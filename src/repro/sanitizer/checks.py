@@ -3,9 +3,7 @@
 Mirrors the shape the lint reporters expect from a rule: each check
 exposes ``rule_id``, ``summary``, and a default ``severity``, so a
 simsan report can be rendered by :func:`repro.lint.reporters.render_text`
-/ ``render_json`` / ``render_sarif`` unchanged.  A finding may carry a
-different severity than its check's default: a double cancel is a
-``handle-lifecycle`` warning.
+/ ``render_json`` / ``render_sarif`` unchanged.
 """
 
 from __future__ import annotations
@@ -14,7 +12,6 @@ from dataclasses import dataclass
 from typing import Dict, Tuple
 
 STREAM_DISCIPLINE = "stream-discipline"
-HANDLE_LIFECYCLE = "handle-lifecycle"
 LEAK_AUDIT = "leak-audit"
 
 
@@ -33,15 +30,6 @@ CHECKS: Tuple[Check, ...] = (
         summary=(
             "a runtime stream draw bypassed the register_stream registry "
             "or crossed its declared component ownership"
-        ),
-        severity="error",
-    ),
-    Check(
-        rule_id=HANDLE_LIFECYCLE,
-        summary=(
-            "a scheduled-callback handle was cancelled after dispatch or "
-            "cancelled twice — under pooling this corrupts a recycled "
-            "handle belonging to an unrelated event"
         ),
         severity="error",
     ),

@@ -32,8 +32,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="python -m repro.sanitizer",
         description=(
             "simsan: runtime determinism sanitizer — run experiments "
-            "instrumented and report stream-discipline breaks, handle "
-            "misuse, and leaks"
+            "instrumented and report stream-discipline breaks and leaks"
         ),
     )
     parser.add_argument(

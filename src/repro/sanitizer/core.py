@@ -10,8 +10,8 @@ call tiny guarded hooks::
 
 so a clean run pays one attribute load and a predictable branch, and a
 sanitized run funnels everything here.  The dispatch loop is the same
-either way and calls no hook: the handles the sanitizer builds for
-``schedule`` and the queues it audits at the end tell it all it needs.
+either way and calls no hook: the processes it registers and the
+queues it audits at the end tell it all it needs.
 Findings carry no seq numbers, timestamps or ``id()`` values, so
 reports are bit-stable across runs and machines.
 """
@@ -24,7 +24,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.lint.violations import Violation
 from repro.sanitizer import checks
-from repro.sim.kernel import Environment, Process, ScheduledCallback
+from repro.sim.kernel import Environment, Process
 from repro.sim.streams import is_registered, stream_owner
 
 __all__ = ["Sanitizer", "relative_path"]
@@ -45,24 +45,6 @@ def _code_of(callback: Any):
     """The code object behind a callback, or None for builtins."""
     func = getattr(callback, "__func__", callback)
     return getattr(func, "__code__", None)
-
-
-class _SanHandle(ScheduledCallback):
-    """A scheduled-callback handle whose ``cancel()`` is checked.
-
-    Under the sanitizer, ``schedule`` never hands out a handle twice, so
-    a handle's own fields tell its state for the whole run: the
-    dispatch loop sets ``callback`` to ``None`` once it has run or
-    reaped the handle, and ``cancelled`` records an earlier cancel.
-    ``cancel()`` can therefore tell a live pending handle from one whose
-    callback already dispatched — the exact confusion that, under
-    pooling, silently cancels an unrelated recycled event.
-    """
-
-    __slots__ = ("san",)
-
-    def cancel(self) -> None:
-        self.san.note_cancel(self)
 
 
 class Sanitizer:
@@ -91,52 +73,11 @@ class Sanitizer:
         self._skip_files = skip
 
     # ------------------------------------------------------------------
-    # Handle factory (called by the kernel)
-    # ------------------------------------------------------------------
-
-    def new_handle(self, callback, args) -> _SanHandle:
-        handle = _SanHandle(callback, args)
-        handle.san = self
-        return handle
-
-    # ------------------------------------------------------------------
     # Process registration (called by the kernel)
     # ------------------------------------------------------------------
 
     def note_process(self, process: Process) -> None:
         self._processes[process] = None
-
-    # ------------------------------------------------------------------
-    # handle-lifecycle checker
-    # ------------------------------------------------------------------
-
-    def note_cancel(self, handle: _SanHandle) -> None:
-        if handle.callback is None:
-            # The loop already ran the callback, or reaped the
-            # cancelled handle.
-            path, line = self._call_site()
-            self._add(
-                checks.HANDLE_LIFECYCLE,
-                path,
-                line,
-                "cancel() on a stale handle whose callback already "
-                "dispatched — under pooling this cancels whatever "
-                "unrelated event now owns the recycled handle",
-                severity="error",
-            )
-        elif handle.cancelled:
-            path, line = self._call_site()
-            self._add(
-                checks.HANDLE_LIFECYCLE,
-                path,
-                line,
-                "double cancel() on an already-cancelled handle — under "
-                "pooling the second call can hit a recycled handle "
-                "belonging to an unrelated event",
-                severity="warning",
-            )
-        else:
-            handle.cancelled = True
 
     # ------------------------------------------------------------------
     # stream-discipline checker
@@ -261,9 +202,7 @@ class Sanitizer:
             return ("<unknown>", 0)
         return (relative_path(frame.f_code.co_filename), frame.f_lineno)
 
-    def _add(self, check_id: str, path: str, line: int, message: str, severity: Optional[str] = None) -> None:
-        if severity is None:
-            severity = checks.get_check(check_id).severity
+    def _add(self, check_id: str, path: str, line: int, message: str) -> None:
         key = (check_id, path, line, message)
         if key in self._finding_keys:
             return
@@ -275,7 +214,7 @@ class Sanitizer:
                 line=line,
                 col=0,
                 message=message,
-                severity=severity,
+                severity=checks.get_check(check_id).severity,
             )
         )
 

@@ -21,21 +21,21 @@ that no process is ever resumed twice.
 Hot-path design (the per-event cost caps every figure replication):
 
 * **One pending-event heap.**  Future callbacks wait on a ``heapq`` of
-  ``(time, seq, handle)`` tuples, where ``seq`` is the global schedule
-  counter.  Equal times therefore break FIFO, and because ``seq`` is
-  unique the comparison never reaches the handle: ordering stays
-  inside C tuple comparison.  A calendar queue and a heap of handles
-  ordered by a Python ``__lt__`` both measured slower end to end
-  (DESIGN §9).
+  ``[time, seq, callback, args]`` lists, where ``seq`` is the global
+  schedule counter.  Lists compare element by element, as tuples do,
+  so equal times break FIFO, and because ``seq`` is unique the
+  comparison never reaches the callback: ordering stays inside C.  A
+  calendar queue and a heap of handles ordered by a Python ``__lt__``
+  both measured slower end to end (DESIGN §9).
 * **Same-time fast lane.**  Zero-delay work — deferred event
   deliveries, process-termination notifications, pending interrupts —
   is about half of all dispatches, and none of it needs a priority
   queue: it always runs at the current timestamp.  It goes onto a FIFO
   ``deque`` instead of the heap, as pairs of three shapes told apart
   by their second element: :meth:`Environment.schedule_now` appends
-  ``(callback, args)`` — no handle, no seq; :meth:`Environment.schedule`
+  ``(callback, args)`` — no entry, no seq; :meth:`Environment.schedule`
   sends an entry due at ``now`` (a zero or sub-ulp delay) there as
-  ``(handle, None)``, so it stays cancellable; and a fired
+  ``(entry, None)``, so it stays cancellable; and a fired
   :class:`Event` appends ``(waiter, event)``, a *delivery* that the
   loop itself hands to the waiter if it still waits on the event, so
   no bound method, argument tuple or frame is built per hop
@@ -44,20 +44,22 @@ Hot-path design (the per-event cost caps every figure replication):
   ``(time, seq)`` order: a heap entry due at ``now`` was scheduled
   while the clock was earlier, so its seq precedes every lane entry,
   and nothing scheduled at ``now`` enters the heap (DESIGN §15).
-* **Pooled handles.**  Dispatched heap and lane
-  :class:`ScheduledCallback` handles are recycled for later
-  ``schedule`` calls.  Timeouts are not pooled: the model makes few of
-  them (136 against 133,983 ``schedule`` calls at the saturated
-  fig. 2 point), so :meth:`Environment.timeout` builds a fresh
-  :class:`Timeout`, and a fired one may be yielded again.
+* **The entry is the handle.**  :meth:`Environment.schedule` returns
+  the list it queued, and :meth:`Environment.cancel` clears its
+  callback slot; the loop skips an entry whose slot is ``None``.  The
+  kernel never reuses an entry, so a cancel after the callback ran,
+  or a second cancel, only clears a slot that will never be read
+  again (DESIGN §17).  A timeout is built fresh too: the model
+  makes few of them (136 against 133,983 ``schedule`` calls at the
+  saturated fig. 2 point), so :meth:`Environment.timeout` builds a
+  fresh :class:`Timeout`, and a fired one may be yielded again.
 * **GC paused during dispatch.**  ``run()`` disables the cyclic
   collector for the duration of the loop (see :meth:`Environment.run`),
   so model objects must not form reference cycles.
 
 :meth:`Environment.run` has one dispatch loop, also under the runtime
-sanitizer (``repro.sanitizer``), which only observes: it builds the
-handles ``schedule`` returns, so that none is handed out twice and a
-misused ``cancel`` can be told from a sanctioned one.
+sanitizer (``repro.sanitizer``), which only observes the processes
+the kernel starts.
 """
 
 from __future__ import annotations
@@ -75,7 +77,6 @@ __all__ = [
     "Interrupt",
     "Mailbox",
     "Process",
-    "ScheduledCallback",
     "SimulationError",
     "Timeout",
     "Waitable",
@@ -84,9 +85,6 @@ __all__ = [
 #: The generator type driven by the kernel.  The values sent back into the
 #: generator are whatever the waitable resolved to.
 ProcessGenerator = Generator["Waitable", Any, Any]
-
-#: Dispatched/reaped callback handles kept for reuse per environment.
-_HANDLE_POOL_LIMIT = 512
 
 
 class SimulationError(Exception):
@@ -103,38 +101,6 @@ class Interrupt(Exception):
     def __init__(self, cause: Any = None):
         super().__init__(cause)
         self.cause = cause
-
-
-class ScheduledCallback:
-    """Handle for a callback placed by :meth:`Environment.schedule`.
-
-    Scheduling is append-only; cancellation just flips a flag and the
-    entry is discarded when popped.  Positional arguments are stored on
-    the handle and passed to the callback when it runs, so timer and
-    message callbacks need no per-event closure allocation.  A handle
-    sits on the heap, whose ``(time, seq, handle)`` entry carries its
-    due time and order, or on the fast lane when it is due at the
-    current instant.  :meth:`Environment.schedule_now` entries carry no
-    handle.
-
-    Ownership: once a handle has run (or was cancelled and reaped by the
-    dispatch loop), the loop sets its ``callback`` to ``None`` and it
-    belongs to the kernel again; it may be recycled for a future
-    ``schedule`` call.  Callers must therefore drop their reference no
-    later than the callback firing, and never call :meth:`cancel` on a
-    handle whose callback has already run.
-    """
-
-    __slots__ = ("callback", "args", "cancelled")
-
-    def __init__(self, callback: Callable[..., None], args: tuple = ()):
-        self.callback = callback
-        self.args = args
-        self.cancelled = False
-
-    def cancel(self) -> None:
-        """Prevent the callback from running; safe to call repeatedly."""
-        self.cancelled = True
 
 
 class Waitable:
@@ -233,13 +199,13 @@ class Timeout(Waitable):
 
     A timeout has one waiter at a time: a second subscription while
     one is pending raises :class:`SimulationError`.  The waiter's
-    scheduled-callback handle is kept beside it, so cancellation never
-    depends on ``id(process)`` keys, which could collide after garbage
+    scheduled entry is kept beside it, so cancellation never depends
+    on ``id(process)`` keys, which could collide after garbage
     collection reuses an id.  Once fired, a timeout can be yielded
     again and waits its own ``delay`` anew.
     """
 
-    __slots__ = ("env", "delay", "value", "_waiter", "_handle")
+    __slots__ = ("env", "delay", "value", "_waiter", "_entry")
 
     def __init__(self, env: "Environment", delay: float, value: Any = None):
         # Written so that a NaN delay fails too.
@@ -249,26 +215,26 @@ class Timeout(Waitable):
         self.delay = delay
         self.value = value
         self._waiter: Optional[Process] = None
-        self._handle: Optional[ScheduledCallback] = None
+        self._entry: Optional[list] = None
 
     def _subscribe(self, process: "Process") -> None:
         if self._waiter is not None:
             raise SimulationError("a timeout has one waiter at a time")
         self._waiter = process
-        self._handle = self.env.schedule(self.delay, self._fire, process)
+        self._entry = self.env.schedule(self.delay, self._fire, process)
 
     def _fire(self, process: "Process") -> None:
         self._waiter = None
-        self._handle = None
+        self._entry = None
         if process._alive and process._waiting_on is self:
             process._resume(self.value)
 
     def _unsubscribe(self, process: "Process") -> None:
         if self._waiter is process:
-            assert self._handle is not None
-            self._handle.cancel()
+            assert self._entry is not None
+            self.env.cancel(self._entry)
             self._waiter = None
-            self._handle = None
+            self._entry = None
 
 
 class Process(Waitable):
@@ -449,15 +415,19 @@ class _JoinWatcher:
     to a child directly.
     """
 
-    __slots__ = ("owner", "index", "name", "_alive", "_waiting_on")
+    __slots__ = ("owner", "index", "_alive", "_waiting_on")
 
     def __init__(self, owner: "Waitable", index: int, child: Waitable):
         self.owner = owner
         self.index = index
-        self.name = f"{type(owner).__name__.lower()}-watcher"
         self._alive = True
         self._waiting_on: Optional[Waitable] = child
         child._subscribe(self)
+
+    @property
+    def name(self) -> str:
+        """Crash-report identity, built only when a crash is reported."""
+        return f"{type(self.owner).__name__.lower()}-watcher"
 
     def _resume(self, value: Any) -> None:
         self._alive = False
@@ -611,18 +581,18 @@ class Environment:
     model code.  ``dispatch_count`` counts callbacks actually run — the
     events/second benchmarks divide it by wall-clock time.
 
-    Fast-lane entries are pairs, told apart by their second element:
+    A scheduled entry is a list ``[time, seq, callback, args]``;
+    :meth:`cancel` sets its ``callback`` slot to ``None``.  Fast-lane
+    entries are pairs, told apart by their second element:
     ``(callback, args)`` from :meth:`schedule_now` (a tuple),
-    ``(handle, None)`` for a ``schedule`` entry due at the current
+    ``(entry, None)`` for a ``schedule`` entry due at the current
     instant, and ``(waiter, event)`` for a fired :class:`Event`'s
     delivery to one waiter.  Each counts as one dispatch, a dropped
-    delivery included.
+    delivery included; a cancelled entry does not.
 
-    ``sanitizer`` attaches a runtime sanitizer (``repro.sanitizer``):
-    it builds the handles :meth:`schedule` returns and sees every
-    process start.  :meth:`run` takes the same loop either way; it
-    recycles handles only on a clean run, since a sanitized
-    ``schedule`` never draws from the pool.
+    ``sanitizer`` attaches a runtime sanitizer (``repro.sanitizer``)
+    that sees every process start.  :meth:`run` takes the same loop
+    either way.
     """
 
     __slots__ = (
@@ -631,7 +601,6 @@ class Environment:
         "_fast",
         "_seq",
         "_crashes",
-        "_handle_pool",
         "_san",
         "_running",
         "dispatch_count",
@@ -639,13 +608,12 @@ class Environment:
 
     def __init__(self, sanitizer: Optional[Any] = None):
         self.now = 0.0
-        self._heap: list[tuple[float, int, ScheduledCallback]] = []
+        self._heap: list[list] = []
         # Three entry shapes, told apart by the second slot (see the
         # class docstring): args tuple, None, or the fired Event.
         self._fast: deque[tuple[Any, Any]] = deque()
         self._seq = 0
         self._crashes: list[tuple[Process, BaseException]] = []
-        self._handle_pool: list[ScheduledCallback] = []
         # None on the clean path so every sanitizer hook is one
         # attribute load and a predictable branch.
         self._san = sanitizer
@@ -659,11 +627,12 @@ class Environment:
 
     def schedule(
         self, delay: float, callback: Callable[..., None], *args: Any
-    ) -> ScheduledCallback:
+    ) -> list:
         """Run ``callback(*args)`` after ``delay`` simulated seconds.
 
-        An entry due at the current instant (a zero or sub-ulp delay)
-        joins the fast lane behind its handle, so it stays cancellable.
+        Returns the entry, ``[time, seq, callback, args]``, for
+        :meth:`cancel`.  An entry due at the current instant (a zero or
+        sub-ulp delay) joins the fast lane, so it stays cancellable.
         """
         # Written so that a NaN delay fails too.
         if not delay >= 0:
@@ -672,26 +641,23 @@ class Environment:
         self._seq = seq + 1
         now = self.now
         time = now + delay
-        san = self._san
-        if san is not None:
-            # Sanitized handles are never pooled: stable identity is
-            # what makes lifecycle misuse detectable.
-            handle = san.new_handle(callback, args)
-        else:
-            pool = self._handle_pool
-            if pool:
-                handle = pool.pop()
-                handle.callback = callback
-                handle.args = args
-                handle.cancelled = False
-            else:
-                handle = ScheduledCallback(callback, args)
+        entry = [time, seq, callback, args]
         # The delay is not negative, so the entry is due now or later.
         if time > now:
-            heapq.heappush(self._heap, (time, seq, handle))
+            heapq.heappush(self._heap, entry)
         else:
-            self._fast.append((handle, None))
-        return handle
+            self._fast.append((entry, None))
+        return entry
+
+    @staticmethod
+    def cancel(entry: list) -> None:
+        """Keep a :meth:`schedule` entry's callback from running.
+
+        The loop reaps the entry without counting it.  Entries are
+        never reused, so cancelling one that already ran, or cancelling
+        twice, is harmless.
+        """
+        entry[2] = None
 
     def schedule_now(
         self, callback: Callable[..., None], *args: Any
@@ -701,7 +667,7 @@ class Environment:
         The path of every deferred delivery.  It cannot be cancelled
         (use ``schedule(0.0, ...)`` for that): it appends a plain
         ``(callback, args)`` pair to the fast lane and builds no
-        handle.
+        entry.
         """
         self._fast.append((callback, args))
 
@@ -751,8 +717,8 @@ class Environment:
         live heap entry; reaping a cancelled one never moves it.
         A lane delivery ``(waiter, event)`` resumes the waiter with the
         event's value if ``waiter._alive and waiter._waiting_on is
-        event``, and is dropped otherwise.  Dispatched and reaped
-        handles are recycled, unless a sanitizer is attached.
+        event``, and is dropped otherwise.  An entry whose callback
+        slot is ``None`` was cancelled: it is reaped and not counted.
 
         The cyclic collector is paused for the duration of the loop.
         The loop allocates at a steady rate, and letting the collector
@@ -782,11 +748,6 @@ class Environment:
         fast = self._fast
         popleft = fast.popleft
         heappop = heapq.heappop
-        pool = self._handle_pool
-        pool_append = pool.append
-        # A sanitized ``schedule`` builds a fresh handle every time, so
-        # pooling would only pin handles nobody reuses.
-        pool_limit = _HANDLE_POOL_LIMIT if self._san is None else 0
         now = self.now
         dispatched = self.dispatch_count
         self._running = True
@@ -794,30 +755,20 @@ class Environment:
             while True:
                 # A heap top never precedes ``now``.
                 while heap and not heap[0][0] > now:
-                    handle = heappop(heap)[2]
-                    if not handle.cancelled:
+                    _time, _seq, callback, args = heappop(heap)
+                    if callback is not None:
                         dispatched += 1
-                        handle.callback(*handle.args)
-                    # The handle is kernel-owned again (see
-                    # ScheduledCallback); recycle it.
-                    handle.callback = None
-                    handle.args = ()
-                    if len(pool) < pool_limit:
-                        pool_append(handle)
+                        callback(*args)
                 while fast:
                     first, second = popleft()
                     if type(second) is tuple:
                         dispatched += 1
                         first(*second)
                     elif second is None:
-                        handle = first
-                        if not handle.cancelled:
+                        _time, _seq, callback, args = first
+                        if callback is not None:
                             dispatched += 1
-                            handle.callback(*handle.args)
-                        handle.callback = None
-                        handle.args = ()
-                        if len(pool) < pool_limit:
-                            pool_append(handle)
+                            callback(*args)
                     else:
                         # A delivery: the waiter may have been
                         # interrupted (and moved on) since the fire.
@@ -825,17 +776,13 @@ class Environment:
                         if first._alive and first._waiting_on is second:
                             first._resume(second._value)
                 while heap:
-                    time, _seq, handle = heap[0]
+                    time, _seq, callback, _args = heap[0]
                     if until is not None and time > until:
                         self.now = until
                         return
-                    if not handle.cancelled:
+                    if callback is not None:
                         break
                     heappop(heap)
-                    handle.callback = None
-                    handle.args = ()
-                    if len(pool) < pool_limit:
-                        pool_append(handle)
                 else:
                     break
                 now = time

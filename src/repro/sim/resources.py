@@ -35,7 +35,7 @@ from enum import Enum
 from itertools import count
 from typing import Callable, Optional
 
-from repro.sim.kernel import Environment, Event, ScheduledCallback
+from repro.sim.kernel import Environment, Event
 from repro.sim.stats import TimeWeighted
 
 __all__ = ["CPU", "Disk", "DiskRequestKind"]
@@ -56,7 +56,11 @@ class _PsJob(Event):
     __slots__ = ("cpu", "cancelled")
 
     def __init__(self, env: Environment, cpu: "CPU"):
-        Event.__init__(self, env)
+        # Event.__init__ written out: one frame fewer per job.
+        self.env = env
+        self._fired = False
+        self._value = None
+        self._waiters = None
         self.cpu = cpu
         self.cancelled = False
 
@@ -90,7 +94,8 @@ class CPU:
         self._v_updated_at = env.now
         self._ps_heap: list[tuple[float, int, _PsJob]] = []
         self._ps_active = 0
-        self._ps_timer: Optional[ScheduledCallback] = None
+        # The kernel entry of the armed completion timer.
+        self._ps_timer: Optional[list] = None
         # Message (FIFO, high-priority) state: (seconds, continuation).
         self._msg_queue: deque[tuple[float, Callable[[], None]]] = deque()
         self._msg_busy = False
@@ -196,8 +201,10 @@ class CPU:
 
     def _reschedule_ps(self) -> None:
         """Arm the timer for the next PS completion (if any)."""
-        if self._ps_timer is not None:
-            self._ps_timer.cancel()
+        timer = self._ps_timer
+        if timer is not None:
+            # Environment.cancel written out: one frame fewer per re-arm.
+            timer[2] = None
             self._ps_timer = None
         if self._msg_busy:
             return
@@ -255,14 +262,16 @@ class CPU:
         self._v_updated_at = now
         self._msg_busy = True
         self.busy_time.update(now, 1.0)
-        if self._ps_timer is not None:
-            self._ps_timer.cancel()
+        timer = self._ps_timer
+        if timer is not None:
+            timer[2] = None  # Environment.cancel, as in _reschedule_ps
             self._ps_timer = None
         seconds, done = self._msg_queue.popleft()
         self.env.schedule(seconds, self._finish_message, done)
 
     def _finish_message(self, done: Callable[[], None]) -> None:
-        self.env.schedule_now(done)
+        # The pair ``schedule_now(done)`` appends, appended here.
+        self.env._fast.append((done, ()))
         if self._msg_queue:
             # Still busy: the PS clock stays frozen.
             self._start_next_message()
@@ -303,7 +312,11 @@ class _DiskRequest(Event):
     def __init__(
         self, env: Environment, disk: "Disk", kind: DiskRequestKind
     ):
-        Event.__init__(self, env)
+        # Event.__init__ written out: one frame fewer per request.
+        self.env = env
+        self._fired = False
+        self._value = None
+        self._waiters = None
         self.disk = disk
         self.kind = kind
         self.queued = True
@@ -340,7 +353,9 @@ class Disk:
         self.min_time = min_time
         self.max_time = max_time
         self.name = name
-        self._stream = stream
+        # Service times are drawn as ``random.Random.uniform`` draws
+        # them, without its frame.
+        self._random = stream.random
         self._read_queue: deque[_DiskRequest] = deque()
         self._write_queue: deque[_DiskRequest] = deque()
         self._busy = False
@@ -396,7 +411,8 @@ class Disk:
             return
         self._busy = True
         self.busy_time.update(self.env.now, 1.0)
-        service = self._stream.uniform(self.min_time, self.max_time)
+        low = self.min_time
+        service = low + (self.max_time - low) * self._random()
         self.env.schedule(service, self._finish, request)
 
     def _finish(self, request: _DiskRequest) -> None:

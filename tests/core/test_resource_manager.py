@@ -33,7 +33,7 @@ class TestExecute:
         done = []
 
         def worker():
-            yield rm.cpu_job(1_000_000)
+            yield rm.cpu.execute(1_000_000)
             done.append(env.now)
 
         env.process(worker())
@@ -47,7 +47,7 @@ class TestExecute:
         outcome = []
 
         def work():
-            yield rm.cpu_job(1_000_000)  # 1s
+            yield rm.cpu.execute(1_000_000)  # 1s
 
         def victim():
             try:
@@ -56,7 +56,7 @@ class TestExecute:
                 outcome.append(env.now)
 
         def bystander():
-            yield rm.cpu_job(1_000_000)
+            yield rm.cpu.execute(1_000_000)
             outcome.append(("done", env.now))
 
         victim_process = env.process(victim())
@@ -69,18 +69,18 @@ class TestExecute:
         assert outcome[1][1] == pytest.approx(1.1)
 
     def test_interrupt_cancels_job_yielded_directly(self, env):
-        # The same case as above, waiting on cpu_job's request itself.
+        # The same case as above, waiting on the CPU job itself.
         rm = make_rm(env)
         outcome = []
 
         def victim():
             try:
-                yield rm.cpu_job(1_000_000)  # 1s
+                yield rm.cpu.execute(1_000_000)  # 1s
             except Interrupt:
                 outcome.append(env.now)
 
         def bystander():
-            yield rm.cpu_job(1_000_000)
+            yield rm.cpu.execute(1_000_000)
             outcome.append(("done", env.now))
 
         victim_process = env.process(victim())
@@ -118,6 +118,29 @@ class TestDisks:
         served = [disk.reads_served for disk in rm.disks]
         assert sum(served) == 20
         assert min(served) >= 4  # roughly balanced random choice
+
+    def test_disk_choice_is_one_randrange_draw(self, env):
+        """Reads and write-backs pick the disk a ``randrange`` over the
+        disk count draws from the choice stream, draw for draw."""
+        rm = make_rm(env, disks=3)
+        reads = []
+        for step in range(40):
+            if step % 3 == 2:
+                rm.initiate_async_write()
+            else:
+                reads.append(rm.read_page().disk)
+        env.run()
+        reference = RandomStreams(3).get("choice")
+        expected_reads = []
+        expected_writes = [0, 0, 0]
+        for step in range(40):
+            index = reference.randrange(3)
+            if step % 3 == 2:
+                expected_writes[index] += 1
+            else:
+                expected_reads.append(rm.disks[index])
+        assert reads == expected_reads
+        assert [disk.writes_served for disk in rm.disks] == expected_writes
 
     def test_interrupt_cancels_queued_read(self, env):
         # The victim waits inside a sub-generator it delegates to, so
@@ -202,7 +225,7 @@ class TestStatistics:
         rm = make_rm(env, disks=1)
 
         def load():
-            yield rm.cpu_job(500_000)
+            yield rm.cpu.execute(500_000)
 
         env.process(load())
         env.process(iter_disk(rm))

@@ -16,7 +16,7 @@ from repro.core.config import (
 from repro.core.database import Database
 from repro.core.transaction import AccessSpec, PageAccess
 from repro.core.workload import AggregatedTerminalSource, Source
-from repro.sim.kernel import Environment
+from repro.sim.kernel import Environment, SimulationError
 from repro.sim.streams import RandomStreams, derive_seed
 
 
@@ -286,6 +286,9 @@ class TestTerminalSource:
             (watcher.name, type(exception))
             for watcher, exception in env.crashes
         ] == [("terminal-0", ValueError), ("terminal-1", ValueError)]
+        # The crash report, the name's one reader, still names it.
+        with pytest.raises(SimulationError, match="process 'terminal-0'"):
+            env.check_crashes()
         # A crashed transaction never finishes: its terminal stops.
         assert manager.active_transactions == 2
 

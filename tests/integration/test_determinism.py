@@ -142,11 +142,10 @@ SANITIZED_POINTS = {
 
 
 class TestSanitizerParity:
-    """A sanitized run takes the same dispatch loop as a clean run, but
-    with sanitizer-built handles, unpooled at ``schedule``, and the
-    sanitizer's hooks.  The sanitizer only observes, so every reported
-    number must be identical: a sanitized run vouches for the clean
-    run it stands in for."""
+    """A sanitized run takes the same dispatch loop as a clean run,
+    with the sanitizer's hooks added.  The sanitizer only observes, so
+    every reported number must be identical: a sanitized run vouches
+    for the clean run it stands in for."""
 
     @pytest.mark.parametrize(
         "point", list(SANITIZED_POINTS), ids=list(SANITIZED_POINTS)

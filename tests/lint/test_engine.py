@@ -1,10 +1,12 @@
 """Engine tests: discovery, the report, and the one-pass run."""
 
 import ast
+import gc
 
 import pytest
 
 from repro.lint.engine import discover_files, lint_paths
+from repro.lint.registry import Rule
 
 CLEAN = "def fine():\n    return 1\n"
 DIRTY = "jobs[id(event)] = job\n"
@@ -114,3 +116,49 @@ class TestOnePass:
             ("parse-error", "repro/core/broken.py"),
             ("stream-registry", "repro/core/user.py"),
         ]
+
+
+class _CollectorProbe(Rule):
+    """A file rule that records whether the collector runs, and may
+    fail."""
+
+    rule_id = "collector-probe"
+
+    def __init__(self, fail=False):
+        self.seen = []
+        self.fail = fail
+
+    def check(self, tree, source, path):
+        self.seen.append(gc.isenabled())
+        if self.fail:
+            raise RuntimeError("probe failed")
+        return []
+
+
+class TestCollectorPause:
+    """The cyclic collector is paused while the parsed trees are alive
+    and restored however the run ends."""
+
+    def test_paused_during_the_run_and_restored(self, tmp_path):
+        root = write_tree(tmp_path, {"a.py": CLEAN, "b.py": CLEAN})
+        probe = _CollectorProbe()
+        assert gc.isenabled()
+        lint_paths([root], rules=[probe])
+        assert probe.seen == [False, False]
+        assert gc.isenabled()
+
+    def test_restored_after_a_raise(self, tmp_path):
+        root = write_tree(tmp_path, {"a.py": CLEAN})
+        assert gc.isenabled()
+        with pytest.raises(RuntimeError, match="probe failed"):
+            lint_paths([root], rules=[_CollectorProbe(fail=True)])
+        assert gc.isenabled()
+
+    def test_a_disabled_collector_stays_disabled(self, tmp_path):
+        root = write_tree(tmp_path, {"a.py": CLEAN})
+        gc.disable()
+        try:
+            lint_paths([root], rules=[_CollectorProbe()])
+            assert not gc.isenabled()
+        finally:
+            gc.enable()

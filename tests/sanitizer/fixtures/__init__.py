@@ -35,10 +35,6 @@ def draw_unregistered(simulation):
     simulation.streams.get(UNREGISTERED_STREAM).random()
 
 
-def _noop():
-    pass
-
-
 def make_env():
     sanitizer = Sanitizer()
     env = Environment(sanitizer=sanitizer)
@@ -98,44 +94,6 @@ def stream_near_miss_owned_draws():
 
     env.schedule(1.0, draw)
     env.run()
-    sanitizer.finish_env(env)
-    return sanitizer
-
-
-# ----------------------------------------------------------------------
-# handle-lifecycle
-# ----------------------------------------------------------------------
-
-
-def handle_stale_cancel():
-    """cancel() after the callback already dispatched: under pooling
-    this would cancel whatever unrelated event recycled the handle."""
-    env, sanitizer = make_env()
-    handle = env.schedule(1.0, _noop)
-    env.run(until=2.0)
-    handle.cancel()
-    sanitizer.finish_env(env)
-    return sanitizer
-
-
-def handle_double_cancel():
-    """A second cancel() before the loop reaps the first."""
-    env, sanitizer = make_env()
-    handle = env.schedule(1.0, _noop)
-    handle.cancel()
-    handle.cancel()
-    env.run(until=2.0)  # reaps the cancelled handle
-    sanitizer.finish_env(env)
-    return sanitizer
-
-
-def handle_near_miss_single_cancel():
-    """One cancel before dispatch, reaped by the loop — the sanctioned
-    pattern (timeouts losing an AnyOf race) stays clean."""
-    env, sanitizer = make_env()
-    handle = env.schedule(1.0, _noop)
-    handle.cancel()
-    env.run(until=2.0)
     sanitizer.finish_env(env)
     return sanitizer
 

@@ -46,8 +46,8 @@ class TestScheduling:
 
     def test_cancelled_callback_never_runs(self, env):
         seen = []
-        handle = env.schedule(1.0, lambda: seen.append("x"))
-        handle.cancel()
+        entry = env.schedule(1.0, lambda: seen.append("x"))
+        env.cancel(entry)
         env.run()
         assert seen == []
 
@@ -92,12 +92,12 @@ class TestScheduling:
         assert env.now == (10.0 if pending else 5.0)
 
     def test_cancellation_is_lazy_and_exact(self, env):
-        """Cancelled handles are reaped at pop time, never eagerly."""
+        """Cancelled entries are reaped at pop time, never eagerly."""
         fired = []
         keep = env.schedule(2.0, fired.append, "keep")
         dead = env.schedule(1.0, fired.append, "dead")
         env.schedule(3.0, fired.append, "tail")
-        dead.cancel()
+        env.cancel(dead)
         assert keep is not dead
         env.run()
         assert fired == ["keep", "tail"]
@@ -106,7 +106,7 @@ class TestScheduling:
     def test_reschedule_after_cancel_reuses_handle_safely(self, env):
         fired = []
         dead = env.schedule(5.0, fired.append, "dead")
-        dead.cancel()
+        env.cancel(dead)
 
         def chain(label, left):
             fired.append(label)
@@ -430,8 +430,12 @@ class TestCombinators:
         env.run()
         assert process.alive
         [(watcher, exception)] = env.crashes
-        assert watcher.name == combinator.replace("_", "") + "-watcher"
+        name = combinator.replace("_", "") + "-watcher"
+        assert watcher.name == name
         assert isinstance(exception, ValueError)
+        # The crash report, the name's one reader, still names it.
+        with pytest.raises(SimulationError, match=f"process '{name}'"):
+            env.check_crashes()
 
     def test_interrupt_while_waiting_on_all_of(self, env):
         pending = env.event()

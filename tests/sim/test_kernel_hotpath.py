@@ -4,10 +4,10 @@ Covers the same-time fast lane (interleaving with equal-time heap
 entries in exact sequence order, checked against a reference queue
 that applies the global ``(time, seq)`` rule directly), the loop's
 event deliveries (subscription order, the still-waiting check, one
-dispatch each), handle pooling (recycled handles never replay stale
-callbacks), unpooled and single-waiter timeouts, AnyOf loser cleanup, and
-the interrupt-vs-deferred-delivery races the transaction manager
-depends on.
+dispatch each), the scheduled-entry contract (every entry distinct, a
+cancel that touches only its own entry), unpooled and single-waiter
+timeouts, AnyOf loser cleanup, and the interrupt-vs-deferred-delivery
+races the transaction manager depends on.
 """
 
 import heapq
@@ -40,7 +40,7 @@ def _sanitized_env():
 
 
 class _ReferenceEntry:
-    """A reference queue entry, cancellable like a kernel handle."""
+    """A reference queue entry; :meth:`_ReferenceEnv.cancel` flags it."""
 
     __slots__ = ("callback", "args", "cancelled")
 
@@ -48,9 +48,6 @@ class _ReferenceEntry:
         self.callback = callback
         self.args = args
         self.cancelled = False
-
-    def cancel(self):
-        self.cancelled = True
 
 
 class _ReferenceEvent:
@@ -110,6 +107,10 @@ class _ReferenceEnv:
 
     def schedule_now(self, callback, *args):
         self.schedule(0.0, callback, *args)
+
+    @staticmethod
+    def cancel(entry):
+        entry.cancelled = True
 
     def event(self):
         return _ReferenceEvent(self)
@@ -244,7 +245,7 @@ class _Waiter:
 def _scripts(draw):
     """Steps ``(parent, kind, target)``: each runs when its parent
     fires or is resumed (parent -1 is the root, at t=1.0); a cancel
-    step cancels ``target``'s handle if it is still pending, and a
+    step cancels ``target``'s entry if it is still pending, and a
     leave step takes ``target``'s waiter off the event if it still
     waits."""
     count = draw(st.integers(min_value=1, max_value=16))
@@ -272,7 +273,6 @@ def _play(env, script):
     waiters = {}
 
     def fire(index):
-        # The kernel owns a handle again once its callback runs.
         pending.pop(index, None)
         order.append((env.now, index))
         spawn(index)
@@ -287,9 +287,9 @@ def _play(env, script):
             if kind == "now":
                 env.schedule_now(fire, index)
             elif kind == "cancel":
-                handle = pending.pop(target, None)
-                if handle is not None:
-                    handle.cancel()
+                entry = pending.pop(target, None)
+                if entry is not None:
+                    env.cancel(entry)
                     order.append((env.now, f"cancel-{target}"))
             elif kind == "wait":
                 waiter = waiters[index] = _Waiter(partial(resume, index))
@@ -345,7 +345,7 @@ class TestDispatchRuleDifferential:
         then the fast lane) give the reference queue's global
         ``(time, seq)`` order on scripts mixing zero and sub-ulp
         delays, equal-time heap entries from different instants,
-        cancels of heap and lane handles, nested ``schedule_now``, a
+        cancels of heap and lane entries, nested ``schedule_now``, a
         ``run(until)`` split, and an event fired with waiters
         subscribed before and after it, some of which stop waiting."""
         assert _play(Environment(), script) == _play(
@@ -427,32 +427,84 @@ class TestDeliveryOrder:
         assert simulation.env.dispatch_count == 28603
 
 
-class TestHandlePooling:
-    def test_handles_are_recycled(self, env):
-        env.schedule(1.0, lambda: None)
-        env.run()
-        assert len(env._handle_pool) == 1
-        recycled = env._handle_pool[-1]
-        handle = env.schedule(1.0, lambda: None)
-        assert handle is recycled
+class TestScheduledEntries:
+    """``schedule`` returns the entry it queued, ``cancel`` clears the
+    entry's callback slot, and the kernel never reuses an entry
+    (DESIGN §17)."""
 
-    def test_recycled_handle_forgets_cancellation(self, env):
-        seen = []
-        handle = env.schedule(1.0, seen.append, "a")
-        handle.cancel()
+    @pytest.mark.parametrize(
+        "make_env", [Environment, _sanitized_env], ids=["clean", "sanitized"]
+    )
+    def test_every_schedule_returns_a_distinct_entry(self, make_env):
+        """No entry is handed out twice, on the heap or the lane, so a
+        cancel can only ever reach the entry it was given."""
+        env = make_env()
+        entries = []
+        for _ in range(100):
+            for delay in (1.0, 0.0):
+                entry = env.schedule(delay, lambda: None)
+                assert not any(entry is earlier for earlier in entries)
+                entries.append(entry)
+            env.run()
+        assert env.dispatch_count == 200
+
+    def test_cancel_after_dispatch_leaves_later_entries_alone(self):
+        """Cancelling an entry whose callback already ran changes no
+        later entry's dispatch: the run is the one without the cancel."""
+
+        def script(stale_cancel):
+            env = Environment()
+            order = []
+            ran = env.schedule(1.0, order.append, "ran")
+            env.run()
+            for tag in ("a", "b", "c"):
+                env.schedule(1.0, order.append, tag)
+            env.schedule(0.0, order.append, "now")
+            if stale_cancel:
+                env.cancel(ran)
+            env.run()
+            return order, env.now, env.dispatch_count
+
+        expected = (["ran", "now", "a", "b", "c"], 2.0, 5)
+        assert script(True) == script(False) == expected
+
+    def test_double_cancel_is_harmless(self, env):
+        """A second cancel, before or after the entry is reaped, only
+        clears the slot again."""
+        order = []
+        dead = env.schedule(1.0, order.append, "dead")
+        env.cancel(dead)
+        env.cancel(dead)
         env.run()
-        assert seen == []
-        # The cancelled handle was reaped into the pool; reusing it must
-        # deliver the new callback.
-        reused = env.schedule(1.0, seen.append, "b")
-        assert reused is handle
+        env.schedule(1.0, order.append, "a")
+        env.schedule(0.0, order.append, "now")
+        env.cancel(dead)
         env.run()
-        assert seen == ["b"]
+        assert order == ["now", "a"]
+        assert env.dispatch_count == 2
+        assert env.now == 1.0
+
+    def test_cancelled_lane_entry_neither_runs_nor_counts(self, env):
+        """A zero-delay entry waits on the fast lane, and cancelling it
+        there drops it without a dispatch."""
+        order = []
+
+        def at_one():
+            dead = env.schedule(0.0, order.append, "dead")
+            env.schedule_now(order.append, "after")
+            env.cancel(dead)
+            assert len(env._fast) == 2 and not env._heap
+
+        env.schedule(1.0, at_one)
+        env.run()
+        assert order == ["after"]
+        assert env.dispatch_count == 2
+        assert env.now == 1.0
 
     def test_cancelled_timer_never_fires_after_reuse(self, env):
-        # A process abandons its timeout (interrupt); the timer's handle
-        # is cancelled, reaped, and recycled into later scheduling.  The
-        # old timeout must never resume anyone.
+        # A process abandons its timeout (interrupt); the timer's entry
+        # is cancelled and reaped while later entries are scheduled.
+        # The old timeout must never resume anyone.
         resumed = []
 
         def sleeper():
@@ -464,8 +516,7 @@ class TestHandlePooling:
 
         process = env.process(sleeper())
         env.schedule(1.0, process.interrupt)
-        # Plenty of churn after the cancellation so the pooled handle is
-        # reused many times before t=5.0 passes.
+        # Plenty of churn after the cancellation, before t=5.0 passes.
         for step in range(50):
             env.schedule(1.0 + step * 0.1, lambda: None)
         env.run()
@@ -473,29 +524,11 @@ class TestHandlePooling:
         assert env.now == 5.9
 
     def test_dispatch_count_counts_real_callbacks_only(self, env):
-        handle = env.schedule(1.0, lambda: None)
-        handle.cancel()
+        entry = env.schedule(1.0, lambda: None)
+        env.cancel(entry)
         env.schedule(2.0, lambda: None)
         env.run()
         assert env.dispatch_count == 1
-
-    def test_sanitized_run_pools_no_handles(self):
-        """A sanitized ``schedule`` builds a fresh handle every time,
-        so the loop pools none; a clean run of the same config still
-        recycles its handles."""
-        sanitized = Simulation(
-            tiny_config(think_time=0.0, terminals=16),
-            sanitizer=Sanitizer(),
-        )
-        sanitized.run()
-        assert sanitized.env._handle_pool == []
-
-        clean = Simulation(tiny_config(think_time=0.0, terminals=16))
-        clean.run()
-        pool = clean.env._handle_pool
-        assert pool
-        recycled = pool[-1]
-        assert clean.env.schedule(1.0, lambda: None) is recycled
 
 
 class TestTimeoutPooling:

@@ -4,8 +4,14 @@ import random
 
 import pytest
 
-from repro.sim.kernel import Environment
-from repro.sim.resources import CPU, Disk, DiskRequestKind
+from repro.sim.kernel import Environment, Event
+from repro.sim.resources import (
+    CPU,
+    Disk,
+    DiskRequestKind,
+    _DiskRequest,
+    _PsJob,
+)
 
 
 @pytest.fixture
@@ -322,6 +328,51 @@ class TestDisk:
         env.run()
         assert disk.reads_served == 1
         assert disk.writes_served == 2
+
+
+class TestExactRequests:
+    """The resource path's inlined steps keep their draws and their
+    event state exactly (DESIGN §17)."""
+
+    def test_service_times_are_uniform_draws(self, env):
+        """Each service time is the value ``random.Random.uniform``
+        draws from the same stream, draw for draw."""
+        disk = Disk(env, 0.010, 0.030, random.Random(3))
+        done = []
+
+        def reader():
+            yield disk.access(DiskRequestKind.READ)
+            done.append(env.now)
+
+        for _ in range(50):
+            env.process(reader())
+        env.run()
+        # Serial FIFO service from t=0: each completion is the last
+        # one plus one service time, added as the kernel adds it.
+        reference = random.Random(3)
+        expected = []
+        clock = 0.0
+        for _ in range(50):
+            clock = clock + reference.uniform(0.010, 0.030)
+            expected.append(clock)
+        assert done == expected
+
+    def test_fresh_requests_have_event_state(self, env):
+        """A new CPU job and disk request read as ``Event(env)`` does."""
+        cpu = CPU(env, mips=1.0)
+        disk = Disk(env, 0.01, 0.01, random.Random(7))
+        job = cpu.execute(1_000)
+        request = disk.access(DiskRequestKind.READ)
+        assert (type(job), type(request)) == (_PsJob, _DiskRequest)
+
+        def state(event):
+            return (
+                [getattr(event, slot) for slot in Event.__slots__],
+                event.fired,
+                event.value,
+            )
+
+        assert state(job) == state(request) == state(Event(env))
 
 
 class TestCancelState:
