@@ -17,11 +17,12 @@ local-reject path BTO uses.
 
 from __future__ import annotations
 
+from typing import List
+
 from repro.cc.base import CCAlgorithm, CCContext, CCResponse
 from repro.cc.locking_common import LockingNodeManager
-from repro.cc.locks import LockMode
-from repro.core.database import PageId
-from repro.core.transaction import Cohort
+from repro.cc.locks import LockRequest
+from repro.core.transaction import Transaction
 
 __all__ = ["ImmediateRestart", "ImmediateRestartNodeManager"]
 
@@ -31,15 +32,12 @@ class ImmediateRestartNodeManager(LockingNodeManager):
 
     upgrades_jump_queue = False
 
-    def _acquire(
-        self, cohort: Cohort, page: PageId, mode: LockMode
+    def on_conflict(
+        self,
+        request: LockRequest,
+        conflict_set: List[Transaction],
     ) -> CCResponse:
-        granted, request, _conflicts = self.locks.acquire(
-            cohort, page, mode
-        )
-        if granted:
-            return CCResponse.granted()
-        assert request is not None
+        """Withdraw the request at once and reject it."""
         self.locks.cancel_request(request)
         return CCResponse.rejected()
 

@@ -1,13 +1,19 @@
-"""Shared node-manager logic for the locking algorithms (2PL, WW).
+"""Shared node-manager logic for the locking algorithms (2PL, WW, WD, IR).
 
-Both locking algorithms behave identically except for what happens when
-a request must wait: 2PL blocks and checks for deadlocks, wound-wait
-wounds younger conflicting transactions first.  That difference is the
-:meth:`LockingNodeManager.on_conflict` hook.
+The four locking algorithms share one lock table and differ only in
+what happens when a request must wait: 2PL blocks and checks for
+deadlocks, wound-wait wounds younger conflicting transactions first,
+wait-die lets a younger requester die, and immediate restart rejects
+every conflict.  That difference is the
+:meth:`LockingNodeManager.on_conflict` hook, which the lock table calls
+with the queued request and returns the response of.  A request the
+table grants at once never reaches the manager's policy: ``read_request``
+and ``write_request`` return the table's response as it is.
 """
 
 from __future__ import annotations
 
+from abc import abstractmethod
 from typing import List, Tuple
 
 from repro.cc.base import CCContext, CCResponse, NodeCCManager
@@ -16,6 +22,9 @@ from repro.core.database import PageId
 from repro.core.transaction import Cohort, Transaction
 
 __all__ = ["LockingNodeManager"]
+
+_SHARED = LockMode.SHARED
+_EXCLUSIVE = LockMode.EXCLUSIVE
 
 
 class LockingNodeManager(NodeCCManager):
@@ -29,36 +38,37 @@ class LockingNodeManager(NodeCCManager):
 
     def __init__(self, node_id: int, context: CCContext):
         super().__init__(node_id, context)
-        self.locks = LockManager(
-            context.env, upgrades_jump_queue=self.upgrades_jump_queue
+        self.locks = self._new_lock_table()
+
+    def _new_lock_table(self) -> LockManager:
+        return LockManager(
+            self.context.env,
+            upgrades_jump_queue=self.upgrades_jump_queue,
+            on_conflict=self.on_conflict,
         )
 
     def read_request(self, cohort: Cohort, page: PageId) -> CCResponse:
-        """Acquire a shared lock, blocking on conflict."""
-        return self._acquire(cohort, page, LockMode.SHARED)
+        """Acquire a shared lock; a conflict goes to the policy."""
+        return self.locks.acquire(cohort, page, _SHARED)
 
     def write_request(self, cohort: Cohort, page: PageId) -> CCResponse:
-        """Convert the read lock to a write lock, blocking on conflict."""
-        return self._acquire(cohort, page, LockMode.EXCLUSIVE)
+        """Convert the read lock to a write lock; a conflict goes to
+        the policy."""
+        return self.locks.acquire(cohort, page, _EXCLUSIVE)
 
-    def _acquire(
-        self, cohort: Cohort, page: PageId, mode: LockMode
-    ) -> CCResponse:
-        granted, request, conflict_set = self.locks.acquire(
-            cohort, page, mode
-        )
-        if granted:
-            return CCResponse.granted()
-        assert request is not None
-        self.on_conflict(request, conflict_set)
-        return CCResponse.blocked(request.event)
-
+    @abstractmethod
     def on_conflict(
         self,
         request: LockRequest,
         conflict_set: List[Transaction],
-    ) -> None:
-        """Policy hook invoked after a request has been queued."""
+    ) -> CCResponse:
+        """Policy for a request the table has just queued.
+
+        ``conflict_set`` lists the distinct transactions the request
+        waits for.  Returns the response: blocked on
+        ``request.event``, or rejected after withdrawing the request
+        with ``self.locks.cancel_request``.
+        """
 
     def prepare(self, cohort: Cohort) -> bool:
         """Locking validates during execution; always vote yes."""
@@ -75,9 +85,7 @@ class LockingNodeManager(NodeCCManager):
 
     def crash_reset(self) -> None:
         """Drop the whole lock table (all residents were interrupted)."""
-        self.locks = LockManager(
-            self.context.env, upgrades_jump_queue=self.upgrades_jump_queue
-        )
+        self.locks = self._new_lock_table()
 
     def waits_for_edges(
         self,

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Set
 
-from repro.cc.base import CCAlgorithm, CCContext
+from repro.cc.base import CCAlgorithm, CCContext, CCResponse
 from repro.cc.locking_common import LockingNodeManager
 from repro.cc.locks import LockManager, LockRequest
 from repro.cc.wfg import break_all_deadlocks, find_cycle_from, youngest
@@ -75,8 +75,8 @@ class TwoPhaseLockingNodeManager(LockingNodeManager):
         self,
         request: LockRequest,
         conflict_set: List[Transaction],
-    ) -> None:
-        """Local deadlock detection, run whenever a cohort blocks.
+    ) -> CCResponse:
+        """Block, after local deadlock detection.
 
         Every new wait edge touches the blocker (including the
         behind-edges an upgrade creates by jumping the queue), so any
@@ -84,24 +84,23 @@ class TwoPhaseLockingNodeManager(LockingNodeManager):
         Several distinct cycles can close at once, so detection
         iterates: find a cycle through the blocker, doom its youngest
         member, and search again without the doomed transactions
-        until no cycle remains.
+        until no cycle remains.  Blocked purely behind compatible
+        waiters (e.g. a shared request behind a shared queue), the
+        blocker has no outgoing wait edge, so no cycle can pass
+        through it and there is nothing to search.
         """
         me = request.transaction
-        if not conflict_set:
-            # Blocked purely behind compatible waiters (e.g. a shared
-            # request behind a shared queue): no outgoing wait edge from
-            # the blocker, so no cycle can pass through it.
-            return
         doomed: Set[Transaction] = set()
-        while me not in doomed:
+        while conflict_set and me not in doomed:
             cycle = local_deadlock_cycle(self.locks, me, doomed)
             if cycle is None:
-                return
+                break
             victim = youngest(cycle)
             doomed.add(victim)
             self.context.request_abort(
                 victim, "local-deadlock", self.node_id
             )
+        return CCResponse.blocked(request.event)
 
 
 class TwoPhaseLocking(CCAlgorithm):

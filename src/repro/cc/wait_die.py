@@ -22,11 +22,12 @@ its coordinator exactly like a BTO timestamp rejection.
 
 from __future__ import annotations
 
+from typing import List
+
 from repro.cc.base import CCAlgorithm, CCContext, CCResponse
 from repro.cc.locking_common import LockingNodeManager
-from repro.cc.locks import LockMode
-from repro.core.database import PageId
-from repro.core.transaction import Cohort
+from repro.cc.locks import LockRequest
+from repro.core.transaction import Transaction
 
 __all__ = ["WaitDie", "WaitDieNodeManager"]
 
@@ -36,20 +37,17 @@ class WaitDieNodeManager(LockingNodeManager):
 
     upgrades_jump_queue = False
 
-    def _acquire(
-        self, cohort: Cohort, page: PageId, mode: LockMode
+    def on_conflict(
+        self,
+        request: LockRequest,
+        conflict_set: List[Transaction],
     ) -> CCResponse:
-        txn = cohort.transaction
-        assert txn.timestamp is not None
-        granted, request, conflict_set = self.locks.acquire(
-            cohort, page, mode
-        )
-        if granted:
-            return CCResponse.granted()
-        assert request is not None
+        """Die if anyone the request waits for is older, else block."""
+        me = request.transaction
+        assert me.timestamp is not None
         conflicts_with_older = any(
             other.timestamp is not None
-            and other.timestamp < txn.timestamp
+            and other.timestamp < me.timestamp
             for other in conflict_set
         )
         if conflicts_with_older:

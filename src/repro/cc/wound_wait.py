@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from typing import List
 
-from repro.cc.base import CCAlgorithm, CCContext
+from repro.cc.base import CCAlgorithm, CCContext, CCResponse
 from repro.cc.locking_common import LockingNodeManager
 from repro.cc.locks import LockRequest
 from repro.core.transaction import Transaction
@@ -46,8 +46,9 @@ class WoundWaitNodeManager(LockingNodeManager):
         self,
         request: LockRequest,
         conflict_set: List[Transaction],
-    ) -> None:
-        """Wound every younger transaction the request waits for."""
+    ) -> CCResponse:
+        """Wound every younger transaction the request waits for, then
+        block."""
         me = request.transaction
         assert me.timestamp is not None
         for other in conflict_set:
@@ -62,6 +63,7 @@ class WoundWaitNodeManager(LockingNodeManager):
                     self.context.request_abort(
                         other, "wound", self.node_id
                     )
+        return CCResponse.blocked(request.event)
 
 
 class WoundWait(CCAlgorithm):

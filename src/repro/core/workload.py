@@ -12,14 +12,22 @@ footnote 12) — and updating each read page with WriteProb.
 Crucially, *"the nature of transaction access streams is independent of
 data placement and machine size"* (footnote 8): the same pages are drawn
 regardless of where partitions live, and only the grouping of accesses
-into cohorts changes with placement.  The source therefore draws page
-accesses per partition first and groups them by node afterwards.
+into cohorts changes with placement.  The source therefore draws each
+partition's page accesses from streams that placement never touches,
+and groups them by node as it places them.
+
+Per drawn page the source runs no Python frame of its own: the uniform
+page choice is :func:`sample_range`, ``random.Random.sample`` written
+out over the stream's ``getrandbits``, and each ``PageId`` and
+``PageAccess`` is built with ``tuple.__new__``, which is what their
+generated ``NamedTuple.__new__`` calls.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Dict, List, Sequence, Tuple
+from math import ceil, log
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from repro.core.config import TransactionClassConfig, WorkloadConfig
 from repro.core.database import Database, PageId, PartitionId
@@ -32,7 +40,55 @@ __all__ = [
     "AggregatedTerminalSource",
     "RetryBackoff",
     "Source",
+    "sample_range",
 ]
+
+_new_tuple = tuple.__new__
+
+
+def sample_range(
+    getrandbits: Callable[[int], int], n: int, k: int
+) -> List[int]:
+    """``random.Random.sample(range(n), k)``, drawn through ``getrandbits``.
+
+    CPython's ``Random.sample`` with its ``_randbelow`` written out:
+    every index comes from the same ``getrandbits`` draws, in the same
+    order, so the result and the stream's state afterwards are the
+    stdlib's, without a Python frame per drawn index.  ``getrandbits``
+    is a ``random.Random`` stream's bound method.  The workload tests
+    compare it with the running interpreter's ``Random.sample``, so an
+    interpreter that samples differently fails there instead of
+    silently changing every drawn page.
+    """
+    if not 0 <= k <= n:
+        raise ValueError("Sample larger than population or is negative")
+    result = [0] * k
+    setsize = 21  # size of a small set minus size of an empty list
+    if k > 5:
+        setsize += 4 ** ceil(log(k * 3, 4))  # table size for big sets
+    if n <= setsize:
+        # An n-length list is smaller than a k-length set.
+        # Invariant: non-selected at pool[0 : n - i].
+        pool = list(range(n))
+        for i in range(k):
+            size = n - i
+            bits = size.bit_length()
+            j = getrandbits(bits)
+            while j >= size:
+                j = getrandbits(bits)
+            result[i] = pool[j]
+            pool[j] = pool[size - 1]
+    else:
+        # Redraw until the index is below n (_randbelow) and new.
+        bits = n.bit_length()
+        selected = set()
+        for i in range(k):
+            j = getrandbits(bits)
+            while j >= n or j in selected:
+                j = getrandbits(bits)
+            selected.add(j)
+            result[i] = j
+    return result
 
 
 class RetryBackoff:
@@ -76,21 +132,28 @@ class Source:
         self.database = database
         self.streams = streams
         self._class_bounds = self._assign_class_bounds()
-        # Hot-path stream handles: the named-stream lookups below are
-        # made once here instead of per draw.  Streams are seeded by
-        # name, so grabbing them eagerly changes no draw sequence.
+        # Stream handles for the per-transaction draws: each
+        # named-stream lookup is made once here instead of per draw.
+        # Streams are seeded by name, so grabbing them eagerly changes
+        # no draw sequence.
         self._page_count_stream = streams.get(
             "page-count", owner="workload"
         )
-        self._page_choice_stream = streams.get(
+        self._page_choice_bits = streams.get(
             "page-choice", owner="workload"
-        )
+        ).getrandbits
         self._write_coin_stream = streams.get(
             "write-coin", owner="workload"
         )
         self._inst_draw = streams.get(
             "inst-per-page", owner="workload"
         ).expovariate
+        self._copy_choice = streams.get(
+            "copy-choice", owner="workload"
+        ).randint
+        self._file_choice_bits = streams.get(
+            "file-choice", owner="workload"
+        ).getrandbits
         # Zipf-skewed page choice (access_skew > 0): cumulative-weight
         # tables per (theta, population) and the dedicated draw stream,
         # both created on first skewed draw so uniform workloads touch
@@ -149,17 +212,17 @@ class Source:
     def generate(self, terminal: int) -> AccessSpec:
         """Draw the access specification for a new transaction.
 
-        Placement looks up each partition's copy sites once.  Every
-        stream still draws in the same order as drawing all partitions
-        first and placing each access afterwards: the page streams per
+        Placement looks up each partition's copy sites once and appends
+        each access to its node's list as it places it.  Every stream
+        still draws in the same order as drawing all partitions first
+        and placing each access afterwards: the page streams per
         partition, ``copy-choice`` per access.
         """
         cls = self.class_of(terminal)
         relation = self.relation_of(terminal)
-        partitions = self._choose_partitions(cls, relation)
         nodes_of_partition = self.database.nodes_of_partition
-        placed: List[tuple] = []
-        for partition in partitions:
+        by_node: Dict[int, List[PageAccess]] = {}
+        for partition in self._choose_partitions(cls, relation):
             accesses = self._draw_partition_accesses(
                 cls, relation, partition
             )
@@ -167,46 +230,44 @@ class Source:
                 PartitionId(relation, partition)
             )
             if len(copy_nodes) == 1:
-                node = copy_nodes[0]
-                placed.extend([(node, access) for access in accesses])
+                node_accesses = by_node.get(copy_nodes[0])
+                if node_accesses is None:
+                    by_node[copy_nodes[0]] = accesses
+                else:
+                    node_accesses.extend(accesses)
             else:
-                self._place_replicated(copy_nodes, accesses, placed)
-        cohorts = self._group_into_cohorts(placed)
-        return AccessSpec(relation=relation, cohorts=tuple(cohorts))
+                self._place_replicated(copy_nodes, accesses, by_node)
+        return AccessSpec(
+            relation=relation,
+            cohorts=tuple(
+                CohortSpec(node=node, accesses=tuple(by_node[node]))
+                for node in sorted(by_node)
+            ),
+        )
 
     def _place_replicated(
         self,
         copy_nodes: Sequence[int],
         accesses: Sequence[PageAccess],
-        placed: List[tuple],
+        by_node: Dict[int, List[PageAccess]],
     ) -> None:
-        """Append one partition's accesses to ``placed``: read-one /
-        write-all over its ``copy_nodes``.
+        """Place one partition's accesses: read-one / write-all over its
+        ``copy_nodes``, appending each to its node's list in
+        ``by_node``.
 
         The read happens at one randomly chosen copy; an update
         additionally produces an install-only write access at every
         other copy site.
         """
+        last = len(copy_nodes) - 1
         for access in accesses:
-            read_index = self.streams.uniform_int(
-                "copy-choice", 0, len(copy_nodes) - 1,
-                owner="workload",
-            )
-            placed.append((copy_nodes[read_index], access))
+            read_index = self._copy_choice(0, last)
+            by_node.setdefault(copy_nodes[read_index], []).append(access)
             if access.is_update:
+                install = _new_tuple(PageAccess, (access.page, True, True))
                 for index, node in enumerate(copy_nodes):
-                    if index == read_index:
-                        continue
-                    placed.append(
-                        (
-                            node,
-                            PageAccess(
-                                page=access.page,
-                                is_update=True,
-                                install_only=True,
-                            ),
-                        )
-                    )
+                    if index != read_index:
+                        by_node.setdefault(node, []).append(install)
 
     def _choose_partitions(
         self, cls: TransactionClassConfig, relation: int
@@ -216,10 +277,7 @@ class Source:
         count = min(cls.file_count, total)
         if count == total:
             return range(total)
-        chosen = self.streams.sample_without_replacement(
-            "file-choice", total, count, owner="workload"
-        )
-        return sorted(chosen)
+        return sorted(sample_range(self._file_choice_bits, total, count))
 
     def _draw_partition_accesses(
         self, cls: TransactionClassConfig, relation: int, partition: int
@@ -235,14 +293,13 @@ class Source:
                 cls.access_skew, pages_per_partition, num_pages
             )
         else:
-            page_indices = self._page_choice_stream.sample(
-                range(pages_per_partition), num_pages
+            page_indices = sample_range(
+                self._page_choice_bits, pages_per_partition, num_pages
             )
         write_probability = cls.write_probability
         coin = self._write_coin_stream.random
         accesses = []
         for index in page_indices:
-            page = PageId(relation, partition, index)
             # Mirrors RandomStreams.bernoulli: degenerate probabilities
             # consume no draw.
             if write_probability <= 0.0:
@@ -251,7 +308,10 @@ class Source:
                 is_update = True
             else:
                 is_update = coin() < write_probability
-            accesses.append(PageAccess(page=page, is_update=is_update))
+            page = _new_tuple(PageId, (relation, partition, index))
+            accesses.append(
+                _new_tuple(PageAccess, (page, is_update, False))
+            )
         return accesses
 
     def _zipf_cumulative(
@@ -306,18 +366,6 @@ class Source:
             seen.add(index)
             chosen.append(index)
         return chosen
-
-    def _group_into_cohorts(
-        self, placed: Sequence[tuple]
-    ) -> List[CohortSpec]:
-        """Group (node, access) pairs into one cohort per node."""
-        by_node: dict[int, List[PageAccess]] = {}
-        for node, access in placed:
-            by_node.setdefault(node, []).append(access)
-        return [
-            CohortSpec(node=node, accesses=tuple(node_accesses))
-            for node, node_accesses in sorted(by_node.items())
-        ]
 
     def think_time(self, terminal: int) -> float:
         """Draw an exponential think time (0 when the mean is 0).

@@ -2,50 +2,81 @@
 
 import pytest
 
-from repro.cc.base import RequestResult
+from repro.cc.base import CCResponse, RequestResult
 from repro.cc.locks import LockManager, LockMode
 
 from tests.cc.conftest import page
 
 
+class RecordingBlock:
+    """A blocking ``on_conflict`` that keeps the last queued request
+    and its conflict set."""
+
+    def __init__(self):
+        self.last = None
+
+    def __call__(self, request, conflict_set):
+        self.last = (request, conflict_set)
+        return CCResponse.blocked(request.event)
+
+
+def make_locks(env, upgrades_jump_queue):
+    return LockManager(env, upgrades_jump_queue, RecordingBlock())
+
+
 @pytest.fixture
 def locks(env):
-    return LockManager(env, upgrades_jump_queue=True)
+    return make_locks(env, upgrades_jump_queue=True)
 
 
 def cohort_of(txn):
     return txn.cohort
 
 
+def acquire(locks, cohort, page, mode):
+    """One request through ``locks.acquire``, as ``(granted, queued
+    request, conflict set)``; checks the response's shape."""
+    locks.on_conflict.last = None
+    response = locks.acquire(cohort, page, mode)
+    if response.result is RequestResult.GRANTED:
+        assert response is CCResponse.granted()
+        assert locks.on_conflict.last is None
+        return True, None, []
+    request, conflicts = locks.on_conflict.last
+    assert response.result is RequestResult.BLOCKED
+    assert response.event is request.event
+    return False, request, conflicts
+
+
 class TestSharedLocks:
     def test_shared_granted_on_free_page(self, locks, new_txn):
-        granted, request, conflicts = locks.acquire(
-            cohort_of(new_txn()), page(1), LockMode.SHARED
+        granted, request, conflicts = acquire(
+            locks, cohort_of(new_txn()), page(1), LockMode.SHARED
         )
         assert granted
         assert request is None
         assert conflicts == []
 
     def test_shared_locks_compatible(self, locks, new_txn):
-        locks.acquire(cohort_of(new_txn()), page(1), LockMode.SHARED)
-        granted, _, _ = locks.acquire(
-            cohort_of(new_txn()), page(1), LockMode.SHARED
+        acquire(locks, cohort_of(new_txn()), page(1), LockMode.SHARED)
+        granted, _, _ = acquire(
+            locks, cohort_of(new_txn()), page(1), LockMode.SHARED
         )
         assert granted
 
     def test_reacquiring_shared_is_noop(self, locks, new_txn):
         txn = new_txn()
-        locks.acquire(cohort_of(txn), page(1), LockMode.SHARED)
-        granted, _, _ = locks.acquire(
-            cohort_of(txn), page(1), LockMode.SHARED
+        acquire(locks, cohort_of(txn), page(1), LockMode.SHARED)
+        granted, _, _ = acquire(
+            locks, cohort_of(txn), page(1), LockMode.SHARED
         )
         assert granted
 
     def test_shared_blocked_by_exclusive_holder(self, locks, new_txn):
         writer, reader = new_txn(), new_txn()
-        locks.acquire(cohort_of(writer), page(1), LockMode.EXCLUSIVE)
-        granted, request, conflicts = locks.acquire(
-            cohort_of(reader), page(1), LockMode.SHARED
+        acquire(locks, cohort_of(writer), page(1), LockMode.EXCLUSIVE)
+        granted, request, conflicts = acquire(
+            locks, cohort_of(reader), page(1), LockMode.SHARED
         )
         assert not granted
         assert conflicts == [writer]
@@ -54,10 +85,10 @@ class TestSharedLocks:
                                                     new_txn):
         """FIFO: a reader must not starve a queued writer."""
         holder, writer, reader = new_txn(), new_txn(), new_txn()
-        locks.acquire(cohort_of(holder), page(1), LockMode.SHARED)
-        locks.acquire(cohort_of(writer), page(1), LockMode.EXCLUSIVE)
-        granted, _, conflicts = locks.acquire(
-            cohort_of(reader), page(1), LockMode.SHARED
+        acquire(locks, cohort_of(holder), page(1), LockMode.SHARED)
+        acquire(locks, cohort_of(writer), page(1), LockMode.EXCLUSIVE)
+        granted, _, conflicts = acquire(
+            locks, cohort_of(reader), page(1), LockMode.SHARED
         )
         assert not granted
         assert writer in conflicts
@@ -65,25 +96,25 @@ class TestSharedLocks:
 
 class TestExclusiveLocks:
     def test_exclusive_granted_on_free_page(self, locks, new_txn):
-        granted, _, _ = locks.acquire(
-            cohort_of(new_txn()), page(1), LockMode.EXCLUSIVE
+        granted, _, _ = acquire(
+            locks, cohort_of(new_txn()), page(1), LockMode.EXCLUSIVE
         )
         assert granted
 
     def test_exclusive_blocked_by_shared_holder(self, locks, new_txn):
         reader, writer = new_txn(), new_txn()
-        locks.acquire(cohort_of(reader), page(1), LockMode.SHARED)
-        granted, _, conflicts = locks.acquire(
-            cohort_of(writer), page(1), LockMode.EXCLUSIVE
+        acquire(locks, cohort_of(reader), page(1), LockMode.SHARED)
+        granted, _, conflicts = acquire(
+            locks, cohort_of(writer), page(1), LockMode.EXCLUSIVE
         )
         assert not granted
         assert conflicts == [reader]
 
     def test_reacquiring_exclusive_is_noop(self, locks, new_txn):
         txn = new_txn()
-        locks.acquire(cohort_of(txn), page(1), LockMode.EXCLUSIVE)
-        granted, _, _ = locks.acquire(
-            cohort_of(txn), page(1), LockMode.EXCLUSIVE
+        acquire(locks, cohort_of(txn), page(1), LockMode.EXCLUSIVE)
+        granted, _, _ = acquire(
+            locks, cohort_of(txn), page(1), LockMode.EXCLUSIVE
         )
         assert granted
 
@@ -91,18 +122,18 @@ class TestExclusiveLocks:
 class TestUpgrades:
     def test_sole_holder_upgrades_immediately(self, locks, new_txn):
         txn = new_txn()
-        locks.acquire(cohort_of(txn), page(1), LockMode.SHARED)
-        granted, _, _ = locks.acquire(
-            cohort_of(txn), page(1), LockMode.EXCLUSIVE
+        acquire(locks, cohort_of(txn), page(1), LockMode.SHARED)
+        granted, _, _ = acquire(
+            locks, cohort_of(txn), page(1), LockMode.EXCLUSIVE
         )
         assert granted
 
     def test_upgrade_waits_for_other_readers(self, locks, new_txn):
         a, b = new_txn(), new_txn()
-        locks.acquire(cohort_of(a), page(1), LockMode.SHARED)
-        locks.acquire(cohort_of(b), page(1), LockMode.SHARED)
-        granted, request, conflicts = locks.acquire(
-            cohort_of(a), page(1), LockMode.EXCLUSIVE
+        acquire(locks, cohort_of(a), page(1), LockMode.SHARED)
+        acquire(locks, cohort_of(b), page(1), LockMode.SHARED)
+        granted, request, conflicts = acquire(
+            locks, cohort_of(a), page(1), LockMode.EXCLUSIVE
         )
         assert not granted
         assert request.is_upgrade
@@ -112,10 +143,10 @@ class TestUpgrades:
         self, env, locks, new_txn
     ):
         a, b = new_txn(), new_txn()
-        locks.acquire(cohort_of(a), page(1), LockMode.SHARED)
-        locks.acquire(cohort_of(b), page(1), LockMode.SHARED)
-        _, request, _ = locks.acquire(
-            cohort_of(a), page(1), LockMode.EXCLUSIVE
+        acquire(locks, cohort_of(a), page(1), LockMode.SHARED)
+        acquire(locks, cohort_of(b), page(1), LockMode.SHARED)
+        _, request, _ = acquire(
+            locks, cohort_of(a), page(1), LockMode.EXCLUSIVE
         )
         results = []
 
@@ -131,15 +162,15 @@ class TestUpgrades:
     def test_upgrade_jumps_ahead_of_plain_waiters(self, env, locks,
                                                   new_txn):
         holder, other_reader, writer = new_txn(), new_txn(), new_txn()
-        locks.acquire(cohort_of(holder), page(1), LockMode.SHARED)
-        locks.acquire(
-            cohort_of(other_reader), page(1), LockMode.SHARED
+        acquire(locks, cohort_of(holder), page(1), LockMode.SHARED)
+        acquire(
+            locks, cohort_of(other_reader), page(1), LockMode.SHARED
         )
         # Plain exclusive waiter queues first.
-        locks.acquire(cohort_of(writer), page(1), LockMode.EXCLUSIVE)
+        acquire(locks, cohort_of(writer), page(1), LockMode.EXCLUSIVE)
         # Holder's upgrade then jumps ahead of it.
-        _, upgrade, _ = locks.acquire(
-            cohort_of(holder), page(1), LockMode.EXCLUSIVE
+        _, upgrade, _ = acquire(
+            locks, cohort_of(holder), page(1), LockMode.EXCLUSIVE
         )
         order = []
 
@@ -153,15 +184,15 @@ class TestUpgrades:
         assert order == ["upgrade"]
 
     def test_back_queue_policy_keeps_fifo(self, env, new_txn):
-        locks = LockManager(env, upgrades_jump_queue=False)
+        locks = make_locks(env, upgrades_jump_queue=False)
         a, b, writer = new_txn(), new_txn(), new_txn()
-        locks.acquire(cohort_of(a), page(1), LockMode.SHARED)
-        locks.acquire(cohort_of(b), page(1), LockMode.SHARED)
-        _, w_request, _ = locks.acquire(
-            cohort_of(writer), page(1), LockMode.EXCLUSIVE
+        acquire(locks, cohort_of(a), page(1), LockMode.SHARED)
+        acquire(locks, cohort_of(b), page(1), LockMode.SHARED)
+        _, w_request, _ = acquire(
+            locks, cohort_of(writer), page(1), LockMode.EXCLUSIVE
         )
-        _, upgrade, conflicts = locks.acquire(
-            cohort_of(a), page(1), LockMode.EXCLUSIVE
+        _, upgrade, conflicts = acquire(
+            locks, cohort_of(a), page(1), LockMode.EXCLUSIVE
         )
         # The upgrade queues behind the plain writer: it waits for b
         # (conflicting holder) and the writer ahead of it.
@@ -172,9 +203,9 @@ class TestUpgrades:
 class TestRelease:
     def test_release_grants_next_exclusive(self, env, locks, new_txn):
         a, b = new_txn(), new_txn()
-        locks.acquire(cohort_of(a), page(1), LockMode.EXCLUSIVE)
-        _, request, _ = locks.acquire(
-            cohort_of(b), page(1), LockMode.EXCLUSIVE
+        acquire(locks, cohort_of(a), page(1), LockMode.EXCLUSIVE)
+        _, request, _ = acquire(
+            locks, cohort_of(b), page(1), LockMode.EXCLUSIVE
         )
         fired = []
 
@@ -190,11 +221,11 @@ class TestRelease:
     def test_release_grants_shared_batch(self, env, locks, new_txn):
         writer = new_txn()
         readers = [new_txn() for _ in range(3)]
-        locks.acquire(cohort_of(writer), page(1), LockMode.EXCLUSIVE)
+        acquire(locks, cohort_of(writer), page(1), LockMode.EXCLUSIVE)
         events = []
         for reader in readers:
-            _, request, _ = locks.acquire(
-                cohort_of(reader), page(1), LockMode.SHARED
+            _, request, _ = acquire(
+                locks, cohort_of(reader), page(1), LockMode.SHARED
             )
             events.append(request.event)
         granted = []
@@ -211,8 +242,8 @@ class TestRelease:
 
     def test_release_removes_queued_requests(self, locks, new_txn):
         a, b = new_txn(), new_txn()
-        locks.acquire(cohort_of(a), page(1), LockMode.EXCLUSIVE)
-        locks.acquire(cohort_of(b), page(1), LockMode.EXCLUSIVE)
+        acquire(locks, cohort_of(a), page(1), LockMode.EXCLUSIVE)
+        acquire(locks, cohort_of(b), page(1), LockMode.EXCLUSIVE)
         assert locks.is_waiting(b)
         locks.release_all(b)
         assert not locks.is_waiting(b)
@@ -222,7 +253,7 @@ class TestRelease:
 
     def test_release_is_idempotent(self, locks, new_txn):
         txn = new_txn()
-        locks.acquire(cohort_of(txn), page(1), LockMode.SHARED)
+        acquire(locks, cohort_of(txn), page(1), LockMode.SHARED)
         locks.release_all(txn)
         locks.release_all(txn)  # must not raise
         assert not locks.holds_any(txn)
@@ -230,8 +261,8 @@ class TestRelease:
     def test_release_all_pages(self, locks, new_txn):
         txn = new_txn()
         for index in range(5):
-            locks.acquire(
-                cohort_of(txn), page(index), LockMode.SHARED
+            acquire(
+                locks, cohort_of(txn), page(index), LockMode.SHARED
             )
         locks.release_all(txn)
         assert not locks.holds_any(txn)
@@ -240,29 +271,29 @@ class TestRelease:
 class TestWaitsForEdges:
     def test_waiter_to_holder_edge(self, locks, new_txn):
         holder, waiter = new_txn(), new_txn()
-        locks.acquire(cohort_of(holder), page(1), LockMode.EXCLUSIVE)
-        locks.acquire(cohort_of(waiter), page(1), LockMode.EXCLUSIVE)
+        acquire(locks, cohort_of(holder), page(1), LockMode.EXCLUSIVE)
+        acquire(locks, cohort_of(waiter), page(1), LockMode.EXCLUSIVE)
         assert (waiter, holder) in locks.waits_for_edges()
 
     def test_waiter_to_waiter_ahead_edge(self, locks, new_txn):
         holder, first, second = new_txn(), new_txn(), new_txn()
-        locks.acquire(cohort_of(holder), page(1), LockMode.EXCLUSIVE)
-        locks.acquire(cohort_of(first), page(1), LockMode.EXCLUSIVE)
-        locks.acquire(cohort_of(second), page(1), LockMode.EXCLUSIVE)
+        acquire(locks, cohort_of(holder), page(1), LockMode.EXCLUSIVE)
+        acquire(locks, cohort_of(first), page(1), LockMode.EXCLUSIVE)
+        acquire(locks, cohort_of(second), page(1), LockMode.EXCLUSIVE)
         edges = locks.waits_for_edges()
         assert (second, first) in edges
         assert (second, holder) in edges
 
     def test_compatible_waiters_no_edge(self, locks, new_txn):
         holder, first, second = new_txn(), new_txn(), new_txn()
-        locks.acquire(cohort_of(holder), page(1), LockMode.EXCLUSIVE)
-        locks.acquire(cohort_of(first), page(1), LockMode.SHARED)
-        locks.acquire(cohort_of(second), page(1), LockMode.SHARED)
+        acquire(locks, cohort_of(holder), page(1), LockMode.EXCLUSIVE)
+        acquire(locks, cohort_of(first), page(1), LockMode.SHARED)
+        acquire(locks, cohort_of(second), page(1), LockMode.SHARED)
         edges = locks.waits_for_edges()
         assert (second, first) not in edges
 
     def test_no_edges_when_uncontended(self, locks, new_txn):
-        locks.acquire(cohort_of(new_txn()), page(1), LockMode.SHARED)
+        acquire(locks, cohort_of(new_txn()), page(1), LockMode.SHARED)
         assert locks.waits_for_edges() == []
 
     def test_double_request_same_page_rejected(self, locks, new_txn):
@@ -271,21 +302,21 @@ class TestWaitsForEdges:
         misuse and must fail fast (the local deadlock search relies on
         one queued request per transaction per node)."""
         holder, waiter = new_txn(), new_txn()
-        locks.acquire(cohort_of(holder), page(1), LockMode.EXCLUSIVE)
-        locks.acquire(cohort_of(waiter), page(1), LockMode.SHARED)
+        acquire(locks, cohort_of(holder), page(1), LockMode.EXCLUSIVE)
+        acquire(locks, cohort_of(waiter), page(1), LockMode.SHARED)
         for second in (page(1), page(2)):
             with pytest.raises(
                 RuntimeError, match="already has a queued"
             ):
-                locks.acquire(
-                    cohort_of(waiter), second, LockMode.EXCLUSIVE
+                acquire(
+                    locks, cohort_of(waiter), second, LockMode.EXCLUSIVE
                 )
         locks.assert_consistent()
 
     def test_consistency_check_passes(self, locks, new_txn):
         for index in range(4):
-            locks.acquire(
-                cohort_of(new_txn()), page(index), LockMode.SHARED
+            acquire(
+                locks, cohort_of(new_txn()), page(index), LockMode.SHARED
             )
         locks.assert_consistent()
 
@@ -302,12 +333,12 @@ class TestDeterministicReleaseOrder:
     def _grant_order(self, env, locks, new_txn, pages):
         holder = new_txn()
         for p in pages:
-            locks.acquire(cohort_of(holder), p, LockMode.EXCLUSIVE)
+            acquire(locks, cohort_of(holder), p, LockMode.EXCLUSIVE)
         waiters = {}
         for p in pages:
             txn = new_txn()
-            _, request, _ = locks.acquire(
-                cohort_of(txn), p, LockMode.EXCLUSIVE
+            _, request, _ = acquire(
+                locks, cohort_of(txn), p, LockMode.EXCLUSIVE
             )
             waiters[p] = request.event
         order = []
@@ -331,13 +362,13 @@ class TestDeterministicReleaseOrder:
 
     def test_order_independent_of_acquisition_order(self, env,
                                                     new_txn):
-        first = LockManager(env, upgrades_jump_queue=True)
+        first = make_locks(env, upgrades_jump_queue=True)
         pages = [page(index) for index in (3, 1, 8)]
         assert self._grant_order(
             env, first, new_txn, pages
         ) == self._grant_order(
             env,
-            LockManager(env, upgrades_jump_queue=True),
+            make_locks(env, upgrades_jump_queue=True),
             new_txn,
             list(reversed(pages)),
         )

@@ -26,6 +26,7 @@ from hypothesis.stateful import (
 )
 from hypothesis import strategies as st
 
+from repro.cc.base import CCResponse, RequestResult
 from repro.cc.locks import LockManager, LockMode
 from repro.cc.two_phase_locking import local_deadlock_cycle
 from repro.cc.wfg import build_adjacency, youngest
@@ -78,7 +79,15 @@ class LockTableMachine(RuleBasedStateMachine):
     @initialize()
     def setup(self):
         self.env = Environment()
-        self.locks = LockManager(self.env, upgrades_jump_queue=True)
+        self.queued = []
+
+        def block(request, conflict_set):
+            self.queued.append(request)
+            return CCResponse.blocked(request.event)
+
+        self.locks = LockManager(
+            self.env, upgrades_jump_queue=True, on_conflict=block
+        )
         self.pages = [PageId(0, 0, index) for index in range(4)]
         self.grant_log = []
         self.transactions = []
@@ -113,10 +122,13 @@ class LockTableMachine(RuleBasedStateMachine):
         mode = (
             LockMode.EXCLUSIVE if exclusive else LockMode.SHARED
         )
-        granted, request, _conflicts = self.locks.acquire(
-            txn.cohort, page, mode
-        )
-        if not granted:
+        queued = len(self.queued)
+        response = self.locks.acquire(txn.cohort, page, mode)
+        if response.result is RequestResult.GRANTED:
+            assert len(self.queued) == queued
+        else:
+            (request,) = self.queued[queued:]
+            assert response.event is request.event
             log = self.grant_log
 
             def watch(request=request):

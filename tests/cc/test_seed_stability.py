@@ -9,6 +9,9 @@ placement), where grant order and victim choice actually decide the
 schedule.
 """
 
+import hashlib
+import json
+
 import pytest
 
 from repro.core.config import (
@@ -55,3 +58,32 @@ def test_seed_changes_the_schedule():
     a = run_simulation(contended_config("2pl", seed=7))
     b = run_simulation(contended_config("2pl", seed=8))
     assert a.as_dict() != b.as_dict()
+
+
+#: sha256 of ``json.dumps(result.as_dict(), sort_keys=True)`` for
+#: ``contended_config(algorithm, seed)``, recorded before wait-die and
+#: immediate restart moved onto the lock table's shared request path.
+#: No golden figure or benchmark digest runs either algorithm, so
+#: these pin their schedules.
+PINNED_DIGESTS = {
+    ("wd", 7): (
+        "4b336a03c13b1f930174233ee0fe2307981542818956738e7772e54d15759a4f"
+    ),
+    ("wd", 1234): (
+        "edb1d63ce170dd8d27c40ea6c91f78bfe8d5935e07dc418443e5ccab23776757"
+    ),
+    ("ir", 7): (
+        "7ac91dd54f4bdfb548d7892926c7314f37bce81b08f552284ec1002d0aba15b0"
+    ),
+    ("ir", 1234): (
+        "52f17a9b60dadbd573aa0480b82922d2558bb7a8372d8c5b45589c389643eaf1"
+    ),
+}
+
+
+@pytest.mark.parametrize("algorithm, seed", sorted(PINNED_DIGESTS))
+def test_wait_die_and_immediate_restart_digests(algorithm, seed):
+    result = run_simulation(contended_config(algorithm, seed))
+    text = json.dumps(result.as_dict(), sort_keys=True)
+    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    assert digest == PINNED_DIGESTS[(algorithm, seed)]

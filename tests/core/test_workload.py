@@ -14,7 +14,7 @@ from repro.core.config import (
     WorkloadConfig,
 )
 from repro.core.database import Database
-from repro.core.transaction import AccessSpec, PageAccess
+from repro.core.transaction import AccessSpec, CohortSpec, PageAccess
 from repro.core.workload import AggregatedTerminalSource, Source
 from repro.sim.kernel import Environment, SimulationError
 from repro.sim.streams import RandomStreams, derive_seed
@@ -181,9 +181,15 @@ def per_access_spec(source, terminal):
                             ),
                         )
                     )
+    by_node = {}
+    for node, access in placed:
+        by_node.setdefault(node, []).append(access)
     return AccessSpec(
         relation=relation,
-        cohorts=tuple(source._group_into_cohorts(placed)),
+        cohorts=tuple(
+            CohortSpec(node=node, accesses=tuple(node_accesses))
+            for node, node_accesses in sorted(by_node.items())
+        ),
     )
 
 

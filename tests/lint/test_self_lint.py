@@ -32,10 +32,11 @@ def test_known_suppressions_are_inventoried():
     assert waivers == (
         # Serialization-audit loops accumulate into sets (order-free).
         [("audit.py", "unordered-iteration")] * 2
-        # Lock-table iteration in grant order is documented semantics
-        # (conflict sets and wait-for edges follow grant history): the
-        # holders walk of ``_blockers`` and the table walk of
-        # ``waits_for_edges``.
+        # Lock-table iteration: the holders walk of ``_blockers`` is
+        # in grant order by design (conflict sets and wait-for edges
+        # follow grant history), and ``release_all``'s pass over the
+        # held pages touches only each page's own entry; it sorts the
+        # pages whose grant passes wake waiters.
         + [("locks.py", "unordered-iteration")] * 2
     )
 
