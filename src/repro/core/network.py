@@ -146,13 +146,9 @@ class NetworkManager:
         self.messages_sent = Counter()
         self.messages_dropped = Counter()
         # Fault hooks: None until an injector attaches (failure-free
-        # runs never pay for courier tracking).  The sanitizer's leak
-        # audit needs the same in-flight tracking, so sanitized runs
-        # enable it even without an injector.
+        # runs never pay for courier tracking).
         self._faults = None
         self._inflight: Optional[Dict[_Courier, None]] = None
-        if env._san is not None:
-            self._inflight = {}
 
     def attach_faults(self, injector) -> None:
         """Route every message through ``injector``'s fault filter and

@@ -35,29 +35,16 @@ __all__ = ["Simulation", "run_simulation"]
 
 
 class Simulation:
-    """One fully wired simulation instance.
+    """One fully wired simulation instance."""
 
-    ``sanitizer`` attaches a :class:`~repro.sanitizer.core.Sanitizer`
-    (``None``, the default, is a clean run).
-    """
-
-    def __init__(
-        self,
-        config: SimulationConfig,
-        auditor=None,
-        tracer=None,
-        sanitizer=None,
-    ):
+    def __init__(self, config: SimulationConfig, auditor=None, tracer=None):
         config.validate()
-        self.sanitizer = sanitizer
         self.config = config
         self.auditor = auditor
         self.tracer = tracer
         self._measured_duration = config.duration
-        self.env = Environment(sanitizer=sanitizer)
+        self.env = Environment()
         self.streams = RandomStreams(config.seed)
-        if sanitizer is not None:
-            self.streams.attach_sanitizer(sanitizer)
         self.database = Database(
             config.database, config.num_proc_nodes
         )
@@ -190,15 +177,9 @@ class Simulation:
             self.env.run(until=self.env.now + config.duration)
         self._measured_duration = self.env.now - measure_start
         self.env.check_crashes()
-        sanitizer = self.sanitizer
-        if self.fault_injector is not None and sanitizer is None:
+        if self.fault_injector is not None:
             self.fault_injector.assert_no_leaks()
-        result = self._build_result()
-        if sanitizer is not None:
-            # Leak audit: stranded work becomes findings instead of an
-            # exception.
-            sanitizer.finish_run(self)
-        return result
+        return self._build_result()
 
     def _reset_statistics(self) -> None:
         now = self.env.now

@@ -13,10 +13,8 @@ pool (``--jobs N`` / ``$REPRO_JOBS``, default ``os.cpu_count()``), and
 an optional on-disk result cache (:mod:`~repro.experiments.result_cache`)
 persists finished
 points across sessions, keyed so only sim-relevant source changes
-invalidate them.  Importing this package loads neither simsan
-(:mod:`repro.sanitizer`) nor simlint (:mod:`repro.lint`):
-``python -m repro.sanitizer`` runs the same experiments on its own
-sanitizing executor.
+invalidate them.  Importing this package does not load simlint
+(:mod:`repro.lint`).
 
 Command line::
 

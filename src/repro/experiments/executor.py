@@ -42,9 +42,7 @@ to ``os.cpu_count()``.
 
 In-process runs — the serial path and :meth:`SweepExecutor.run_one`,
 plus experiments that time a run themselves — build their
-``Simulation`` through :meth:`SweepExecutor.simulation`, the seam a
-subclass overrides to run the same sweeps another way
-(:class:`repro.sanitizer.executor.SanitizingExecutor`).
+``Simulation`` through :meth:`SweepExecutor.simulation`.
 """
 
 from __future__ import annotations

@@ -150,9 +150,8 @@ def faulted_smoke_config(algorithm: str) -> SimulationConfig:
     Two crashes plus message loss inside a 15 s window after a 5 s
     warmup, at think 8 s and 2-way declustering: the injector's
     crash/recovery paths, the 2PC timeouts and the stranded-work
-    audit all run.  CI's fault-injection smoke runs it for the four
-    distributed algorithms and ``python -m repro.sanitizer
-    --faulted-smoke`` sanitizes its 2PL point.
+    audit all run.  CI's fault-injection smoke runs it for six
+    distributed algorithms.
     """
     config = paper_default_config(
         algorithm, think_time=_THINK_TIME, placement_degree=2

@@ -19,9 +19,9 @@ Key properties:
   ``router/`` and ``faults/``).  Editing any of those files dirties
   every entry automatically — no manual version bump needed — while
   an edit to a package that only consumes results (``experiments/``,
-  ``analysis/``, ``lint/``, ``sanitizer/``) leaves the whole cache
-  warm.  ``SCHEMA_VERSION`` remains
-  for changes the fingerprint cannot see (entry codec shape).
+  ``analysis/``, ``lint/``) leaves the whole cache warm.
+  ``SCHEMA_VERSION`` remains for changes the fingerprint cannot see
+  (entry codec shape).
   ``python -m repro.experiments cache prune`` drops entries whose
   fingerprint component went stale; ``cache clear`` removes
   everything.
@@ -72,7 +72,7 @@ SCHEMA_VERSION = 5
 #: Packages (under ``src/repro/``) whose source content determines
 #: simulation output, and therefore participates in every cache key.
 #: ``faults`` builds the injector and schedule of every faulted run.
-#: Experiment/analysis/lint/sanitizer code only *consumes* results, so
+#: Experiment/analysis/lint code only *consumes* results, so
 #: edits there never invalidate entries.
 SIM_SOURCE_PACKAGES = ("sim", "cc", "core", "router", "faults")
 

@@ -23,20 +23,16 @@ On top of the per-process memo, two opt-in layers:
   points.
 
 Every module-level function here serves the process-wide executor
-(:func:`get_executor`).  :func:`using_executor` swaps another one in
-for a block; ``python -m repro.sanitizer`` runs experiments that way
-on a sanitizing executor.
+(:func:`get_executor`).
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from pathlib import Path
 from typing import (
     Callable,
     Dict,
     Iterable,
-    Iterator,
     List,
     Optional,
     Sequence,
@@ -63,7 +59,6 @@ __all__ = [
     "run_config",
     "run_many",
     "sweep",
-    "using_executor",
 ]
 
 #: The process-wide default executor.  No disk cache by default: library
@@ -74,21 +69,6 @@ _EXECUTOR = SweepExecutor()
 def get_executor() -> SweepExecutor:
     """The process-wide default executor."""
     return _EXECUTOR
-
-
-@contextmanager
-def using_executor(executor: SweepExecutor) -> Iterator[SweepExecutor]:
-    """Make ``executor`` the process-wide one for the ``with`` block.
-
-    The previous executor comes back on exit, also when the block
-    raises.
-    """
-    global _EXECUTOR
-    previous, _EXECUTOR = _EXECUTOR, executor
-    try:
-        yield executor
-    finally:
-        _EXECUTOR = previous
 
 
 def configure(

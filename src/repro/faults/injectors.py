@@ -194,53 +194,6 @@ class FaultInjector:
     # End-of-run invariants
     # ------------------------------------------------------------------
 
-    def iter_stranded(self):
-        """Yield ``(kind, name, node, path, line)`` for work stranded
-        on a currently-down node: alive resident cohort processes and
-        in-flight couriers touching a dead endpoint.
-
-        The path/line anchor is the code that would have kept running
-        — the cohort's generator function for processes, the delivery
-        handler for couriers — so both the leak exception's caller and
-        the sanitizer's leak audit can point a report at model code
-        rather than at this module.
-        """
-        for node in range(self.num_nodes):
-            if not self._down[node]:
-                continue
-            for cohort in self._resident[node]:
-                process = cohort.process
-                if process is not None and process.alive:
-                    code = getattr(
-                        process._generator, "gi_code", None
-                    )
-                    if code is not None:
-                        path = code.co_filename
-                        line = code.co_firstlineno
-                    else:
-                        path, line = "<process>", 0
-                    yield (
-                        "process", process.name, node, path, line
-                    )
-        inflight = self.network._inflight
-        if inflight:
-            for courier in inflight:
-                if self.node_down(courier.source):
-                    node = courier.source
-                elif self.node_down(courier.destination):
-                    node = courier.destination
-                else:
-                    continue
-                handler = getattr(courier, "handler", None)
-                func = getattr(handler, "__func__", handler)
-                code = getattr(func, "__code__", None)
-                if code is not None:
-                    path = code.co_filename
-                    line = code.co_firstlineno
-                else:
-                    path, line = "<network>", 0
-                yield ("courier", courier.name, node, path, line)
-
     def assert_no_leaks(self) -> None:
         """No process or message may be stranded on a dead node.
 
@@ -248,12 +201,21 @@ class FaultInjector:
         node's in-flight messages, and the down flag keeps new work
         away until recovery; if anything alive still references a
         currently-down node at simulation end, that machinery failed
-        and the process would have blocked forever.
+        and the process would have blocked forever.  The error names
+        the stranded cohort processes, node by node, then the
+        stranded couriers.
         """
-        stranded = [
-            name for _kind, name, _node, _path, _line
-            in self.iter_stranded()
-        ]
+        stranded = []
+        for node in range(self.num_nodes):
+            if self._down[node]:
+                for cohort in self._resident[node]:
+                    process = cohort.process
+                    if process is not None and process.alive:
+                        stranded.append(process.name)
+        node_down = self.node_down
+        for courier in self.network._inflight or ():
+            if node_down(courier.source) or node_down(courier.destination):
+                stranded.append(courier.name)
         if stranded:
             raise SimulationError(
                 "stranded on crashed nodes at simulation end: "

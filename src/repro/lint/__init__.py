@@ -10,10 +10,12 @@ rare cross-run flakes).  simlint rejects those bug classes at review
 time.  It parses every source file once, runs the file rules on each
 tree, and then runs one project pass (:mod:`repro.lint.project`) over
 the same trees: the random-stream discipline, which checks every draw
-site against the ``register_stream`` calls of every module.  What a
-sim process may yield, whether it re-enters ``env.run()``, a
-``post`` handler's arity and a CC manager's ``crash_reset`` are
-refused by the running simulator instead.
+site against the ``register_stream`` calls of every module; the
+running simulator refuses the same hazard on every stream it creates,
+dynamically named ones included.  What a sim process may yield,
+whether it re-enters ``env.run()``, a ``post`` handler's arity and a
+CC manager's ``crash_reset`` are refused by the running simulator
+only.
 
 Usage::
 
@@ -28,9 +30,7 @@ The one waiver is an inline, per-rule comment on the flagged line::
 
 Only live ``error``-severity findings fail a run.
 
-This package module imports nothing: the runtime sanitizer loads
-:mod:`repro.lint.violations` into every simulation process, which must
-not pay for the linter.  See :mod:`repro.lint.rules` for the file
-rules, :mod:`repro.lint.project` for the project rule, and
+This package module imports nothing.  See :mod:`repro.lint.rules`
+for the file rules, :mod:`repro.lint.project` for the project rule, and
 :mod:`repro.lint.engine` for file discovery and the one-pass run.
 """

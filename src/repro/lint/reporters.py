@@ -63,19 +63,13 @@ def render_json(report: LintReport) -> str:
     return json.dumps(payload, indent=2, sort_keys=True)
 
 
-def render_sarif(
-    report: LintReport,
-    rules: Optional[list] = None,
-    driver_name: str = "simlint",
-) -> str:
-    """SARIF 2.1.0 rendering (one run, driver ``driver_name``).
+def render_sarif(report: LintReport, rules: Optional[list] = None) -> str:
+    """SARIF 2.1.0 rendering (one run, driver ``simlint``).
 
     ``rules`` is the list of rule objects that ran (file and project
-    rules together); None means every registered rule.  The runtime
-    sanitizer reuses this renderer with its check descriptors and
-    ``driver_name="simsan"``.  Suppressed findings are emitted with an
-    ``inSource`` ``suppressions`` entry so code scanners show them as
-    dismissed instead of dropping them.
+    rules together); None means every registered rule.  Suppressed
+    findings are emitted with an ``inSource`` ``suppressions`` entry
+    so code scanners show them as dismissed instead of dropping them.
     """
     if rules is None:
         from repro.lint.registry import all_project_rules, all_rules
@@ -134,7 +128,7 @@ def render_sarif(
             {
                 "tool": {
                     "driver": {
-                        "name": driver_name,
+                        "name": "simlint",
                         "rules": descriptors,
                     }
                 },

@@ -29,17 +29,7 @@ __all__ = [
 ]
 
 #: RandomStreams methods whose first argument is a stream name.
-STREAM_DRAW_METHODS = frozenset(
-    {
-        "bernoulli",
-        "exponential",
-        "fresh",
-        "get",
-        "sample_without_replacement",
-        "uniform",
-        "uniform_int",
-    }
-)
+STREAM_DRAW_METHODS = frozenset({"bernoulli", "exponential", "fresh", "get"})
 
 
 @dataclass(frozen=True)
@@ -75,7 +65,7 @@ class StreamDraw:
 
 
 def is_draw_call(node: ast.AST) -> bool:
-    """``streams.get(...)`` / ``self.streams.uniform(...)`` /
+    """``streams.get(...)`` / ``self.streams.fresh(...)`` /
     ``self._streams.bernoulli(...)``: a named-stream method call on a
     receiver spelled like a stream family."""
     if not (

@@ -24,8 +24,7 @@ Determinism discipline (the same rules the workload streams follow):
   ones where the streams were never created.
 * Decisions happen in the coordinator's deterministic event order and
   depend only on previously *completed* transactions, so the sequence
-  of (class, arm) decisions is identical across ``--jobs`` settings
-  and between clean and sanitized runs.
+  of (class, arm) decisions is identical across ``--jobs`` settings.
 """
 
 from __future__ import annotations

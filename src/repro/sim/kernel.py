@@ -56,10 +56,6 @@ Hot-path design (the per-event cost caps every figure replication):
 * **GC paused during dispatch.**  ``run()`` disables the cyclic
   collector for the duration of the loop (see :meth:`Environment.run`),
   so model objects must not form reference cycles.
-
-:meth:`Environment.run` has one dispatch loop, also under the runtime
-sanitizer (``repro.sanitizer``), which only observes the processes
-the kernel starts.
 """
 
 from __future__ import annotations
@@ -273,9 +269,6 @@ class Process(Waitable):
         self._waiting_on: Optional[Waitable] = None
         self._watchers: list[Process] = []
         self._resuming = False
-        san = env._san
-        if san is not None:
-            san.note_process(self)
         env.schedule_now(self._start)
 
     def _start(self) -> None:
@@ -589,10 +582,6 @@ class Environment:
     instant, and ``(waiter, event)`` for a fired :class:`Event`'s
     delivery to one waiter.  Each counts as one dispatch, a dropped
     delivery included; a cancelled entry does not.
-
-    ``sanitizer`` attaches a runtime sanitizer (``repro.sanitizer``)
-    that sees every process start.  :meth:`run` takes the same loop
-    either way.
     """
 
     __slots__ = (
@@ -601,12 +590,11 @@ class Environment:
         "_fast",
         "_seq",
         "_crashes",
-        "_san",
         "_running",
         "dispatch_count",
     )
 
-    def __init__(self, sanitizer: Optional[Any] = None):
+    def __init__(self):
         self.now = 0.0
         self._heap: list[list] = []
         # Three entry shapes, told apart by the second slot (see the
@@ -614,9 +602,6 @@ class Environment:
         self._fast: deque[tuple[Any, Any]] = deque()
         self._seq = 0
         self._crashes: list[tuple[Process, BaseException]] = []
-        # None on the clean path so every sanitizer hook is one
-        # attribute load and a predictable branch.
-        self._san = sanitizer
         self._running = False
         self.dispatch_count = 0
 

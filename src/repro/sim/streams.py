@@ -16,13 +16,14 @@ Stream names are **registered**: every canonical stream the simulator
 draws from is declared below via :func:`register_stream`, with
 ``{placeholder}`` segments for per-entity families
 (``"disk-service-{node}"`` covers ``disk-service-0``,
-``disk-service-1``, ...).  The registry exists because a typo'd stream
-name does not fail — it silently forks a fresh stream and perturbs
-every common-random-numbers comparison — so the name set must be
-introspectable: the ``stream-registry`` lint rule statically checks
-every draw site against these registrations, and simsan's
-``stream-discipline`` check (:mod:`repro.sanitizer`) checks every
-runtime lookup against them.
+``disk-service-1``, ...), and the component that owns it.  A typo'd
+stream name would not fail on its own: it would silently fork a fresh
+stream and perturb every common-random-numbers comparison.  So
+:class:`RandomStreams` refuses, with a :class:`ValueError` naming the
+stream, to create a stream whose name matches no registration, and to
+hand a stream to a caller that names a component other than its
+registered owner.  The ``stream-registry`` lint rule checks the
+statically known draw sites against the same registrations.
 """
 
 from __future__ import annotations
@@ -30,15 +31,9 @@ from __future__ import annotations
 import hashlib
 import random
 import re
-from typing import Dict
+from typing import Callable, Dict, List, Optional, Tuple
 
-__all__ = [
-    "RandomStreams",
-    "derive_seed",
-    "is_registered",
-    "register_stream",
-    "stream_owner",
-]
+__all__ = ["RandomStreams", "derive_seed", "register_stream"]
 
 
 def derive_seed(master_seed: int, name: str) -> int:
@@ -56,15 +51,18 @@ def derive_seed(master_seed: int, name: str) -> int:
 #: Registered name/pattern -> one-line description.
 STREAM_REGISTRY: Dict[str, str] = {}
 
-#: Registered name/pattern -> owning component ("" = unowned).  The
-#: runtime sanitizer checks each draw's declared component against this
-#: ownership; a draw from a stream another component owns entangles
-#: sequences that the common-random-numbers discipline needs
-#: independent.
+#: Registered name/pattern -> owning component ("" = any component).
+#: A draw from a stream another component owns entangles sequences
+#: that the common-random-numbers discipline needs independent.
 STREAM_OWNERS: Dict[str, str] = {}
 
 _PLACEHOLDER_RE = re.compile(r"\{[^{}]*\}")
-_PATTERN_CACHE: Dict[str, "re.Pattern[str]"] = {}
+
+#: Every registration as one compiled alternation, ``(fullmatch,
+#: owners)``: group ``i + 1`` is registration ``i``, so a match's
+#: owner is ``owners[match.lastindex - 1]``.  Built on first use and
+#: dropped by each :func:`register_stream`.
+_matcher: Optional[Tuple[Callable, List[str]]] = None
 
 
 def register_stream(name: str, description: str = "", owner: str = "") -> str:
@@ -73,58 +71,78 @@ def register_stream(name: str, description: str = "", owner: str = "") -> str:
     Returns ``name`` so call sites can register and use in one
     expression.  Re-registering the same name overwrites the
     description (idempotent for module re-imports).  ``owner`` names
-    the component allowed to draw from the stream (enforced at runtime
-    by the sanitizer's stream-discipline checker; empty = any).
+    the component allowed to draw from the stream (empty = any).
     """
+    global _matcher
     STREAM_REGISTRY[name] = description
     STREAM_OWNERS[name] = owner
+    _matcher = None
     return name
 
 
-def _compile(pattern: str) -> "re.Pattern[str]":
-    compiled = _PATTERN_CACHE.get(pattern)
-    if compiled is None:
-        parts = []
-        last = 0
-        for match in _PLACEHOLDER_RE.finditer(pattern):
-            parts.append(re.escape(pattern[last : match.start()]))
-            parts.append(".+")
-            last = match.end()
-        parts.append(re.escape(pattern[last:]))
-        compiled = re.compile("".join(parts))
-        _PATTERN_CACHE[pattern] = compiled
-    return compiled
+def _pattern_source(pattern: str) -> str:
+    """Regex source of one registration: each placeholder stands for
+    any non-empty text, everything else for itself."""
+    parts = []
+    last = 0
+    for match in _PLACEHOLDER_RE.finditer(pattern):
+        parts.append(re.escape(pattern[last : match.start()]))
+        parts.append(".+")
+        last = match.end()
+    parts.append(re.escape(pattern[last:]))
+    return "".join(parts)
 
 
-def is_registered(name: str) -> bool:
-    """Whether a concrete stream name matches some registration."""
-    return any(
-        _compile(pattern).fullmatch(name) is not None
-        for pattern in STREAM_REGISTRY
+def _build_matcher() -> Tuple[Callable, List[str]]:
+    """Compile the registry into one alternation, one group per
+    registration: exact names first, so they win over a family, then
+    the families in sorted order."""
+    global _matcher
+    patterns = sorted(
+        STREAM_OWNERS,
+        key=lambda p: (_PLACEHOLDER_RE.search(p) is not None, p),
     )
+    regex = re.compile(
+        "|".join(f"({_pattern_source(p)})" for p in patterns)
+    )
+    _matcher = (regex.fullmatch, [STREAM_OWNERS[p] for p in patterns])
+    return _matcher
 
 
-def stream_owner(name: str) -> str:
-    """Declared owning component for a concrete stream name ("" = any).
+def _check_owner(name: str, declared: str, owner: Optional[str]) -> None:
+    """Refuse a draw by a component other than the stream's owner."""
+    if owner is not None and declared and owner != declared:
+        raise ValueError(
+            f"stream {name!r} is owned by {declared!r} but was drawn "
+            f"by {owner!r}: cross-component draws entangle sequences "
+            "that must stay independent"
+        )
 
-    Exact registrations win; otherwise the first matching
-    ``{placeholder}`` family (in sorted pattern order, for stability)
-    provides the owner.
+
+def _resolve(name: str, owner: Optional[str]) -> str:
+    """The owner registered for ``name``, checked against ``owner``.
+
+    Refuses a name that matches no registration: an undeclared stream
+    silently forks a fresh sequence and breaks common-random-numbers
+    comparisons.
     """
-    owner = STREAM_OWNERS.get(name)
-    if owner is not None:
-        return owner
-    for pattern in sorted(STREAM_OWNERS):
-        if _compile(pattern).fullmatch(name) is not None:
-            return STREAM_OWNERS[pattern]
-    return ""
+    fullmatch, owners = _matcher or _build_matcher()
+    match = fullmatch(name)
+    if match is None:
+        raise ValueError(
+            f"stream {name!r} matches no register_stream entry; "
+            "declare it with register_stream"
+        )
+    declared = owners[match.lastindex - 1]
+    _check_owner(name, declared, owner)
+    return declared
 
 
 class RandomStreams:
     """A family of independent named random streams.
 
-    Any name can be drawn from; a runtime sanitizer, when attached,
-    reports names that no :func:`register_stream` call declares.
+    Only registered names can be drawn from, and only by their owner
+    when the caller names its component (see the module docstring).
 
     Examples
     --------
@@ -136,34 +154,25 @@ class RandomStreams:
     def __init__(self, seed: int = 0):
         self.seed = seed
         self._streams: Dict[str, random.Random] = {}
-        # Runtime sanitizer; None on the clean path (zero-cost hooks).
-        self._san = None
-
-    def attach_sanitizer(self, sanitizer) -> None:
-        """Check every later stream lookup with a runtime sanitizer.
-
-        Must be called before any stream is created: call sites cache
-        stream handles, so a stream handed out before attachment might
-        never be looked up, and so checked, again.
-        """
-        if self._streams:
-            raise ValueError(
-                "attach_sanitizer must precede the first stream draw"
-            )
-        self._san = sanitizer
+        # Each cached stream's registered owner, resolved at creation.
+        self._owners: Dict[str, str] = {}
 
     def get(self, name: str, owner: str = None) -> random.Random:
         """Return the stream for ``name``, creating it on first use.
 
-        ``owner`` declares the drawing component; under the sanitizer
-        it is checked against the registration's declared ownership
-        (the stream-discipline checker).  Clean runs ignore it.
+        ``owner`` declares the drawing component; a name no
+        registration matches, or an ``owner`` other than the
+        registered one, raises :class:`ValueError`.  ``owner=None``
+        skips the owner check.
         """
         stream = self._streams.get(name)
         if stream is None:
-            stream = self._streams[name] = self.fresh(name, owner)
-        elif self._san is not None:
-            self._san.check_stream(name, owner)
+            self._owners[name] = _resolve(name, owner)
+            stream = self._streams[name] = random.Random(
+                derive_seed(self.seed, name)
+            )
+        elif owner is not None:
+            _check_owner(name, self._owners[name], owner)
         return stream
 
     def fresh(self, name: str, owner: str = None) -> random.Random:
@@ -172,11 +181,10 @@ class RandomStreams:
         Each call returns a new object that yields the sequence
         :meth:`get` hands out for ``name``, so a caller can drop a
         stream it rarely draws from and build it again later (the
-        workload's per-terminal think streams).  The sanitizer checks
-        it exactly as in :meth:`get`, which builds its streams here.
+        workload's per-terminal think streams).  ``name`` and
+        ``owner`` are checked as in :meth:`get`, on every call.
         """
-        if self._san is not None:
-            self._san.check_stream(name, owner)
+        _resolve(name, owner)
         return random.Random(derive_seed(self.seed, name))
 
     def exponential(self, name: str, mean: float, owner: str = None) -> float:
@@ -184,18 +192,6 @@ class RandomStreams:
         if mean <= 0.0:
             return 0.0
         return self.get(name, owner).expovariate(1.0 / mean)
-
-    def uniform(
-        self, name: str, low: float, high: float, owner: str = None
-    ) -> float:
-        """Draw uniformly from [low, high]."""
-        return self.get(name, owner).uniform(low, high)
-
-    def uniform_int(
-        self, name: str, low: int, high: int, owner: str = None
-    ) -> int:
-        """Draw an integer uniformly from [low, high] inclusive."""
-        return self.get(name, owner).randint(low, high)
 
     def bernoulli(
         self, name: str, probability: float, owner: str = None
@@ -206,16 +202,6 @@ class RandomStreams:
         if probability >= 1.0:
             return True
         return self.get(name, owner).random() < probability
-
-    def sample_without_replacement(
-        self, name: str, population: int, k: int, owner: str = None
-    ) -> list[int]:
-        """Sample ``k`` distinct integers from ``range(population)``."""
-        if k > population:
-            raise ValueError(
-                f"cannot sample {k} distinct items from {population}"
-            )
-        return self.get(name, owner).sample(range(population), k)
 
 
 # ----------------------------------------------------------------------

@@ -21,8 +21,8 @@ def make_rm(env, mips=1.0, disks=2, lo=0.01, hi=0.01):
         num_disks=disks,
         min_disk_time=lo,
         max_disk_time=hi,
-        disk_stream=streams.get("disk"),
-        disk_choice_stream=streams.get("choice"),
+        disk_stream=streams.get("disk-service-0"),
+        disk_choice_stream=streams.get("disk-choice-0"),
         inst_per_update=2_000.0,
     )
 
@@ -130,7 +130,7 @@ class TestDisks:
             else:
                 reads.append(rm.read_page().disk)
         env.run()
-        reference = RandomStreams(3).get("choice")
+        reference = RandomStreams(3).get("disk-choice-0")
         expected_reads = []
         expected_writes = [0, 0, 0]
         for step in range(40):

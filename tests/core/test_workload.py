@@ -164,9 +164,9 @@ def per_access_spec(source, terminal):
         if len(copy_nodes) == 1:
             placed.append((copy_nodes[0], access))
             continue
-        read_index = source.streams.uniform_int(
-            "copy-choice", 0, len(copy_nodes) - 1, owner="workload"
-        )
+        read_index = source.streams.get(
+            "copy-choice", owner="workload"
+        ).randint(0, len(copy_nodes) - 1)
         placed.append((copy_nodes[read_index], access))
         if access.is_update:
             for index, node in enumerate(copy_nodes):

@@ -117,9 +117,9 @@ class ReferenceSource(Source):
 
     def _place_replicated(self, copy_nodes, accesses, placed):
         for access in accesses:
-            read_index = self.streams.uniform_int(
-                "copy-choice", 0, len(copy_nodes) - 1, owner="workload"
-            )
+            read_index = self.streams.get(
+                "copy-choice", owner="workload"
+            ).randint(0, len(copy_nodes) - 1)
             placed.append((copy_nodes[read_index], access))
             if access.is_update:
                 for index, node in enumerate(copy_nodes):
@@ -141,8 +141,8 @@ class ReferenceSource(Source):
         count = min(cls.file_count, total)
         if count == total:
             return range(total)
-        chosen = self.streams.sample_without_replacement(
-            "file-choice", total, count, owner="workload"
+        chosen = self.streams.get("file-choice", owner="workload").sample(
+            range(total), count
         )
         return sorted(chosen)
 

@@ -28,7 +28,7 @@ from repro.experiments.result_cache import (
 
 #: Packages under ``src/repro/`` that only build configs from, or read,
 #: simulation results; edits there must leave the cache warm.
-RESULT_CONSUMERS = ("experiments", "analysis", "lint", "sanitizer")
+RESULT_CONSUMERS = ("experiments", "analysis", "lint")
 
 
 def tiny_config(algorithm="no_dc", think_time=30.0, seed=7):

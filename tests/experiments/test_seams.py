@@ -1,9 +1,8 @@
 """Where the experiments layer meets the simulator and the tooling.
 
-Clean runs never load simsan or simlint, and every simulation an
-experiment runs is built by the sweep executor, so swapping the
-runner's executor (as ``python -m repro.sanitizer`` does) reaches
-every run.
+Simulation runs never load simlint, and every simulation an
+experiment runs is built by the sweep executor, so the executor's
+``simulation`` method reaches every run.
 """
 
 import ast
@@ -17,14 +16,14 @@ EXPERIMENTS_DIR = Path(repro.experiments.__file__).parent
 
 
 def test_clean_imports_load_no_analysis_tooling():
-    """Importing the simulator and the experiments loads neither the
-    sanitizer nor the linter; the simulator alone also stays clear of
-    process pools and logging."""
+    """Importing the simulator and the experiments does not load the
+    linter; the simulator alone also stays clear of process pools and
+    logging."""
     probe = (
         "import sys\n"
         "def loaded():\n"
         "    return sorted(m for m in sys.modules\n"
-        "        if m.startswith(('repro.sanitizer', 'repro.lint')))\n"
+        "        if m.startswith('repro.lint'))\n"
         "import repro.core.simulation\n"
         "print(loaded(), 'concurrent.futures' in sys.modules,"
         " 'logging' in sys.modules)\n"

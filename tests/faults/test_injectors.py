@@ -2,8 +2,9 @@
 
 Explicit crash/recover timelines give exact downtime accounting;
 stochastic timelines prove every algorithm survives faults (commits
-keep flowing, nothing is left stranded on a dead node — the kernel
-leak check inside ``run()`` raises otherwise).
+keep flowing, nothing is left stranded on a dead node — the leak
+audit inside ``Simulation.run`` raises otherwise, as ``TestLeakAudit``
+shows).
 """
 
 import pytest
@@ -14,8 +15,10 @@ from repro.core.config import (
     WorkloadConfig,
     paper_default_config,
 )
-from repro.core.simulation import run_simulation
+from repro.core.network import HOST_NODE
+from repro.core.simulation import Simulation, run_simulation
 from repro.faults.schedule import FaultConfig, FaultEvent
+from repro.sim.kernel import SimulationError
 
 ALGORITHMS = ("2pl", "ww", "bto", "opt", "no_dc", "wd", "ir")
 
@@ -187,4 +190,72 @@ class TestStochasticTimeline:
         )
         result = run_simulation(tiny_config("2pl", faults))
         assert result.messages_dropped > 0
+        assert result.commits > 0
+
+
+class _Resident:
+    """A cohort as the injector tracks it: a node and a process."""
+
+    def __init__(self, node, process):
+        self.node = node
+        self.process = process
+
+
+class TestLeakAudit:
+    """Every faulted ``Simulation.run`` ends with
+    ``FaultInjector.assert_no_leaks``: work still alive on a node that
+    is down at the end means the crash machinery missed it.  Each test
+    plants one piece of such work on node 0, which crashes at 3 s."""
+
+    #: The name the error reports for each kind of planted work.
+    STRANDED = {
+        "cohort": "stranded-cohort",
+        "courier": "msg--1->0:list.append",
+    }
+
+    def run_with_stranded(self, kind, events):
+        simulation = Simulation(
+            tiny_config("2pl", FaultConfig(events=events, **TIMEOUTS))
+        )
+        env = simulation.env
+
+        def stuck():
+            yield env.event()  # nothing will ever succeed it
+
+        def strand_cohort():
+            # Registered after the crash, so nothing interrupts it.
+            process = env.process(stuck(), name="stranded-cohort")
+            simulation.fault_injector.register_resident(
+                _Resident(0, process)
+            )
+
+        def strand_courier():
+            # Sent past the fault filter at the 8 s horizon, so its
+            # first CPU charge is still being served when the run ends.
+            simulation.network._transmit(HOST_NODE, 0, [].append, "lost")
+
+        if kind == "cohort":
+            env.schedule(3.5, strand_cohort)
+        else:
+            env.schedule(8.0, strand_courier)
+        return simulation.run()
+
+    @pytest.mark.parametrize("kind", ["cohort", "courier"])
+    def test_work_stranded_on_a_down_node_raises(self, kind):
+        crash_only = (FaultEvent(3.0, "crash", 0),)
+        with pytest.raises(SimulationError) as raised:
+            self.run_with_stranded(kind, crash_only)
+        assert str(raised.value) == (
+            "stranded on crashed nodes at simulation end: "
+            + self.STRANDED[kind]
+        )
+
+    @pytest.mark.parametrize("kind", ["cohort", "courier"])
+    def test_work_on_a_recovered_node_passes(self, kind):
+        outage = (
+            FaultEvent(3.0, "crash", 0),
+            FaultEvent(4.5, "recover", 0),
+        )
+        result = self.run_with_stranded(kind, outage)
+        assert result.node_crashes == 1
         assert result.commits > 0

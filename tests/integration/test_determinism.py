@@ -17,15 +17,12 @@ from repro.core.config import (
     WorkloadConfig,
     paper_default_config,
 )
-from repro.core.simulation import Simulation, run_simulation
+from repro.core.simulation import run_simulation
 from repro.experiments.executor import (
     SweepExecutionError,
     SweepExecutor,
 )
-from repro.experiments.fidelity import Fidelity
-from repro.experiments.scaling import scaling_config
 from repro.faults.schedule import FaultConfig
-from repro.sanitizer.core import Sanitizer
 
 ALGORITHMS = ("2pl", "ww", "bto", "opt", "no_dc", "wd", "ir")
 
@@ -106,68 +103,6 @@ class TestFaultDeterminism:
         assert first.node_crashes > 0  # faults actually fired
         assert first.as_dict() == second.as_dict()
         assert first.per_node_downtime == second.per_node_downtime
-
-
-def _scaling_point(algorithm, think_time, faults=None):
-    """A smoke-fidelity point of the Figure 2 scaling workload."""
-    config = scaling_config(
-        Fidelity.smoke(),
-        algorithm=algorithm,
-        think_time=think_time,
-        num_nodes=8,
-    )
-    return config.with_(
-        target_commits=0, max_duration=config.duration, faults=faults
-    )
-
-
-SANITIZED_POINTS = {
-    # Figure 2's saturated end: 8-node 2PL at think 0.
-    "fig02": lambda: _scaling_point("2pl", 0.0),
-    # A Figure 10-style point: OPT under heavy load, where restarts
-    # make the schedule highly sensitive to event ordering.
-    "fig10": lambda: _scaling_point("opt", 0.0),
-    # Crash/recovery timers and retransmissions reach the kernel on
-    # paths the failure-free points never touch.
-    "faulted": lambda: _scaling_point(
-        "2pl",
-        8.0,
-        FaultConfig(
-            node_mtbf=60.0,
-            node_mttr=1.0,
-            message_loss_probability=0.005,
-        ),
-    ),
-}
-
-
-class TestSanitizerParity:
-    """A sanitized run takes the same dispatch loop as a clean run,
-    with the sanitizer's hooks added.  The sanitizer only observes, so
-    every reported number must be identical: a sanitized run vouches
-    for the clean run it stands in for."""
-
-    @pytest.mark.parametrize(
-        "point", list(SANITIZED_POINTS), ids=list(SANITIZED_POINTS)
-    )
-    def test_sanitized_equals_clean(self, point):
-        config = SANITIZED_POINTS[point]()
-        clean = run_simulation(config)
-        sanitized = Simulation(config, sanitizer=Sanitizer()).run()
-        assert clean.commits > 0
-        assert clean.as_dict() == sanitized.as_dict()
-        # The flat dict omits the per-node breakdowns; "identical"
-        # means every reported number, so compare those too.
-        assert (
-            clean.per_node_cpu_utilization
-            == sanitized.per_node_cpu_utilization
-        )
-        assert (
-            clean.per_node_disk_utilization
-            == sanitized.per_node_disk_utilization
-        )
-        assert clean.abort_reasons == sanitized.abort_reasons
-        assert clean.per_node_downtime == sanitized.per_node_downtime
 
 
 class TestParallelDeterminism:

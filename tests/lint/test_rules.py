@@ -412,8 +412,8 @@ class TestFaultStreamMisuse:
             "x = streams.exponential('restart-delay', mean)\n",
             "x = self.streams.bernoulli('write-coin', 0.5)\n",
             "stream = streams.get('page-choice')\n",
-            "x = self._streams.uniform('think-0', 0.0, 1.0)\n",
-            "n = streams.uniform_int('copy-choice', 0, 3)\n",
+            "x = self._streams.exponential('think-0', mean)\n",
+            "stream = streams.fresh('copy-choice')\n",
             # f-string whose head is not the fault- prefix.
             "x = streams.exponential(f'disk-{node}', mean)\n",
             # f-string starting with an interpolation: unprovable.

@@ -17,8 +17,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.core.config import paper_default_config
 from repro.core.simulation import Simulation
-from repro.sanitizer.core import Sanitizer
 from repro.sim.kernel import (
     Environment,
     Interrupt,
@@ -26,7 +26,6 @@ from repro.sim.kernel import (
     SimulationError,
     Timeout,
 )
-from tests.sanitizer.fixtures import tiny_config
 
 
 @pytest.fixture
@@ -34,9 +33,11 @@ def env():
     return Environment()
 
 
-def _sanitized_env():
-    """An environment with a sanitizer attached."""
-    return Environment(sanitizer=Sanitizer())
+def tiny_config(algorithm="2pl", seed=11, think_time=1.0, terminals=6):
+    """A sub-second run: by default six terminals thinking 1 s."""
+    return paper_default_config(
+        algorithm, think_time=think_time, seed=seed
+    ).with_(duration=4.0, warmup=1.0).with_workload(num_terminals=terminals)
 
 
 class _ReferenceEntry:
@@ -432,13 +433,9 @@ class TestScheduledEntries:
     entry's callback slot, and the kernel never reuses an entry
     (DESIGN §17)."""
 
-    @pytest.mark.parametrize(
-        "make_env", [Environment, _sanitized_env], ids=["clean", "sanitized"]
-    )
-    def test_every_schedule_returns_a_distinct_entry(self, make_env):
+    def test_every_schedule_returns_a_distinct_entry(self, env):
         """No entry is handed out twice, on the heap or the lane, so a
         cancel can only ever reach the entry it was given."""
-        env = make_env()
         entries = []
         for _ in range(100):
             for delay in (1.0, 0.0):
@@ -693,11 +690,9 @@ class TestInterruptDeliveryRaces:
 
 
 class TestMailboxWithFastLane:
-    @pytest.mark.parametrize("sanitized", [False, True])
-    def test_fifo_under_mixed_put_get(self, sanitized):
+    def test_fifo_under_mixed_put_get(self, env):
         # Items must come out in put order no matter how gets and puts
-        # interleave, with identical behaviour under a sanitizer.
-        env = _sanitized_env() if sanitized else Environment()
+        # interleave.
         mailbox = Mailbox(env)
         received = []
 

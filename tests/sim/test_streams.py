@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.sanitizer.core import Sanitizer
 from repro.sim.streams import RandomStreams, derive_seed
 
 
@@ -20,73 +19,53 @@ class TestDeriveSeed:
 class TestRandomStreams:
     def test_same_name_same_stream(self):
         streams = RandomStreams(1)
-        assert streams.get("x") is streams.get("x")
+        assert streams.get("page-count") is streams.get("page-count")
 
     def test_streams_reproducible_across_instances(self):
         a = RandomStreams(7)
         b = RandomStreams(7)
-        assert [a.get("s").random() for _ in range(5)] == [
-            b.get("s").random() for _ in range(5)
+        assert [a.get("write-coin").random() for _ in range(5)] == [
+            b.get("write-coin").random() for _ in range(5)
         ]
 
     def test_streams_independent_of_creation_order(self):
         a = RandomStreams(7)
-        a.get("first")
-        first_draw_late = a.get("second").random()
+        a.get("page-count")
+        first_draw_late = a.get("page-choice").random()
         b = RandomStreams(7)
-        first_draw_early = b.get("second").random()
+        first_draw_early = b.get("page-choice").random()
         assert first_draw_late == first_draw_early
 
     def test_different_names_differ(self):
         streams = RandomStreams(7)
-        assert streams.get("a").random() != streams.get("b").random()
+        assert (
+            streams.get("disk-service-0").random()
+            != streams.get("disk-choice-0").random()
+        )
 
     def test_exponential_mean(self):
         streams = RandomStreams(3)
-        draws = [streams.exponential("e", 2.0) for _ in range(20_000)]
+        draws = [
+            streams.exponential("restart-delay", 2.0)
+            for _ in range(20_000)
+        ]
         assert sum(draws) / len(draws) == pytest.approx(2.0, rel=0.05)
 
     def test_exponential_zero_mean_is_zero(self):
         streams = RandomStreams(3)
-        assert streams.exponential("e", 0.0) == 0.0
-
-    def test_uniform_int_bounds(self):
-        streams = RandomStreams(3)
-        draws = [
-            streams.uniform_int("u", 4, 12) for _ in range(2_000)
-        ]
-        assert min(draws) == 4
-        assert max(draws) == 12
-
-    def test_uniform_bounds(self):
-        streams = RandomStreams(3)
-        draws = [
-            streams.uniform("u", 0.01, 0.03) for _ in range(1_000)
-        ]
-        assert all(0.01 <= d <= 0.03 for d in draws)
+        assert streams.exponential("restart-delay", 0.0) == 0.0
 
     def test_bernoulli_edge_cases(self):
         streams = RandomStreams(3)
-        assert streams.bernoulli("b", 0.0) is False
-        assert streams.bernoulli("b", 1.0) is True
+        assert streams.bernoulli("write-coin", 0.0) is False
+        assert streams.bernoulli("write-coin", 1.0) is True
 
     def test_bernoulli_rate(self):
         streams = RandomStreams(3)
         hits = sum(
-            streams.bernoulli("b", 0.125) for _ in range(40_000)
+            streams.bernoulli("write-coin", 0.125) for _ in range(40_000)
         )
         assert hits / 40_000 == pytest.approx(0.125, abs=0.01)
-
-    def test_sample_without_replacement_distinct(self):
-        streams = RandomStreams(3)
-        sample = streams.sample_without_replacement("s", 300, 12)
-        assert len(set(sample)) == 12
-        assert all(0 <= x < 300 for x in sample)
-
-    def test_sample_too_many_raises(self):
-        streams = RandomStreams(3)
-        with pytest.raises(ValueError):
-            streams.sample_without_replacement("s", 3, 5)
 
 
 class TestFreshStreams:
@@ -105,12 +84,52 @@ class TestFreshStreams:
         assert streams._streams == {}
         assert streams.get("think-0") is not streams.fresh("think-0")
 
-    def test_sanitizer_checks_the_registry(self):
-        sanitizer = Sanitizer()
+
+class TestRegistryRefusal:
+    """Every stream creation resolves its name against the
+    ``register_stream`` registry; a lookup that names its component
+    must name the registered owner."""
+
+    def test_unregistered_name_raises_through_get(self):
         streams = RandomStreams(5)
-        streams.attach_sanitizer(sanitizer)
+        with pytest.raises(ValueError, match="'thnik-0'"):
+            streams.get("thnik-0")
+        assert streams._streams == {}
+
+    def test_unregistered_name_raises_through_fresh(self):
+        streams = RandomStreams(5)
         streams.fresh("think-0")
-        streams.fresh("thnik-0")
-        [finding] = sanitizer.finalize()
-        assert finding.rule_id == "stream-discipline"
-        assert "'thnik-0'" in finding.message
+        with pytest.raises(ValueError, match="'thnik-0'"):
+            streams.fresh("thnik-0")
+
+    def test_cross_owner_creation_raises(self):
+        streams = RandomStreams(5)
+        with pytest.raises(ValueError, match="'page-count'"):
+            streams.get("page-count", owner="resources")
+        with pytest.raises(ValueError, match="'think-3'"):
+            streams.fresh("think-3", owner="resources")
+        assert streams._streams == {}
+
+    def test_cross_owner_cached_lookup_raises(self):
+        streams = RandomStreams(5)
+        stream = streams.get("page-count", owner="workload")
+        assert streams.get("page-count", owner="workload") is stream
+        with pytest.raises(ValueError, match="owned by 'workload'"):
+            streams.get("page-count", owner="resources")
+        with pytest.raises(ValueError, match="drawn by 'resources'"):
+            streams.exponential("page-count", 1.0, owner="resources")
+
+    def test_owner_less_lookup_passes(self):
+        streams = RandomStreams(5)
+        stream = streams.get("write-coin")
+        assert streams.get("write-coin") is stream
+        assert streams.get("write-coin", owner="workload") is stream
+        streams.fresh("restart-delay").random()
+
+    def test_placeholder_family_member_passes(self):
+        streams = RandomStreams(5)
+        streams.get("disk-service-12", owner="resources").random()
+        streams.fresh("think-25599", owner="workload").random()
+        streams.exponential("fault-crash-3", 1.0, owner="faults")
+        with pytest.raises(ValueError, match="'disk-service-'"):
+            streams.get("disk-service-", owner="resources")
